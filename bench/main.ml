@@ -64,6 +64,9 @@ let wall f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* The benches feed only valid XPath: an error is a bug, so it raises. *)
+let query ?par db q = Core.Db.get_exn (Core.Db.query ?par db q)
+
 let line () = print_endline (String.make 78 '-')
 
 let header title =
@@ -198,7 +201,9 @@ let run_fig9 ~scales ~quota =
     let queries = [ "//item//keyword"; "//open_auction//bidder"; "//person/name" ] in
     Core.Par.with_pool ~domains:4 (fun pool ->
         let profs =
-          List.map (fun q -> snd (Core.Db.query_profiled_exn ~par:pool db q)) queries
+          List.map
+            (fun q -> snd (Core.Db.get_exn (Core.Db.query_profiled ~par:pool db q)))
+            queries
         in
         write_artifact "BENCH_profile.json"
           ("{\n" ^ commit_field () ^ "  \"profiles\": [\n"
@@ -743,10 +748,10 @@ let run_parallel ~scale ~quota =
   let queries =
     [ "//item"; "//keyword"; "//item//keyword"; "//open_auction//bidder" ]
   in
-  let seq_results = List.map (fun q -> Core.Db.query_exn db q) queries in
+  let seq_results = List.map (fun q -> query db q) queries in
   let t_seq =
     List.map
-      (fun q -> bench_ns ~quota ("seq/" ^ q) (fun () -> ignore (Core.Db.query_exn db q)))
+      (fun q -> bench_ns ~quota ("seq/" ^ q) (fun () -> ignore (query db q)))
       queries
   in
   let widths = [ 1; 2; 4; 8 ] in
@@ -757,7 +762,7 @@ let run_parallel ~scale ~quota =
             (* identical answers before we time anything *)
             List.iter2
               (fun q expect ->
-                if Core.Db.query_exn ~par:pool db q <> expect then
+                if query ~par:pool db q <> expect then
                   failwith
                     (Printf.sprintf "parallel result differs at %d domains: %s"
                        domains q))
@@ -767,7 +772,7 @@ let run_parallel ~scale ~quota =
                 (fun q ->
                   bench_ns ~quota
                     (Printf.sprintf "par%d/%s" domains q)
-                    (fun () -> ignore (Core.Db.query_exn ~par:pool db q)))
+                    (fun () -> ignore (query ~par:pool db q)))
                 queries
             in
             (domains, ts)))
@@ -861,24 +866,24 @@ let run_cache ~scale ~quota =
   (* identical answers cold and from the cache before we time anything *)
   List.iter
     (fun q ->
-      let expect = Core.Db.query_exn db_off q in
-      if Core.Db.query_exn db_on q <> expect then
+      let expect = query db_off q in
+      if query db_on q <> expect then
         failwith ("cached (cold) result differs: " ^ q);
-      if Core.Db.query_exn db_on q <> expect then
+      if query db_on q <> expect then
         failwith ("cached (hit) result differs: " ^ q))
     queries;
   let t_off =
     List.map
       (fun q ->
         bench_ns ~quota ("off/" ^ q) (fun () ->
-            ignore (Core.Db.query_exn db_off q)))
+            ignore (query db_off q)))
       queries
   in
   let t_hit =
     List.map
       (fun q ->
         bench_ns ~quota ("hit/" ^ q) (fun () ->
-            ignore (Core.Db.query_exn db_on q)))
+            ignore (query db_on q)))
       queries
   in
   let q1 = "//item//keyword" and q2 = "//open_auction//bidder" in
@@ -896,25 +901,25 @@ let run_cache ~scale ~quota =
     t_miss_pair :=
       Float.min !t_miss_pair
         (bench_ns ~quota:pair_quota "miss/pair" (fun () ->
-             ignore (Core.Db.query_exn db_miss q1);
-             ignore (Core.Db.query_exn db_miss q2)));
+             ignore (query db_miss q1);
+             ignore (query db_miss q2)));
     t_off_pair :=
       Float.min !t_off_pair
         (bench_ns ~quota:pair_quota "off/pair" (fun () ->
-             ignore (Core.Db.query_exn db_off q1);
-             ignore (Core.Db.query_exn db_off q2)))
+             ignore (query db_off q1);
+             ignore (query db_off q2)))
   done;
   let t_miss_pair = !t_miss_pair and t_off_pair = !t_off_pair in
   (* epoch invalidation end to end: a commit must re-route the same text to
      a fresh evaluation that sees the new state *)
-  let n_w = List.length (Core.Db.query_exn db_on "//w") in
+  let n_w = List.length (query db_on "//w") in
   let add =
     {|<xupdate:modifications><xupdate:append select="/*"><w/></xupdate:append></xupdate:modifications>|}
   in
   (match Core.Db.update db_on add with
   | Ok _ -> ()
   | Error e -> failwith (Core.Db.Error.to_string e));
-  let n_w' = List.length (Core.Db.query_exn db_on "//w") in
+  let n_w' = List.length (query db_on "//w") in
   if n_w' <> n_w + 1 then failwith "stale cached result survived a commit";
   Printf.printf "\n%-24s %12s %12s %9s\n" "query" "uncached ns" "hit ns"
     "speedup";
@@ -1190,6 +1195,9 @@ let run_server ~duration =
     Unix._exit 0
   | child ->
     Unix.close port_w;
+    (* the drain cuts connections mid-request: a write into one must fail
+       with EPIPE (counted, not gated), not kill the bench with SIGPIPE *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let port =
       let ic = Unix.in_channel_of_descr port_r in
       let p = int_of_string (String.trim (input_line ic)) in

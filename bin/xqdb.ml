@@ -170,7 +170,7 @@ let query_cmd =
              read the same pinned snapshot. *)
           match
             with_domains domains @@ fun par ->
-            Core.Db.read_txn_exn ?par ?doc db (fun s ->
+            Result.join @@ Core.Db.read_txn ?par ?doc db (fun s ->
                 let res =
                   if profile then
                     Result.map
@@ -185,18 +185,11 @@ let query_cmd =
                 | Error _ as e -> e
                 | Ok (items, prof) ->
                   if count_only then Printf.printf "%d\n" (List.length items)
-                  else begin
-                    let module Ser = Core.Node_serialize.Make (Core.View) in
-                    let v = Core.Db.Session.view s in
+                  else
                     List.iter
                       (fun item ->
-                        match item with
-                        | Core.Db.E.Node pre ->
-                          print_endline (Ser.subtree_to_string v pre)
-                        | Core.Db.E.Attribute { qn; value; _ } ->
-                          Printf.printf "%s=\"%s\"\n" (Xml.Qname.to_string qn) value)
-                      items
-                  end;
+                        print_endline (Core.Db.Session.serialize_item s item))
+                      items;
                   Option.iter
                     (fun p -> prerr_string (Core.Profile.render_explain p))
                     prof;
@@ -471,7 +464,7 @@ let metrics_cmd =
             print_string (render_metrics format);
             if cache_stats then print_string (render_cache_stats db);
             if traces then begin
-              match Core.Db.recent_traces db with
+              match Obs.Span.recent () with
               | [] -> ()
               | ts ->
                 print_newline ();

@@ -29,7 +29,7 @@ let () =
           </xupdate:modifications>|}
         n body
     in
-    ignore (Core.Db.update_exn db cmd);
+    ignore (Core.Db.get_exn (Core.Db.update db cmd));
     Printf.printf "committed entry %d\n%!" n
   in
 
@@ -48,9 +48,12 @@ let () =
   Unix.close fd;
   print_endline "\n-- crash! (last WAL frame torn) --\n";
 
-  let db2 = Core.Db.open_recovered_exn ~wal_path:wal ~checkpoint:ck () in
+  let db2 =
+    Core.Db.get_exn (Core.Db.open_recovered ~wal_path:wal ~checkpoint:ck ())
+  in
   Printf.printf "recovered entries: %s\n"
-    (String.concat ", " (Core.Db.query_strings_exn db2 "/ledger/entry/@n"));
+    (String.concat ", "
+       (Core.Db.get_exn (Core.Db.query_strings db2 "/ledger/entry/@n")));
   print_endline "(entry 4 was never durable; entries 1-3 survived)";
   (match Core.Schema_up.check_integrity (Core.Db.store db2) with
   | Ok () -> print_endline "integrity: OK"
@@ -58,12 +61,13 @@ let () =
 
   (* life goes on: the recovered store accepts new transactions *)
   ignore
-    (Core.Db.update_exn db2
+    (Core.Db.get_exn (Core.Db.update db2
        {|<xupdate:modifications>
            <xupdate:append select="/ledger"><entry n="5">recovered and open for business</entry></xupdate:append>
-         </xupdate:modifications>|});
+         </xupdate:modifications>|}));
   Printf.printf "after new commit:  %s\n"
-    (String.concat ", " (Core.Db.query_strings_exn db2 "/ledger/entry/@n"));
+    (String.concat ", "
+       (Core.Db.get_exn (Core.Db.query_strings db2 "/ledger/entry/@n")));
   Core.Db.close db2;
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir

@@ -23,14 +23,15 @@ let () =
   (* 2. Query with XPath. Reads pin an MVCC snapshot — no lock held. *)
   print_endline "== titles of post-2000 books ==";
   List.iter print_endline
-    (Core.Db.query_strings_exn db "//book[@year > 2000]/title/text()");
+    (Core.Db.get_exn (Core.Db.query_strings db "//book[@year > 2000]/title/text()"));
 
-  Printf.printf "books in total: %d\n" (Core.Db.query_count_exn db "//book");
+  Printf.printf "books in total: %d\n"
+    (Core.Db.get_exn (Core.Db.query_count db "//book"));
 
   (* 3. Update with XUpdate. Each call is one ACID transaction: staged
      privately, validated, committed behind the manager's commit mutex. *)
   let n =
-    Core.Db.update_exn db
+    Core.Db.get_exn (Core.Db.update db
       {|<xupdate:modifications>
           <xupdate:append select="/library/shelf[@subject='xml']">
             <book year="2005">
@@ -38,7 +39,7 @@ let () =
             </book>
           </xupdate:append>
           <xupdate:update select="/library/shelf[@subject='databases']/book[1]/@year">1993</xupdate:update>
-        </xupdate:modifications>|}
+        </xupdate:modifications>|})
   in
   Printf.printf "\n%d target(s) updated\n" n;
 

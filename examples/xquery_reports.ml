@@ -43,13 +43,13 @@ let () =
      updated pre/post plane *)
   print_endline "-- inserting a privileged bidder into every hot auction --\n";
   let n =
-    Core.Db.update_exn db
+    Core.Db.get_exn (Core.Db.update db
       {|<xupdate:modifications>
           <xupdate:insert-before select="/site/open_auctions/open_auction[count(bidder) >= 3]/bidder[1]">
             <bidder><date>06/07/2026</date><time>00:00:00</time>
               <personref person="person0"/><increase>99.00</increase></bidder>
           </xupdate:insert-before>
-        </xupdate:modifications>|}
+        </xupdate:modifications>|})
   in
   Printf.printf "%d auctions updated\n\n" n;
 

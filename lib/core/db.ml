@@ -49,16 +49,19 @@ module Error = struct
     | Catalog msg -> "catalog error: " ^ msg
 end
 
-exception Unknown_doc of string
+exception Failed of Error.t
 
-exception Doc_exists of string
+let get_exn = function Ok v -> v | Error e -> raise (Failed e)
 
-(* One funnel from the unrelated exception families the [_exn] entry points
-   raise to the unified [Error.t]. Unknown exceptions still escape: they are
-   bugs, not results. *)
+let no_such_doc name = Error.Catalog ("no such document: " ^ name)
+
+(* One funnel from the unrelated exception families the layers below raise
+   to the unified [Error.t]. Unknown exceptions still escape: they are bugs,
+   not results. *)
 let capture f =
   match f () with
   | v -> Ok v
+  | exception Failed e -> Error e
   | exception Xpath.Xpath_parser.Syntax_error { pos; msg } ->
     Error (Error.Parse { source = "xpath"; msg = Printf.sprintf "at %d: %s" pos msg })
   | exception Xml.Xml_parser.Parse_error { line; col; msg } ->
@@ -76,9 +79,6 @@ let capture f =
   | exception Column.Persist.Dec.Corrupt msg -> Error (Error.Corrupt msg)
   | exception Failure msg -> Error (Error.Corrupt msg)
   | exception Sys_error msg -> Error (Error.Io msg)
-  | exception Unknown_doc name -> Error (Error.Catalog ("no such document: " ^ name))
-  | exception Doc_exists name ->
-    Error (Error.Catalog ("document already exists: " ^ name))
 
 (* ----------------------------------------------------------- query cache -- *)
 
@@ -140,19 +140,19 @@ let list_docs t =
   Mutex.unlock t.cat_mu;
   List.sort compare names
 
-let find_doc_exn t name =
+let find_doc t name =
   Mutex.lock t.cat_mu;
   let d = List.find_opt (fun d -> d.name = name) t.docs in
   Mutex.unlock t.cat_mu;
-  match d with Some d -> d | None -> raise (Unknown_doc name)
+  match d with Some d -> d | None -> raise (Failed (no_such_doc name))
 
-let create_doc_exn ?page_bits ?fill ?schema t name dom =
+let add_doc ?page_bits ?fill ?schema t name dom =
   let base = Schema_up.of_dom ?page_bits ?fill dom in
   Mutex.lock t.cat_mu;
   match List.find_opt (fun d -> d.name = name) t.docs with
   | Some _ ->
     Mutex.unlock t.cat_mu;
-    raise (Doc_exists name)
+    raise (Failed (Error.Catalog ("document already exists: " ^ name)))
   | None ->
     let doc_id = t.next_doc_id in
     t.next_doc_id <- doc_id + 1;
@@ -169,28 +169,30 @@ let create_doc_exn ?page_bits ?fill ?schema t name dom =
     Option.iter (fun c -> Qcache.remove_doc c name) t.cache
 
 let create_doc ?page_bits ?fill ?schema t name dom =
-  capture (fun () -> create_doc_exn ?page_bits ?fill ?schema t name dom)
+  capture (fun () -> add_doc ?page_bits ?fill ?schema t name dom)
 
-let drop_doc_exn t name =
+let drop_doc t name =
   if name = default_doc then
-    invalid_arg "Db.drop_doc: cannot drop the default document";
-  Mutex.lock t.cat_mu;
-  if not (List.exists (fun d -> d.name = name) t.docs) then begin
+    Error (Error.Catalog "cannot drop the default document")
+  else begin
+    Mutex.lock t.cat_mu;
+    let present = List.exists (fun d -> d.name = name) t.docs in
+    t.docs <- List.filter (fun d -> d.name <> name) t.docs;
     Mutex.unlock t.cat_mu;
-    raise (Unknown_doc name)
-  end;
-  t.docs <- List.filter (fun d -> d.name <> name) t.docs;
-  Mutex.unlock t.cat_mu;
-  (* The id is never reused, so stray WAL records of the dropped document
-     are skipped on recovery; the drop itself becomes durable at the next
-     checkpoint. Cached results must go now — see [create_doc]. *)
-  Option.iter (fun c -> Qcache.remove_doc c name) t.cache
-
-let drop_doc t name = capture (fun () -> drop_doc_exn t name)
+    if present then begin
+      (* The id is never reused, so stray WAL records of the dropped
+         document are skipped on recovery; the drop itself becomes durable
+         at the next checkpoint. Cached results must go now — see
+         [add_doc]. *)
+      Option.iter (fun c -> Qcache.remove_doc c name) t.cache;
+      Ok ()
+    end
+    else Error (no_such_doc name)
+  end
 
 let create ?page_bits ?fill ?wal_path ?schema ?cache dom =
   let t = empty ?wal_path ?cache () in
-  create_doc_exn ?page_bits ?fill ?schema t default_doc dom;
+  add_doc ?page_bits ?fill ?schema t default_doc dom;
   t
 
 let of_xml ?page_bits ?fill ?wal_path ?schema ?cache src =
@@ -199,19 +201,15 @@ let of_xml ?page_bits ?fill ?wal_path ?schema ?cache src =
 
 let create_doc_xml ?page_bits ?fill ?schema t name src =
   capture (fun () ->
-      create_doc_exn ?page_bits ?fill ?schema t name
+      add_doc ?page_bits ?fill ?schema t name
         (Xml.Xml_parser.parse ~strip_ws:true src))
 
-let store ?(doc = default_doc) t = Txn.store (find_doc_exn t doc).mgr
-
-let manager ?(doc = default_doc) t = (find_doc_exn t doc).mgr
+let store ?(doc = default_doc) t = Txn.store (find_doc t doc).mgr
 
 let cache_stats t = Option.map Qcache.stats t.cache
 
-(* Catalog checkpoints lead with a negative marker: a legacy single-plane
-   checkpoint starts with its (non-negative) LSN, so the first int tells
-   the two formats apart and old files load as a catalog whose sole
-   document is the default one. *)
+(* Checkpoints lead with this marker and a format version, so a file that
+   is not a catalog checkpoint fails fast as corrupt. *)
 let catalog_magic = -7390
 
 let checkpoint ?(truncate_wal = false) t path =
@@ -253,12 +251,13 @@ let checkpoint ?(truncate_wal = false) t path =
       Sys.rename tmp path;
       Column.Persist.fsync_dir (Filename.dirname path);
       (* new checkpoint live, WAL not yet rotated: replay must skip frames
-         at or below the checkpoint LSN (Txn.recover's [~after]) *)
+         at or below the checkpoint LSN (Txn.recover_docs' [~after]) *)
       Fault.hit "db.checkpoint.after_rename";
       if truncate_wal then Option.iter Wal.rotate t.wal_handle;
       Fault.hit "db.checkpoint.after")
 
-let open_recovered_exn ?wal_path ?schema ?cache ~checkpoint () =
+let open_recovered ?wal_path ?schema ?cache ~checkpoint () =
+  capture @@ fun () ->
   let ic = open_in_bin checkpoint in
   let payload =
     Fun.protect
@@ -269,33 +268,23 @@ let open_recovered_exn ?wal_path ?schema ?cache ~checkpoint () =
         | None -> failwith ("corrupt checkpoint: " ^ checkpoint))
   in
   let dec = Column.Persist.Dec.of_string payload in
-  let first = Column.Persist.Dec.int dec in
+  let corrupt fmt =
+    Printf.ksprintf (fun m -> raise (Column.Persist.Dec.Corrupt m)) fmt
+  in
+  let marker = Column.Persist.Dec.int dec in
+  if marker <> catalog_magic then corrupt "bad catalog marker %d" marker;
+  let version = Column.Persist.Dec.int dec in
+  if version <> 1 then corrupt "unsupported catalog version %d" version;
+  let next_doc_id = Column.Persist.Dec.int dec in
+  let ndocs = Column.Persist.Dec.int dec in
+  if ndocs < 0 then corrupt "negative document count";
   (* (name, doc_id, checkpoint LSN, plane) in catalog order *)
-  let loaded, next_doc_id =
-    if first >= 0 then
-      (* Legacy single-plane checkpoint: [first] is the LSN. *)
-      [ (default_doc, 0, first, Schema_up.load dec) ], 1
-    else begin
-      if first <> catalog_magic then
-        raise
-          (Column.Persist.Dec.Corrupt
-             (Printf.sprintf "bad catalog marker %d" first));
-      let version = Column.Persist.Dec.int dec in
-      if version <> 1 then
-        raise
-          (Column.Persist.Dec.Corrupt
-             (Printf.sprintf "unsupported catalog version %d" version));
-      let next_doc_id = Column.Persist.Dec.int dec in
-      let ndocs = Column.Persist.Dec.int dec in
-      if ndocs < 0 then
-        raise (Column.Persist.Dec.Corrupt "negative document count");
-      ( List.init ndocs (fun _ ->
-            let name = Column.Persist.Dec.string dec in
-            let doc_id = Column.Persist.Dec.int dec in
-            let lsn = Column.Persist.Dec.int dec in
-            (name, doc_id, lsn, Schema_up.load dec)),
-        next_doc_id )
-    end
+  let loaded =
+    List.init ndocs (fun _ ->
+        let name = Column.Persist.Dec.string dec in
+        let doc_id = Column.Persist.Dec.int dec in
+        let lsn = Column.Persist.Dec.int dec in
+        (name, doc_id, lsn, Schema_up.load dec))
   in
   let wal_path = Option.value ~default:(checkpoint ^ ".wal") wal_path in
   (* One pass over the mixed log: each record redoes onto its document's
@@ -338,75 +327,9 @@ let open_recovered_exn ?wal_path ?schema ?cache ~checkpoint () =
     cat_mu = Mutex.create ();
     next_doc_id = max_id }
 
-let open_recovered ?wal_path ?schema ?cache ~checkpoint () =
-  capture (fun () -> open_recovered_exn ?wal_path ?schema ?cache ~checkpoint ())
-
 let close t = Option.iter Wal.close t.wal_handle
 
-(* ---------------------------------------------------------- profiled core -- *)
-
-let read ?doc t f = Txn.read (manager ?doc t) f
-
-(* Shared profiled-query core: run an evaluation strategy inside a
-   "db.query" span and fold the timings, step records and cache status into
-   a [Profile.t] together with the span tree itself. The slow-query log is
-   fed unconditionally — [note] self-gates on its threshold. *)
-let profiled ~domains ~src run =
-  let started_at = Obs.now () in
-  let parse_s = ref 0. and eval_s = ref 0. in
-  let cache = ref None in
-  let prof = Profile.collector () in
-  let items, span =
-    Obs.Span.timed "db.query" (fun () -> run ~prof ~parse_s ~eval_s ~cache)
-  in
-  let p =
-    { Profile.query = src;
-      started_at;
-      parse_s = !parse_s;
-      eval_s = !eval_s;
-      total_s = span.Obs.Span.dur;
-      items = List.length items;
-      domains;
-      cache = !cache;
-      steps = Profile.steps prof;
-      trace = Some span }
-  in
-  Profile.Slowlog.note p;
-  (items, p)
-
-(* Plain strategy: parse, evaluate. *)
-let run_plain ~src eval ~prof ~parse_s ~eval_s ~cache:_ =
-  let t0 = Obs.monotonic () in
-  let path =
-    Obs.Span.with_ "xpath.parse" (fun () -> Xpath.Xpath_parser.parse src)
-  in
-  parse_s := Obs.monotonic () -. t0;
-  let t1 = Obs.monotonic () in
-  let items = Obs.Span.with_ "engine.eval" (fun () -> eval ~prof path) in
-  eval_s := Obs.monotonic () -. t1;
-  items
-
-(* Cached strategy: consult the result tier for (src, epoch); on a miss,
-   parse through the plan tier and evaluate (single-flighted — concurrent
-   readers of the same key share this computation). A hit leaves the step
-   list empty: nothing was evaluated. *)
-let run_cached ~src ~doc c ~epoch eval ~prof ~parse_s ~eval_s ~cache =
-  let t1 = Obs.monotonic () in
-  let computed = ref false in
-  let items =
-    Qcache.with_result ~doc c ~query:src ~epoch (fun () ->
-        computed := true;
-        let t0 = Obs.monotonic () in
-        let path =
-          Obs.Span.with_ "xpath.parse" (fun () ->
-              Qcache.plan c src Xpath.Xpath_parser.parse)
-        in
-        parse_s := Obs.monotonic () -. t0;
-        Obs.Span.with_ "engine.eval" (fun () -> eval ~prof path))
-  in
-  eval_s := Obs.monotonic () -. t1 -. !parse_s;
-  cache := Some (if !computed then Profile.Miss else Profile.Hit);
-  items
+let read ?(doc = default_doc) t f = Txn.read (find_doc t doc).mgr f
 
 (* -------------------------------------------------------------- sessions -- *)
 
@@ -415,184 +338,162 @@ module Session = struct
      session's view from other domains, which is safe for pinned snapshots
      (immutable after capture) but not for staged writable views.
 
-     [cache]/[epoch] likewise: only a read session carries them. The epoch
-     comes from the session's OWN pinned descriptor (View.snapshot_version),
-     never from the manager's last-commit counter — a commit finishing
-     between pin and query must not retag this snapshot's results. Write
-     sessions bypass the cache entirely: their staged view is not a
-     committed epoch. *)
+     [cache] likewise: only a read session carries the result cache, paired
+     with the epoch of the session's OWN pinned descriptor
+     (View.snapshot_version), never the manager's last-commit counter — a
+     commit finishing between pin and query must not retag this snapshot's
+     results. Write sessions bypass the cache entirely: their staged view is
+     not a committed epoch. *)
   type t = {
     v : View.t;
     doc : string; (* cache keys carry the document name — epochs are per-doc *)
     writable : bool;
     par : Par.t option;
-    cache : item_list Qcache.t option;
-    epoch : int option;
+    cache : (cache_t * int) option;
   }
 
   let view s = s.v
 
   let writable s = s.writable
 
-  let active_cache s =
-    match s.cache, s.epoch with
-    | Some c, Some e when not s.writable -> Some (c, e)
-    | _ -> None
+  let cached s = s.cache <> None
 
-  let cached s = active_cache s <> None
+  (* The one read pipeline: a "db.query" span around "xpath.parse" and
+     "engine.eval". On a cached session the pair runs inside the result
+     tier's single-flight (parsing through the plan tier), so a hit has
+     neither child. Returns the finished "db.query" span with the items. *)
+  let eval ?prof s src =
+    let compute () =
+      let path =
+        Obs.Span.with_ "xpath.parse" (fun () ->
+            match s.cache with
+            | None -> Xpath.Xpath_parser.parse src
+            | Some (c, _) -> Qcache.plan c src Xpath.Xpath_parser.parse)
+      in
+      Obs.Span.with_ "engine.eval" (fun () ->
+          E.eval_items s.v ?par:s.par ?prof path)
+    in
+    Obs.Span.timed "db.query" (fun () ->
+        match s.cache with
+        | None -> compute ()
+        | Some (c, epoch) ->
+          Qcache.with_result ~doc:s.doc c ~query:src ~epoch compute)
 
-  let query_profiled_exn s src =
-    let domains = match s.par with Some p -> Par.domains p | None -> 1 in
-    let eval ~prof path = E.eval_items ?par:s.par ~prof s.v path in
-    match active_cache s with
-    | None -> profiled ~domains ~src (run_plain ~src eval)
-    | Some (c, epoch) ->
-      profiled ~domains ~src (run_cached ~src ~doc:s.doc c ~epoch eval)
+  (* [eval] with a step collector, folded into a [Profile.t] from the span
+     tree: parse time is the "xpath.parse" child, evaluation (or, on a hit,
+     the cache probe) the rest. The slow-query log is fed unconditionally —
+     [note] self-gates on its threshold. *)
+  let profiled s src =
+    let prof = Profile.collector () in
+    let items, span = eval ~prof s src in
+    let parse_s =
+      match
+        List.find_opt (fun (c : Obs.Span.t) -> c.name = "xpath.parse")
+          span.children
+      with
+      | Some c -> c.dur
+      | None -> 0.
+    in
+    let p =
+      { Profile.query = src;
+        started_at = span.start;
+        parse_s;
+        eval_s = span.dur -. parse_s;
+        total_s = span.dur;
+        items = List.length items;
+        domains = (match s.par with Some p -> Par.domains p | None -> 1);
+        cache =
+          Option.map
+            (fun _ -> if span.children = [] then Profile.Hit else Profile.Miss)
+            s.cache;
+        steps = Profile.steps prof;
+        trace = Some span }
+    in
+    Profile.Slowlog.note p;
+    (items, p)
 
-  let query_profiled s src = capture (fun () -> query_profiled_exn s src)
-
-  let query_exn s src =
-    (* with the slow-query log armed, every query runs profiled so crossing
-       the threshold captures a full profile, not just a duration *)
+  (* with the slow-query log armed, every query runs profiled so crossing
+     the threshold captures a full profile, not just a duration *)
+  let items s src =
     match Profile.Slowlog.threshold () with
-    | Some _ -> fst (query_profiled_exn s src)
-    | None -> (
-      match active_cache s with
-      | None ->
-        Obs.Span.with_ "db.query" (fun () ->
-            let path =
-              Obs.Span.with_ "xpath.parse" (fun () ->
-                  Xpath.Xpath_parser.parse src)
-            in
-            Obs.Span.with_ "engine.eval" (fun () ->
-                E.eval_items ?par:s.par s.v path))
-      | Some (c, epoch) ->
-        Obs.Span.with_ "db.query" (fun () ->
-            Qcache.with_result ~doc:s.doc c ~query:src ~epoch (fun () ->
-                let path =
-                  Obs.Span.with_ "xpath.parse" (fun () ->
-                      Qcache.plan c src Xpath.Xpath_parser.parse)
-                in
-                Obs.Span.with_ "engine.eval" (fun () ->
-                    E.eval_items ?par:s.par s.v path))))
+    | None -> fst (eval s src)
+    | Some _ -> fst (profiled s src)
 
-  let query s src = capture (fun () -> query_exn s src)
+  let query s src = capture (fun () -> items s src)
 
-  let count_exn s src = List.length (query_exn s src)
+  let query_profiled s src = capture (fun () -> profiled s src)
 
-  let count s src = capture (fun () -> count_exn s src)
-
-  let strings_exn s src = List.map (E.item_string s.v) (query_exn s src)
-
-  let strings s src = capture (fun () -> strings_exn s src)
-
-  let serialize ?indent s = Ser.to_string ?indent s.v
+  let count s src = capture (fun () -> List.length (items s src))
 
   let item_string s item = E.item_string s.v item
 
-  let update_exn s src =
+  let strings s src = capture (fun () -> List.map (item_string s) (items s src))
+
+  let serialize ?indent s = Ser.to_string ?indent s.v
+
+  let serialize_item s = function
+    | E.Node pre -> Ser.subtree_to_string s.v pre
+    | E.Attribute { qn; value; _ } ->
+      Printf.sprintf "%s=\"%s\"" (Xml.Qname.to_string qn) value
+
+  let update s src =
     if not s.writable then
       invalid_arg "Db.Session.update: read session (use Db.write_txn)";
-    Xupdate.apply s.v (Xupdate.parse src)
-
-  let update s src = capture (fun () -> update_exn s src)
+    capture (fun () -> Xupdate.apply s.v (Xupdate.parse src))
 end
 
-let read_txn_exn ?par ?(cache = true) ?(doc = default_doc) t f =
-  let entry = find_doc_exn t doc in
-  Txn.read entry.mgr (fun v ->
-      let c = if cache then t.cache else None in
-      let epoch = Option.map Version.epoch (View.snapshot_version v) in
-      f { Session.v; doc; writable = false; par; cache = c; epoch })
+let read_txn ?par ?(doc = default_doc) t f =
+  capture (fun () ->
+      read ~doc t (fun v ->
+          let cache =
+            match t.cache, View.snapshot_version v with
+            | Some c, Some version -> Some (c, Version.epoch version)
+            | _ -> None
+          in
+          f { Session.v; doc; writable = false; par; cache }))
 
-let read_txn ?par ?cache ?doc t f =
-  capture (fun () -> read_txn_exn ?par ?cache ?doc t f)
+let write_session doc v =
+  { Session.v; doc; writable = true; par = None; cache = None }
+
+let validator entry = Option.map Validate.checker entry.doc_schema
 
 let with_write ?(doc = default_doc) t f =
-  let entry = find_doc_exn t doc in
-  let validate = Option.map Validate.checker entry.doc_schema in
-  Txn.with_write entry.mgr ?validate f
+  let entry = find_doc t doc in
+  Txn.with_write entry.mgr ?validate:(validator entry) f
 
-let write_txn_exn ?(doc = default_doc) t f =
-  with_write ~doc t (fun v ->
-      f { Session.v; doc; writable = true; par = None; cache = None; epoch = None })
-
-let write_txn ?doc t f = capture (fun () -> write_txn_exn ?doc t f)
+let write_txn ?(doc = default_doc) t f =
+  capture (fun () -> with_write ~doc t (fun v -> f (write_session doc v)))
 
 (* Atomic multi-document write: one transaction per named document, all
    committed as one group — one WAL frame, all-or-nothing on recovery. *)
-let write_multi_exn t names f =
-  let names = List.sort_uniq compare names in
-  if names = [] then invalid_arg "Db.write_multi: no documents named";
-  let entries = List.map (find_doc_exn t) names in
-  let txns = List.map (fun e -> (e, Txn.begin_write e.mgr)) entries in
-  let sessions =
-    List.map
-      (fun (e, txn) ->
-        ( e.name,
-          { Session.v = Txn.view txn;
-            doc = e.name;
-            writable = true;
-            par = None;
-            cache = None;
-            epoch = None } ))
-      txns
-  in
-  let lookup n =
-    match List.assoc_opt n sessions with
-    | Some s -> s
-    | None -> raise (Unknown_doc n)
-  in
-  let abort_all () =
-    List.iter
-      (fun (_, txn) ->
-        match Txn.abort txn with () -> () | exception Invalid_argument _ -> ())
-      txns
-  in
-  match f lookup with
-  | result ->
-    Txn.commit_group
-      (List.map
-         (fun (e, txn) -> (txn, Option.map Validate.checker e.doc_schema))
-         txns);
-    result
-  | exception Lock.Would_deadlock { page; _ } ->
-    abort_all ();
-    raise (Txn.Aborted (Printf.sprintf "deadlock timeout on page %d" page))
-  | exception Txn.Conflict { page; _ } ->
-    abort_all ();
-    raise (Txn.Aborted (Printf.sprintf "snapshot conflict on page %d" page))
-  | exception e ->
-    abort_all ();
-    raise e
-
-let write_multi t names f = capture (fun () -> write_multi_exn t names f)
+let write_multi t names f =
+  capture (fun () ->
+      let entries = List.map (find_doc t) (List.sort_uniq compare names) in
+      if entries = [] then invalid_arg "Db.write_multi: no documents named";
+      Txn.with_write_group
+        (List.map (fun e -> (e.mgr, validator e)) entries)
+        (fun views ->
+          let sessions =
+            List.map2 (fun e v -> (e.name, write_session e.name v)) entries views
+          in
+          f (fun name ->
+              match List.assoc_opt name sessions with
+              | Some s -> s
+              | None -> raise (Failed (no_such_doc name)))))
 
 (* ------------------------------------------ queries (implicit sessions) -- *)
 
-let query_exn ?par ?cache ?doc t src =
-  read_txn_exn ?par ?cache ?doc t (fun s -> Session.query_exn s src)
+let query ?par ?doc t src = read_txn ?par ?doc t (fun s -> Session.items s src)
 
-let query ?par ?cache ?doc t src =
-  capture (fun () -> query_exn ?par ?cache ?doc t src)
+let query_profiled ?par ?doc t src =
+  read_txn ?par ?doc t (fun s -> Session.profiled s src)
 
-let query_profiled_exn ?par ?cache ?doc t src =
-  read_txn_exn ?par ?cache ?doc t (fun s -> Session.query_profiled_exn s src)
+let query_strings ?par ?doc t src =
+  read_txn ?par ?doc t (fun s ->
+      List.map (Session.item_string s) (Session.items s src))
 
-let query_profiled ?par ?cache ?doc t src =
-  capture (fun () -> query_profiled_exn ?par ?cache ?doc t src)
-
-let query_strings_exn ?par ?cache ?doc t src =
-  read_txn_exn ?par ?cache ?doc t (fun s -> Session.strings_exn s src)
-
-let query_strings ?par ?cache ?doc t src =
-  capture (fun () -> query_strings_exn ?par ?cache ?doc t src)
-
-let query_count_exn ?par ?cache ?doc t src =
-  read_txn_exn ?par ?cache ?doc t (fun s -> Session.count_exn s src)
-
-let query_count ?par ?cache ?doc t src =
-  capture (fun () -> query_count_exn ?par ?cache ?doc t src)
+let query_count ?par ?doc t src =
+  read_txn ?par ?doc t (fun s -> List.length (Session.items s src))
 
 let to_xml ?indent ?doc t = read ?doc t (fun v -> Ser.to_string ?indent v)
 
@@ -609,24 +510,16 @@ let query_count_docs ?par ?docs t src =
   | Some p when List.length tasks > 1 -> Par.run p tasks
   | _ -> List.map (fun task -> task ()) tasks
 
-let query_strings_docs ?par ?docs t src =
-  let names = match docs with Some ns -> ns | None -> list_docs t in
-  let tasks =
-    List.map (fun name () -> (name, query_strings ~doc:name t src)) names
-  in
-  match par with
-  | Some p when List.length tasks > 1 -> Par.run p tasks
-  | _ -> List.map (fun task -> task ()) tasks
-
 (* --------------------------------------------------------------- updates -- *)
 
-let update_exn ?doc t src =
-  Obs.Span.with_ "db.update" (fun () ->
-      let cmds = Obs.Span.with_ "xupdate.parse" (fun () -> Xupdate.parse src) in
-      with_write ?doc t (fun v ->
-          Obs.Span.with_ "xupdate.apply" (fun () -> Xupdate.apply v cmds)))
-
-let update ?doc t src = capture (fun () -> update_exn ?doc t src)
+let update ?doc t src =
+  capture (fun () ->
+      Obs.Span.with_ "db.update" (fun () ->
+          let cmds =
+            Obs.Span.with_ "xupdate.parse" (fun () -> Xupdate.parse src)
+          in
+          with_write ?doc t (fun v ->
+              Obs.Span.with_ "xupdate.apply" (fun () -> Xupdate.apply v cmds))))
 
 (* ----------------------------------------------------------- maintenance -- *)
 
@@ -636,28 +529,10 @@ let vacuum ?fill ?checkpoint_to ?(doc = default_doc) t =
     invalid_arg
       "Db.vacuum: compaction invalidates the WAL; pass ~checkpoint_to"
   | (Some _ | None), _ -> ());
-  let entry = find_doc_exn t doc in
+  let entry = find_doc t doc in
   Txn.vacuum ?fill entry.mgr;
   (* Compaction renumbers this document's nodes and advanced its epoch:
      its cached results are dead — drop them now rather than letting them
      age out. Other documents' entries are untouched. *)
   Option.iter (fun c -> Qcache.remove_doc c doc) t.cache;
   Option.iter (fun path -> checkpoint ~truncate_wal:true t path) checkpoint_to
-
-(* -------------------------------------------------------------- metrics -- *)
-
-(* The registry is process-global (instruments live in the subsystem modules,
-   not in [t]); these accessors exist so embedders can observe a store
-   without importing Obs directly. *)
-
-let metrics (_ : t) = Obs.snapshot ()
-
-let metrics_table t = Obs.render_table (metrics t)
-
-let metrics_json t = Obs.render_json (metrics t)
-
-let metrics_prometheus t = Obs.render_prometheus (metrics t)
-
-let reset_metrics (_ : t) = Obs.reset ()
-
-let recent_traces (_ : t) = Obs.Span.recent ()

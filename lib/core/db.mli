@@ -17,12 +17,6 @@
     newest committed version and evaluates with no lock held, so readers
     never block a committing writer and vice versa.
 
-    {b Calling convention.} The {e result API} is canonical: every
-    fallible entry point returns [('a, Error.t) result]. Each has a thin
-    raising shim with an [_exn] suffix for callers that prefer exceptions
-    (scripts, tests). The [_r] names from the transitional release are
-    gone — see the migration table in the README.
-
     {b Sessions} ({!Session}) are the primary query surface: one pinned
     read snapshot or one write transaction, as a handle. The top-level
     [query*]/[update] conveniences each run in an implicit
@@ -33,17 +27,16 @@
     (document, query text, snapshot epoch) — epochs are per-document
     commit LSNs, so a commit to one document never invalidates (or
     collides with) another document's cached results. Read sessions
-    consult it by default
-    (opt out per transaction with [~cache:false]); write sessions always
-    bypass it. Invalidation is free — commits advance the epoch, so stale
-    entries can never match a freshly pinned snapshot. The [XQDB_CACHE]
-    environment variable overrides the choice process-wide: [force] (or
-    [on]/[1]) enables a default-sized cache on stores created without one,
-    [off] (or [0]) disables caching entirely. *)
+    consult it; write sessions always bypass it. Invalidation is free —
+    commits advance the epoch, so stale entries can never match a freshly
+    pinned snapshot. The [XQDB_CACHE] environment variable overrides the
+    choice process-wide: [force] (or [on]/[1]) enables a default-sized cache
+    on stores created without one, [off] (or [0]) disables caching
+    entirely. *)
 
 type t
 
-(** {1 Errors (result API)} *)
+(** {1 Errors} *)
 
 module Error : sig
   type t =
@@ -62,11 +55,15 @@ module Error : sig
   val to_string : t -> string
 end
 
-exception Unknown_doc of string
-(** Raised by the [_exn] entry points when [?doc] names no document. *)
+exception Failed of Error.t
+(** Raised by {!get_exn}, and by the raising entry points ({!store},
+    {!read}, {!with_write}, {!vacuum}) when [?doc] names no document. *)
 
-exception Doc_exists of string
-(** Raised by {!create_doc_exn} on a duplicate name. *)
+val get_exn : ('a, Error.t) result -> 'a
+(** Every fallible entry point returns [('a, Error.t) result]; callers that
+    prefer exceptions (scripts, tests) unwrap with [get_exn], which raises
+    [Failed e] on [Error e]. Result entry points map [Failed e] back to
+    [Error e], so [get_exn] composes inside sessions. *)
 
 (** {1 Lifecycle} *)
 
@@ -121,10 +118,6 @@ val create_doc :
     shared with dropped documents' WAL ids, so re-creating a name is safe.
     Catalog membership becomes durable at the next {!checkpoint}. *)
 
-val create_doc_exn :
-  ?page_bits:int -> ?fill:float -> ?schema:Validate.t ->
-  t -> string -> Xml.Dom.t -> unit
-
 val create_doc_xml :
   ?page_bits:int -> ?fill:float -> ?schema:Validate.t ->
   t -> string -> string -> (unit, Error.t) result
@@ -132,14 +125,12 @@ val create_doc_xml :
 
 val drop_doc : t -> string -> (unit, Error.t) result
 (** Remove a document from the catalog and purge its cached results (its
-    epochs restart at zero if the name is re-created). The default document
-    cannot be dropped ([Invalid_argument]). In-flight transactions on the
+    epochs restart at zero if the name is re-created). [Error.Catalog] for
+    the default document or an unknown name. In-flight transactions on the
     dropped document finish undisturbed — the document object simply stops
     being reachable by name; the drop becomes durable at the next
     {!checkpoint} (stray WAL records of dropped documents are skipped on
     recovery). *)
-
-val drop_doc_exn : t -> string -> unit
 
 val list_docs : t -> string list
 (** Document names, sorted. *)
@@ -162,20 +153,12 @@ val open_recovered :
 (** Load a checkpoint, replay the intact prefix of the (possibly mixed
     multi-document) WAL — each record redone onto its own document's plane,
     commit groups all-or-nothing — and continue logging to [wal_path]
-    (default: the same path). Legacy single-plane checkpoints load as a
-    catalog whose sole document is {!default_doc}. [schema] re-attaches to
-    the default document (schemas are not persisted). Returns the recovered
-    store. *)
-
-val open_recovered_exn :
-  ?wal_path:string -> ?schema:Validate.t -> ?cache:cache_config ->
-  checkpoint:string -> unit -> t
-(** Raising {!open_recovered} ([Failure] / [Sys_error] /
-    [Column.Persist.Dec.Corrupt]). *)
+    (default: the same path). [Error.Corrupt] for a file that is not a
+    catalog checkpoint. [schema] re-attaches to the default document
+    (schemas are not persisted). Returns the recovered store. *)
 
 val store : ?doc:string -> t -> Schema_up.t
-
-val manager : ?doc:string -> t -> Txn.manager
+(** The document's plane. *)
 
 val close : t -> unit
 (** Close the WAL channel (if any). *)
@@ -202,41 +185,35 @@ module Session : sig
       snapshot's epoch) and misses are stored; concurrent readers of the
       same (query, epoch) compute once. *)
 
-  val query_exn : t -> string -> E.item list
-
   val query_profiled : t -> string -> (E.item list * Profile.t, Error.t) result
   (** Like {!query}, but also collect a per-step profile (plan kind,
       partitions, cardinalities, timings, span trace, cache hit/miss). See
       {!Db.query_profiled}. *)
 
-  val query_profiled_exn : t -> string -> E.item list * Profile.t
-
   val count : t -> string -> (int, Error.t) result
-
-  val count_exn : t -> string -> int
 
   val strings : t -> string -> (string list, Error.t) result
   (** String values of the result items. *)
-
-  val strings_exn : t -> string -> string list
 
   val item_string : t -> E.item -> string
 
   val serialize : ?indent:bool -> t -> string
   (** Serialise the whole document as seen by this session. *)
 
+  val serialize_item : t -> E.item -> string
+  (** One result item as the CLI and the server print it: a node as its
+      serialised subtree, an attribute as [name="value"]. *)
+
   val update : t -> string -> (int, Error.t) result
   (** Apply an XUpdate document inside this {e write} session; returns the
       number of affected targets. [Invalid_argument] (raised, not
       captured) on a read session. *)
 
-  val update_exn : t -> string -> int
-
   val writable : t -> bool
 
   val cached : t -> bool
   (** Whether this session consults the result cache (read session on a
-      cache-enabled store, not opted out). *)
+      cache-enabled store). *)
 
   val view : t -> View.t
   (** Escape hatch to the underlying view (e.g. for {!Update} /
@@ -244,8 +221,7 @@ module Session : sig
 end
 
 val read_txn :
-  ?par:Par.t -> ?cache:bool -> ?doc:string -> t -> (Session.t -> 'a) ->
-  ('a, Error.t) result
+  ?par:Par.t -> ?doc:string -> t -> (Session.t -> 'a) -> ('a, Error.t) result
 (** Run [f] in one read session: a pinned snapshot; every [Session.query]
     inside sees the same committed state, and no lock is held while [f]
     runs.
@@ -256,53 +232,37 @@ val read_txn :
     after capture and the pin is held for the whole of [f] (parallel batches
     always complete inside [f]). Write sessions never parallelise.
 
-    [?cache] (default [true]) controls whether the session consults the
-    store's result cache; it is meaningless on a store without one.
-
     [?doc] names the document to pin (default {!default_doc}); snapshots
     are per-document. *)
-
-val read_txn_exn :
-  ?par:Par.t -> ?cache:bool -> ?doc:string -> t -> (Session.t -> 'a) -> 'a
 
 val write_txn : ?doc:string -> t -> (Session.t -> 'a) -> ('a, Error.t) result
 (** Run [f] in one write session; commits when [f] returns, aborts on
     exception. Write sessions bypass the result cache entirely — their
     own staged state is not a committed epoch. *)
 
-val write_txn_exn : ?doc:string -> t -> (Session.t -> 'a) -> 'a
-(** Raising {!write_txn} (raises {!Txn.Aborted} like {!with_write}). *)
-
 val write_multi :
   t -> string list -> ((string -> Session.t) -> 'a) -> ('a, Error.t) result
 (** Run one write session spanning several documents {e atomically}: [f]
     receives a lookup returning the write session of each named document
-    (raises {!Unknown_doc} for names outside the list), and when [f]
+    (raises {!Failed} for names outside the list), and when [f]
     returns, all the per-document transactions commit as one group — one
     WAL frame, so recovery replays the whole group or none of it. A
     validation failure, conflict or exception aborts every member.
     Duplicate names are collapsed; the list must be non-empty
     ([Invalid_argument]). *)
 
-val write_multi_exn : t -> string list -> ((string -> Session.t) -> 'a) -> 'a
-
 (** {1 Queries (implicit read session)} *)
 
 val query :
-  ?par:Par.t -> ?cache:bool -> ?doc:string -> t -> string ->
-  (E.item list, Error.t) result
+  ?par:Par.t -> ?doc:string -> t -> string -> (E.item list, Error.t) result
 (** Evaluate an XPath against a pinned snapshot (no lock held) — an
     implicit single-statement {!read_txn}. With [?par], axis steps run
     domain-parallel against the snapshot (same results). While the
     slow-query log is armed ({!Profile.Slowlog.configure}), queries run
     profiled so a threshold crossing captures a full profile. *)
 
-val query_exn :
-  ?par:Par.t -> ?cache:bool -> ?doc:string -> t -> string -> E.item list
-(** Raising {!query} ({!Xpath.Xpath_parser.Syntax_error} on bad input). *)
-
 val query_profiled :
-  ?par:Par.t -> ?cache:bool -> ?doc:string -> t -> string ->
+  ?par:Par.t -> ?doc:string -> t -> string ->
   (E.item list * Profile.t, Error.t) result
 (** Evaluate like {!query} and return a {!Profile.t} alongside the result:
     one record per axis step (chosen plan, partitions, context size, slots
@@ -312,23 +272,11 @@ val query_profiled :
     profile is also offered to {!Profile.Slowlog}. Profiling only costs the
     per-step accounting; use {!query} for the zero-overhead path. *)
 
-val query_profiled_exn :
-  ?par:Par.t -> ?cache:bool -> ?doc:string -> t -> string ->
-  E.item list * Profile.t
-
 val query_strings :
-  ?par:Par.t -> ?cache:bool -> ?doc:string -> t -> string ->
-  (string list, Error.t) result
-
-val query_strings_exn :
-  ?par:Par.t -> ?cache:bool -> ?doc:string -> t -> string -> string list
+  ?par:Par.t -> ?doc:string -> t -> string -> (string list, Error.t) result
 
 val query_count :
-  ?par:Par.t -> ?cache:bool -> ?doc:string -> t -> string ->
-  (int, Error.t) result
-
-val query_count_exn :
-  ?par:Par.t -> ?cache:bool -> ?doc:string -> t -> string -> int
+  ?par:Par.t -> ?doc:string -> t -> string -> (int, Error.t) result
 
 val to_xml : ?indent:bool -> ?doc:string -> t -> string
 (** Serialise one document (default {!default_doc}). *)
@@ -352,19 +300,11 @@ val query_count_docs :
     come back in input order, each tagged with its document name; a failure
     on one document does not disturb the others. *)
 
-val query_strings_docs :
-  ?par:Par.t -> ?docs:string list -> t -> string ->
-  (string * (string list, Error.t) result) list
-
 (** {1 Updates (implicit write session)} *)
 
 val update : ?doc:string -> t -> string -> (int, Error.t) result
 (** Parse and apply an XUpdate document in one write transaction; returns
     the number of affected targets. *)
-
-val update_exn : ?doc:string -> t -> string -> int
-(** Raising {!update} ({!Txn.Aborted} on validation failure or deadlock
-    timeout, {!Xupdate.Apply_error} on bad targets). *)
 
 val with_write : ?doc:string -> t -> (View.t -> 'a) -> 'a
 (** Run arbitrary update logic (via {!Update} / {!Xupdate}) against the raw
@@ -374,34 +314,14 @@ val with_write : ?doc:string -> t -> (View.t -> 'a) -> 'a
 (** {1 Maintenance} *)
 
 val vacuum : ?fill:float -> ?checkpoint_to:string -> ?doc:string -> t -> unit
-(** Compact one document (default {!default_doc}): re-pack live tuples at the [fill] factor (default
-    0.8), restore the identity pageOffset, drop attribute tombstones. Node
-    handles stay valid. Waits for every pinned snapshot to unpin (do not
-    call from inside {!read}/{!read_txn}). Compaction physically relocates
-    tuples, which invalidates WAL replay positions, so when a WAL is active
-    a [checkpoint_to] path is required — the checkpoint is written
-    immediately after compaction and the WAL is truncated (raises
-    [Invalid_argument] otherwise). Advances the document's version epoch
-    and purges its cached results (other documents' entries survive):
-    compaction renumbers nodes, so pre-based cached results must not
-    outlive it. *)
-
-(** {1 Observability}
-
-    The metrics registry is process-global (see {!Obs}): instruments live in
-    the subsystem modules ([txn.*], [mvcc.*], [lock.*], [wal.*],
-    [schema_up.*], [pagemap.*], [engine.*], [qcache.*]), so these accessors
-    report activity across every store in the process. *)
-
-val metrics : t -> Obs.snapshot
-
-val metrics_table : t -> string
-
-val metrics_json : t -> string
-
-val metrics_prometheus : t -> string
-
-val reset_metrics : t -> unit
-
-val recent_traces : t -> Obs.Span.t list
-(** Recently completed query/update traces, newest first. *)
+(** Compact one document (default {!default_doc}): re-pack live tuples at
+    the [fill] factor (default 0.8), restore the identity pageOffset, drop
+    attribute tombstones. Node handles stay valid. Waits for every pinned
+    snapshot to unpin (do not call from inside {!read}/{!read_txn}).
+    Compaction physically relocates tuples, which invalidates WAL replay
+    positions, so when a WAL is active a [checkpoint_to] path is required —
+    the checkpoint is written immediately after compaction and the WAL is
+    truncated (raises [Invalid_argument] otherwise). Advances the document's
+    version epoch and purges its cached results (other documents' entries
+    survive): compaction renumbers nodes, so pre-based cached results must
+    not outlive it. *)

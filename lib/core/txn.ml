@@ -479,21 +479,24 @@ let commit_group ts =
 
 let commit ?validate t = commit_group [ (t, validate) ]
 
-let with_write m ?validate f =
-  let t = begin_write m in
-  match f t.v with
+let with_write_group members f =
+  let ts = List.map (fun (m, validate) -> (begin_write m, validate)) members in
+  match f (List.map (fun (t, _) -> t.v) ts) with
   | result ->
-    commit ?validate t;
+    commit_group ts;
     result
-  | exception Lock.Would_deadlock { page; _ } ->
-    abort t;
-    raise (Aborted (Printf.sprintf "deadlock timeout on page %d" page))
-  | exception Conflict { page; _ } ->
-    abort t;
-    raise (Aborted (Printf.sprintf "snapshot conflict on page %d" page))
   | exception e ->
-    if t.state = Active then abort t;
-    raise e
+    List.iter (fun (t, _) -> if t.state = Active then abort t) ts;
+    raise
+      (match e with
+      | Lock.Would_deadlock { page; _ } ->
+        Aborted (Printf.sprintf "deadlock timeout on page %d" page)
+      | Conflict { page; _ } ->
+        Aborted (Printf.sprintf "snapshot conflict on page %d" page)
+      | e -> e)
+
+let with_write m ?validate f =
+  with_write_group [ (m, validate) ] (fun views -> f (List.hd views))
 
 (* Compaction relocates tuples physically, which no pre-image overlay can
    describe, so vacuum waits for reader quiescence: commits are excluded by
@@ -512,21 +515,6 @@ let vacuum ?fill m =
           m.last_commit <- lsn;
           if m.next_txn <= lsn then m.next_txn <- lsn + 1;
           lsn))
-
-let recover ?(after = 0) ?(doc = 0) ~wal_path b =
-  let applied = ref 0 and last = ref after in
-  let (_ : int) =
-    Wal.replay wal_path (fun r ->
-        if r.Wal.doc = doc then begin
-          if r.Wal.txn > after then begin
-            apply_wal_record b r;
-            incr applied
-          end;
-          if r.Wal.txn > !last then last := r.Wal.txn
-        end)
-  in
-  Schema_up.rebuild_transients b;
-  (!applied, !last)
 
 (* One pass over a mixed multi-document log: each record is dispatched to
    its document's store (records for unknown ids — documents dropped after

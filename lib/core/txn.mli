@@ -19,7 +19,7 @@
     - Abort (or a {!Lock.Would_deadlock} timeout): drop the staged view,
       return fresh node ids to the allocator; the base was never touched.
 
-    {!recover} rebuilds a store from a checkpoint plus the intact WAL
+    {!recover_docs} rebuilds stores from a checkpoint plus the intact WAL
     prefix. *)
 
 type manager
@@ -126,10 +126,18 @@ val commit_group : (t * (View.t -> (unit, string) result) option) list -> unit
 
 val abort : t -> unit
 
+val with_write_group :
+  (manager * (View.t -> (unit, string) result) option) list ->
+  (View.t list -> 'a) ->
+  'a
+(** Begin one write transaction per member, run the body on their views (in
+    member order) and {!commit_group} them; the group commits or aborts as a
+    whole. On deadlock timeout or snapshot conflict (re-raised as {!Aborted})
+    or any other exception from the body, every member is aborted. *)
+
 val with_write :
   manager -> ?validate:(View.t -> (unit, string) result) -> (View.t -> 'a) -> 'a
-(** Run a body and commit; aborts (and re-raises as {!Aborted}) on deadlock
-    timeout or any exception from the body. *)
+(** {!with_write_group} of one. *)
 
 val vacuum : ?fill:float -> manager -> unit
 (** Compact the store (see {!Schema_up.compact}). Commits are excluded by
@@ -149,13 +157,6 @@ val apply_wal_record : ?lsn:int -> Schema_up.t -> Wal.record -> unit
     commit sequence number used to stamp modified pages (default: the
     record's transaction id — fine for recovery, where no transactions are
     in flight). *)
-
-val recover : ?after:int -> ?doc:int -> wal_path:string -> Schema_up.t -> int * int
-(** Replay the intact WAL prefix onto a freshly loaded checkpoint, skipping
-    records with id [<= after] (the checkpoint LSN; default 0) and records
-    belonging to other documents ([doc] defaults to 0, the sole document of
-    a single-plane store). Returns [(records redone, highest id seen)].
-    Rebuilds transient state. *)
 
 val recover_docs :
   wal_path:string ->

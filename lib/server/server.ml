@@ -3,7 +3,6 @@
 
 module Protocol = Protocol
 module Db = Core.Db
-module Ser = Core.Node_serialize.Make (Core.View)
 
 let failpoint_site = "server.request"
 
@@ -178,17 +177,13 @@ let err e = Protocol.Err { code = err_code e; msg = Db.Error.to_string e }
 (* Body of a QUERY response: result count, then one serialized item per
    line-group (subtrees are themselves multi-line only when indented — they
    are not — so one line each; attributes render as name="value"). *)
-let render_items v items =
+let render_items s items =
   let b = Buffer.create 256 in
   Buffer.add_string b (string_of_int (List.length items));
   List.iter
     (fun item ->
       Buffer.add_char b '\n';
-      match item with
-      | Db.E.Node pre -> Buffer.add_string b (Ser.subtree_to_string v pre)
-      | Db.E.Attribute { qn; value; _ } ->
-        Buffer.add_string b
-          (Printf.sprintf "%s=\"%s\"" (Xml.Qname.to_string qn) value))
+      Buffer.add_string b (Db.Session.serialize_item s item))
     items;
   Buffer.contents b
 
@@ -220,9 +215,7 @@ let exec t c (req : Protocol.request) : Protocol.response =
   | Protocol.Cache_stats -> Protocol.Ok (cache_stats_text t.db)
   | Protocol.Query x ->
     in_read t ~doc (fun s ->
-        Result.map
-          (fun items -> render_items (Db.Session.view s) items)
-          (Db.Session.query s x))
+        Result.map (render_items s) (Db.Session.query s x))
   | Protocol.Count x ->
     in_read t ~doc (fun s -> Result.map string_of_int (Db.Session.count s x))
   | Protocol.Explain x -> (
@@ -251,13 +244,10 @@ let exec t c (req : Protocol.request) : Protocol.response =
     match Db.create_doc_xml t.db name body with
     | Ok () -> Protocol.Ok name
     | Error e -> err e)
-  | Protocol.Drop name ->
-    if name = Db.default_doc then
-      err (Db.Error.Catalog "cannot drop the default document")
-    else (
-      match Db.drop_doc t.db name with
-      | Ok () -> Protocol.Ok name
-      | Error e -> err e)
+  | Protocol.Drop name -> (
+    match Db.drop_doc t.db name with
+    | Ok () -> Protocol.Ok name
+    | Error e -> err e)
 
 (* ------------------------------------------------------------ connection -- *)
 

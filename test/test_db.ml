@@ -62,27 +62,27 @@ let test_validate_failures () =
 
 let test_db_end_to_end () =
   let db = Db.of_xml ~page_bits:3 ~fill:0.75 (Xml.Xml_serialize.to_string Testsupport.small_doc) in
-  Alcotest.(check int) "three persons" 3 (Db.query_count_exn db "//person");
+  Alcotest.(check int) "three persons" 3 (Db.get_exn (Db.query_count db "//person"));
   Alcotest.(check (list string)) "query strings" [ "Ada" ]
-    (Db.query_strings_exn db "/site/people/person[1]/name/text()");
+    (Db.get_exn (Db.query_strings db "/site/people/person[1]/name/text()"));
   let n =
-    Db.update_exn db
+    Db.get_exn (Db.update db
       {|<xupdate:modifications>
           <xupdate:insert-after select="/site/people/person[1]">
             <person id="pX"><name>Between</name></person>
           </xupdate:insert-after>
-        </xupdate:modifications>|}
+        </xupdate:modifications>|})
   in
   Alcotest.(check int) "one target" 1 n;
   Alcotest.(check (list string)) "order after update"
     [ "Ada"; "Between"; "Grace"; "Edsger" ]
-    (Db.query_strings_exn db "/site/people/person/name");
+    (Db.get_exn (Db.query_strings db "/site/people/person/name"));
   check_integrity (Db.store db);
   (* to_xml reparses to an equivalent document *)
   let again = Db.of_xml (Db.to_xml db) in
   Alcotest.(check (list string)) "roundtrip through xml"
-    (Db.query_strings_exn db "//person/@id")
-    (Db.query_strings_exn again "//person/@id")
+    (Db.get_exn (Db.query_strings db "//person/@id"))
+    (Db.get_exn (Db.query_strings again "//person/@id"))
 
 let test_db_schema_enforced () =
   let schema =
@@ -90,20 +90,20 @@ let test_db_schema_enforced () =
   in
   let db = Db.create ~schema Testsupport.small_doc in
   (match
-     Db.update_exn db
+     Db.update db
        {|<xupdate:modifications>
            <xupdate:append select="/site/people"><junk/></xupdate:append>
          </xupdate:modifications>|}
    with
-  | _ -> Alcotest.fail "expected Aborted"
-  | exception Core.Txn.Aborted _ -> ());
-  Alcotest.(check int) "rolled back" 0 (Db.query_count_exn db "//junk");
+  | Error (Db.Error.Aborted _) -> ()
+  | _ -> Alcotest.fail "expected Aborted");
+  Alcotest.(check int) "rolled back" 0 (Db.get_exn (Db.query_count db "//junk"));
   (* a valid update still goes through *)
   let n =
-    Db.update_exn db
+    Db.get_exn (Db.update db
       {|<xupdate:modifications>
           <xupdate:append select="/site/people"><person id="ok"/></xupdate:append>
-        </xupdate:modifications>|}
+        </xupdate:modifications>|})
   in
   Alcotest.(check int) "valid accepted" 1 n
 
@@ -133,13 +133,13 @@ let test_db_vacuum () =
   in
   for i = 1 to 10 do
     let _ =
-      Db.update_exn db
+      Db.get_exn (Db.update db
         (Printf.sprintf
            {|<xupdate:modifications>
                <xupdate:append select="/site/people"><person id="v%d"/></xupdate:append>
                <xupdate:remove select="/site/people/person[2]"/>
              </xupdate:modifications>|}
-           i)
+           i))
     in
     ()
   done;
@@ -164,10 +164,10 @@ let test_db_vacuum () =
   | None -> Alcotest.fail "handle lost");
   (* updates still work after vacuum *)
   let n =
-    Db.update_exn db
+    Db.get_exn (Db.update db
       {|<xupdate:modifications>
           <xupdate:append select="/site/people"><person id="post-vacuum"/></xupdate:append>
-        </xupdate:modifications>|}
+        </xupdate:modifications>|})
   in
   Alcotest.(check int) "post-vacuum update" 1 n
 
@@ -187,7 +187,7 @@ let test_db_vacuum_wal_guard () =
         (fun () ->
           Db.vacuum ~checkpoint_to:ck db;
           (* recovery from the new checkpoint gives the same document *)
-          let db2 = Db.open_recovered_exn ~wal_path:tmp ~checkpoint:ck () in
+          let db2 = Db.get_exn (Db.open_recovered ~wal_path:tmp ~checkpoint:ck ()) in
           Alcotest.(check string) "recovered equals" (Db.to_xml db) (Db.to_xml db2);
           Db.close db2);
       Db.close db)
@@ -221,15 +221,18 @@ let test_catalog_basics () =
   Alcotest.(check (list string)) "sorted names" [ "alpha"; "beta"; Db.default_doc ]
     (Db.list_docs db);
   (* per-document addressing; the bare call is the default document *)
-  Alcotest.(check int) "default doc" 3 (Db.query_count_exn db "/doc/a");
-  Alcotest.(check int) "named doc" 5 (Db.query_count_exn ~doc:"beta" db "/doc/b");
-  Alcotest.(check int) "other named doc" 7 (Db.query_count_exn ~doc:"alpha" db "/doc/c");
+  Alcotest.(check int) "default doc" 3 (Db.get_exn (Db.query_count db "/doc/a"));
+  Alcotest.(check int) "named doc" 5
+    (Db.get_exn (Db.query_count ~doc:"beta" db "/doc/b"));
+  Alcotest.(check int) "other named doc" 7
+    (Db.get_exn (Db.query_count ~doc:"alpha" db "/doc/c"));
   (* updates are scoped too *)
-  let n = Db.update_exn ~doc:"beta" db (upd_append "<extra/>") in
+  let n = Db.get_exn (Db.update ~doc:"beta" db (upd_append "<extra/>")) in
   Alcotest.(check int) "one target" 1 n;
-  Alcotest.(check int) "beta grew" 1 (Db.query_count_exn ~doc:"beta" db "/doc/extra");
+  Alcotest.(check int) "beta grew" 1
+    (Db.get_exn (Db.query_count ~doc:"beta" db "/doc/extra"));
   Alcotest.(check int) "alpha untouched" 0
-    (Db.query_count_exn ~doc:"alpha" db "/doc/extra");
+    (Db.get_exn (Db.query_count ~doc:"alpha" db "/doc/extra"));
   (* catalog errors surface as values through the result API *)
   (match Db.query db ~doc:"nope" "/doc" with
   | Error (Db.Error.Catalog _) -> ()
@@ -240,9 +243,9 @@ let test_catalog_basics () =
   (match Db.drop_doc db "nope" with
   | Error (Db.Error.Catalog _) -> ()
   | _ -> Alcotest.fail "expected Catalog error on drop");
-  Alcotest.check_raises "default doc is protected"
-    (Invalid_argument "Db.drop_doc: cannot drop the default document")
-    (fun () -> ignore (Db.drop_doc db Db.default_doc));
+  (match Db.drop_doc db Db.default_doc with
+  | Error (Db.Error.Catalog _) -> ()
+  | _ -> Alcotest.fail "default doc is protected");
   (match Db.drop_doc db "alpha" with
   | Ok () -> ()
   | Error e -> Alcotest.failf "drop alpha: %s" (Db.Error.to_string e));
@@ -270,28 +273,30 @@ let test_write_multi_atomic () =
   create_xml db Db.default_doc (xml_doc "a" 1);
   create_xml db "other" (xml_doc "b" 1);
   (* success: one group commits both documents *)
-  Db.write_multi_exn db [ Db.default_doc; "other" ] (fun doc ->
+  Db.get_exn (Db.write_multi db [ Db.default_doc; "other" ] (fun doc ->
       List.iter
         (fun d ->
           match Db.Session.update (doc d) (upd_append "<both/>") with
           | Ok 1 -> ()
           | Ok n -> Alcotest.failf "%d targets" n
           | Error e -> Alcotest.failf "update %s: %s" d (Db.Error.to_string e))
-        [ Db.default_doc; "other" ]);
-  Alcotest.(check int) "default updated" 1 (Db.query_count_exn db "/doc/both");
+        [ Db.default_doc; "other" ]));
+  Alcotest.(check int) "default updated" 1
+    (Db.get_exn (Db.query_count db "/doc/both"));
   Alcotest.(check int) "other updated" 1
-    (Db.query_count_exn ~doc:"other" db "/doc/both");
+    (Db.get_exn (Db.query_count ~doc:"other" db "/doc/both"));
   (* failure in one member aborts the whole group *)
   (match
-     Db.write_multi_exn db [ Db.default_doc; "other" ] (fun doc ->
+     Db.write_multi db [ Db.default_doc; "other" ] (fun doc ->
          (match Db.Session.update (doc Db.default_doc) (upd_append "<poison/>") with
          | Ok _ -> ()
          | Error e -> Alcotest.failf "first update: %s" (Db.Error.to_string e));
          failwith "boom")
    with
-  | _ -> Alcotest.fail "expected the group to abort"
-  | exception Failure _ -> ());
-  Alcotest.(check int) "no partial commit" 0 (Db.query_count_exn db "/doc/poison");
+  | Error (Db.Error.Corrupt "boom") -> ()
+  | _ -> Alcotest.fail "expected the group to abort");
+  Alcotest.(check int) "no partial commit" 0
+    (Db.get_exn (Db.query_count db "/doc/poison"));
   (* an unknown name is refused before any work *)
   (match Db.write_multi db [ "ghost" ] (fun _ -> ()) with
   | Error (Db.Error.Catalog _) -> ()
@@ -315,21 +320,25 @@ let test_catalog_checkpoint_recover () =
       create_xml db Db.default_doc (xml_doc "a" 2);
       create_xml db "left" (xml_doc "b" 3);
       create_xml db "right" (xml_doc "c" 4);
-      ignore (Db.update_exn ~doc:"left" db (upd_append "<pre-ck/>"));
+      ignore (Db.get_exn (Db.update ~doc:"left" db (upd_append "<pre-ck/>")));
       Db.checkpoint db ck;
       (* post-checkpoint commits live only in the (mixed, multi-doc) WAL —
          including one atomic cross-document group *)
-      ignore (Db.update_exn ~doc:"right" db (upd_append "<post-ck/>"));
-      ignore (Db.update_exn db (upd_append "<post-ck/>"));
-      Db.write_multi_exn db [ "left"; "right" ] (fun doc ->
-          List.iter
-            (fun d -> ignore (Db.Session.update_exn (doc d) (upd_append "<grouped/>")))
-            [ "left"; "right" ]);
+      ignore (Db.get_exn (Db.update ~doc:"right" db (upd_append "<post-ck/>")));
+      ignore (Db.get_exn (Db.update db (upd_append "<post-ck/>")));
+      Db.get_exn
+        (Db.write_multi db [ "left"; "right" ] (fun doc ->
+             List.iter
+               (fun d ->
+                 ignore
+                   (Db.get_exn
+                      (Db.Session.update (doc d) (upd_append "<grouped/>"))))
+               [ "left"; "right" ]));
       let expect =
         List.map (fun d -> (d, Db.to_xml ~doc:d db)) (Db.list_docs db)
       in
       Db.close db;
-      let db2 = Db.open_recovered_exn ~checkpoint:ck () in
+      let db2 = Db.get_exn (Db.open_recovered ~checkpoint:ck ()) in
       Alcotest.(check (list string)) "names survive"
         (List.map fst expect) (Db.list_docs db2);
       List.iter
@@ -339,12 +348,13 @@ let test_catalog_checkpoint_recover () =
         expect;
       (* the recovered catalog accepts further scoped commits *)
       Alcotest.(check int) "post-recovery update" 1
-        (Db.update_exn ~doc:"left" db2 (upd_append "<after/>"));
+        (Db.get_exn (Db.update ~doc:"left" db2 (upd_append "<after/>")));
       Db.close db2)
 
-let test_legacy_checkpoint_loads () =
+let test_legacy_checkpoint_rejected () =
   with_temp_dir (fun dir ->
-      (* hand-write a pre-catalog checkpoint: [lsn; plane] *)
+      (* hand-write a pre-catalog single-plane checkpoint: [lsn; plane] —
+         no catalog marker, so it is not a checkpoint this store reads *)
       let ck = Filename.concat dir "legacy.ck" in
       let store = Up.of_dom (Xml.Xml_parser.parse ~strip_ws:true (xml_doc "old" 6)) in
       let enc = Column.Persist.Enc.create () in
@@ -353,25 +363,24 @@ let test_legacy_checkpoint_loads () =
       let oc = open_out_bin ck in
       Column.Persist.write_frame oc (Column.Persist.Enc.contents enc);
       close_out oc;
-      let db = Db.open_recovered_exn ~checkpoint:ck () in
-      Alcotest.(check (list string)) "sole default document" [ Db.default_doc ]
-        (Db.list_docs db);
-      Alcotest.(check int) "content intact" 6 (Db.query_count_exn db "/doc/old");
-      Db.close db)
+      match Db.open_recovered ~checkpoint:ck () with
+      | Error (Db.Error.Corrupt _) -> ()
+      | Ok _ -> Alcotest.fail "legacy checkpoint must not load"
+      | Error e -> Alcotest.failf "unexpected: %s" (Db.Error.to_string e))
 
 let test_drop_purges_cache () =
   let db = Db.empty ~cache:Db.default_cache () in
   create_xml db Db.default_doc "<doc/>";
   create_xml db "vic" (xml_doc "v" 5);
   let stats () = Option.get (Db.cache_stats db) in
-  Alcotest.(check int) "warm" 5 (Db.query_count_exn ~doc:"vic" db "/doc/v");
-  Alcotest.(check int) "hit" 5 (Db.query_count_exn ~doc:"vic" db "/doc/v");
+  Alcotest.(check int) "warm" 5 (Db.get_exn (Db.query_count ~doc:"vic" db "/doc/v"));
+  Alcotest.(check int) "hit" 5 (Db.get_exn (Db.query_count ~doc:"vic" db "/doc/v"));
   let before = stats () in
-  Db.drop_doc_exn db "vic";
+  Db.get_exn (Db.drop_doc db "vic");
   (* same name, same query, fresh document: epochs restarted at zero, so a
      stale surviving entry would be served — the drop must have purged it *)
   create_xml db "vic" (xml_doc "v" 2);
-  let n = Db.query_count_exn ~doc:"vic" db "/doc/v" in
+  let n = Db.get_exn (Db.query_count ~doc:"vic" db "/doc/v") in
   let after = stats () in
   Alcotest.(check int) "fresh result, not the cached 5" 2 n;
   Alcotest.(check int) "re-query was a miss" (before.Core.Qcache.misses + 1)
@@ -394,7 +403,7 @@ let () =
           Alcotest.test_case "write_multi is atomic" `Quick test_write_multi_atomic;
           Alcotest.test_case "catalog checkpoint + mixed WAL" `Quick
             test_catalog_checkpoint_recover;
-          Alcotest.test_case "legacy checkpoint loads" `Quick
-            test_legacy_checkpoint_loads;
+          Alcotest.test_case "legacy checkpoint rejected" `Quick
+            test_legacy_checkpoint_rejected;
           Alcotest.test_case "drop purges cached results" `Quick
             test_drop_purges_cache ] ) ]

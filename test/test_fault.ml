@@ -146,7 +146,7 @@ let recovered_count dir =
   let ck = Filename.concat dir "store.ck" in
   match Core.Db.open_recovered ~checkpoint:ck () with
   | Error e -> Alcotest.failf "recovery failed: %s" (Core.Db.Error.to_string e)
-  | Ok db -> Core.Db.query_count_exn db "/r/i"
+  | Ok db -> Core.Db.get_exn (Core.Db.query_count db "/r/i")
 
 let killed = Unix.WSIGNALED Sys.sigkill
 
@@ -273,11 +273,11 @@ let check_catalog db ~durable ~group =
       Alcotest.(check int)
         (Printf.sprintf "%s items" nm)
         (expect_items durable idx)
-        (Core.Db.query_count_exn ~doc:nm db "/r/i");
+        (Core.Db.get_exn (Core.Db.query_count ~doc:nm db "/r/i"));
       Alcotest.(check int)
         (Printf.sprintf "%s group marker" nm)
         (if group then 1 else 0)
-        (Core.Db.query_count_exn ~doc:nm db "/r/g"))
+        (Core.Db.get_exn (Core.Db.query_count ~doc:nm db "/r/g")))
     cat_names
 
 let test_crash_multidoc_mid_log () =

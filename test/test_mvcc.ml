@@ -36,10 +36,19 @@ let pair_update =
       <xupdate:append select="/root/right"><r/></xupdate:append>
     </xupdate:modifications>|}
 
+(* Deadlock aborts [update_retry] has seen. Every increment of the
+   process-global lock.would_deadlock counter raises exactly one
+   Would_deadlock, which reaches its writer as [Aborted "deadlock …"]; the
+   writers retry those by design, so the read path's share of the counter is
+   its delta minus this one's. *)
+let writer_deadlocks = Atomic.make 0
+
 let rec update_retry ?(tries = 200) db src =
   match Db.update db src with
   | Ok n -> n
-  | Error (Db.Error.Aborted _) when tries > 0 ->
+  | Error (Db.Error.Aborted msg) when tries > 0 ->
+    if String.starts_with ~prefix:"deadlock" msg then
+      Atomic.incr writer_deadlocks;
     Thread.delay 0.001;
     update_retry ~tries:(tries - 1) db src
   | Error e -> Alcotest.failf "update: %s" (Db.Error.to_string e)
@@ -50,7 +59,7 @@ let rec update_retry ?(tries = 200) db src =
    that lands while it is pinned; a fresh snapshot sees the commit. *)
 let test_snapshot_stable_across_commit () =
   let db = Db.of_xml "<root><left></left><right></right></root>" in
-  Db.read_txn_exn db (fun s ->
+  Db.get_exn (Db.read_txn db (fun s ->
       let before = Session.serialize s in
       let writer =
         Thread.create (fun () -> ignore (update_retry db pair_update)) ()
@@ -59,9 +68,9 @@ let test_snapshot_stable_across_commit () =
       let after = Session.serialize s in
       Alcotest.(check string) "pinned snapshot unchanged" before after;
       Alcotest.(check int) "pinned snapshot sees no <l/>" 0
-        (Session.count_exn s "/root/left/l"));
+        (Db.get_exn (Session.count s "/root/left/l"))));
   Alcotest.(check int) "fresh snapshot sees the commit" 1
-    (Db.query_count_exn db "/root/left/l");
+    (Db.get_exn (Db.query_count db "/root/left/l"));
   check_integrity db
 
 (* Same property under QCheck: any prefix of commits, then a pin, then any
@@ -74,15 +83,15 @@ let prop_snapshot_frozen =
       for _ = 1 to before_n do
         ignore (update_retry db pair_update)
       done;
-      Db.read_txn_exn db (fun s ->
+      Db.get_exn (Db.read_txn db (fun s ->
           let frozen = Session.serialize s in
-          let cnt = Session.count_exn s "/root/left/l" in
+          let cnt = Db.get_exn (Session.count s "/root/left/l") in
           for _ = 1 to after_n do
             ignore (update_retry db pair_update)
           done;
           String.equal frozen (Session.serialize s)
-          && Session.count_exn s "/root/left/l" = cnt
-          && cnt = before_n))
+          && Db.get_exn (Session.count s "/root/left/l") = cnt
+          && cnt = before_n)))
 
 (* ------------------------------------------------------- lock-free reads -- *)
 
@@ -95,9 +104,9 @@ let test_reads_take_no_locks () =
   let before_dead = counter_value "lock.would_deadlock" [] in
   for _ = 1 to 50 do
     ignore (Db.query db "//l");
-    Db.read_txn_exn db (fun s ->
-        ignore (Session.count_exn s "/root/right/r");
-        ignore (Session.serialize s))
+    Db.get_exn (Db.read_txn db (fun s ->
+        ignore (Db.get_exn (Session.count s "/root/right/r"));
+        ignore (Session.serialize s)))
   done;
   Alcotest.(check int) "no global lock on read path" before_global
     (counter_value "lock.acquisitions" [ ("scope", "global") ]);
@@ -122,8 +131,8 @@ let test_concurrent_readers_writers () =
     while not (Atomic.get stop) do
       (match
          Db.read_txn db (fun s ->
-             let l = Session.count_exn s "/root/left/l" in
-             let r = Session.count_exn s "/root/right/r" in
+             let l = Db.get_exn (Session.count s "/root/left/l") in
+             let r = Db.get_exn (Session.count s "/root/right/r") in
              if l <> r then Atomic.incr torn)
        with
       | Ok () -> Atomic.incr snapshots_checked
@@ -132,6 +141,7 @@ let test_concurrent_readers_writers () =
     done
   in
   let before_dead = counter_value "lock.would_deadlock" [] in
+  let before_writer_dead = Atomic.get writer_deadlocks in
   let readers = List.init 2 (fun _ -> Domain.spawn reader) in
   let writers =
     List.init 2 (fun _ ->
@@ -147,13 +157,15 @@ let test_concurrent_readers_writers () =
   List.iter Domain.join readers;
   Alcotest.(check int) "no torn snapshot" 0 (Atomic.get torn);
   Alcotest.(check int) "no read errors" 0 (Atomic.get read_errors);
-  Alcotest.(check int) "no read-path deadlocks" before_dead
-    (counter_value "lock.would_deadlock" []);
+  Alcotest.(check int) "no read-path deadlocks"
+    (Atomic.get writer_deadlocks - before_writer_dead)
+    (counter_value "lock.would_deadlock" [] - before_dead);
   Alcotest.(check bool) "readers made progress" true
     (Atomic.get snapshots_checked > 0);
   (* 2 writers x commits_target pairs, one <l/> and one <r/> each *)
   Alcotest.(check int) "final invariant" (4 * commits_target)
-    (Db.query_count_exn db "/root/left/l" + Db.query_count_exn db "/root/right/r");
+    (Db.get_exn (Db.query_count db "/root/left/l")
+     + Db.get_exn (Db.query_count db "/root/right/r"));
   check_integrity db
 
 (* ------------------------------------------------- checkpoint + truncate -- *)
@@ -180,7 +192,8 @@ let test_checkpoint_truncates_wal () =
   | Ok db2 ->
     Alcotest.(check string) "checkpoint + rotated wal recovers" expect
       (Db.to_xml db2);
-    Alcotest.(check int) "six pairs" 6 (Db.query_count_exn db2 "/root/left/l");
+    Alcotest.(check int) "six pairs" 6
+      (Db.get_exn (Db.query_count db2 "/root/left/l"));
     Db.close db2
   | Error e -> Alcotest.failf "recover: %s" (Db.Error.to_string e));
   Sys.remove wal;
@@ -206,6 +219,14 @@ let test_error_values () =
   (match Db.open_recovered ~checkpoint:"/nonexistent/path.ckpt" () with
   | Error (Db.Error.Io _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Io error");
+  (* get_exn raises Failed, and a result entry point turns it back into
+     the same Error *)
+  (match Db.read_txn db (fun s -> Db.get_exn (Session.count s "///")) with
+  | Error (Db.Error.Parse { source = "xpath"; _ }) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "expected the session's Parse error");
+  (match Db.get_exn (Db.query_count ~doc:"nope" db "/") with
+  | _ -> Alcotest.fail "expected Failed"
+  | exception Db.Failed (Db.Error.Catalog _) -> ());
   (* messages stay human-readable *)
   (match Db.query db "///" with
   | Error e ->
@@ -216,25 +237,25 @@ let test_error_values () =
 let test_session_api () =
   let db = Db.of_xml "<root><a>one</a><a>two</a></root>" in
   (* one read session, several statements, one snapshot *)
-  Db.read_txn_exn db (fun s ->
+  Db.get_exn (Db.read_txn db (fun s ->
       Alcotest.(check bool) "read session" false (Session.writable s);
-      Alcotest.(check int) "count" 2 (Session.count_exn s "/root/a");
+      Alcotest.(check int) "count" 2 (Db.get_exn (Session.count s "/root/a"));
       Alcotest.(check (list string)) "strings" [ "one"; "two" ]
-        (Session.strings_exn s "/root/a");
+        (Db.get_exn (Session.strings s "/root/a"));
       match Session.update s "<xupdate:modifications/>" with
       | Error _ | (exception Invalid_argument _) -> ()
-      | Ok _ -> Alcotest.fail "update on read session must not commit");
+      | Ok _ -> Alcotest.fail "update on read session must not commit"));
   (* a write session sees its own uncommitted work *)
   let seen_inside =
-    Db.write_txn_exn db (fun s ->
+    Db.get_exn (Db.write_txn db (fun s ->
         Alcotest.(check bool) "write session" true (Session.writable s);
         ignore
           (Session.update s
              {|<xupdate:modifications><xupdate:append select="/root"><b/></xupdate:append></xupdate:modifications>|});
-        Session.count_exn s "/root/b")
+        Db.get_exn (Session.count s "/root/b")))
   in
   Alcotest.(check int) "own write visible in-session" 1 seen_inside;
-  Alcotest.(check int) "committed" 1 (Db.query_count_exn db "/root/b");
+  Alcotest.(check int) "committed" 1 (Db.get_exn (Db.query_count db "/root/b"));
   (* an aborted write session leaves no trace *)
   (match
      Db.write_txn db (fun s ->
@@ -247,17 +268,19 @@ let test_session_api () =
   | Ok _ -> Alcotest.fail "expected the session to fail"
   | Error e -> Alcotest.failf "unexpected: %s" (Db.Error.to_string e));
   Alcotest.(check int) "aborted write rolled back" 0
-    (Db.query_count_exn db "/root/c");
+    (Db.get_exn (Db.query_count db "/root/c"));
   check_integrity db
 
 (* mvcc instruments are registered and move under load *)
 let test_mvcc_metrics () =
   let db = Db.of_xml "<root><left></left><right></right></root>" in
   let pins0 = counter_value "mvcc.pins" [] in
-  Db.read_txn_exn db (fun s -> ignore (Session.count_exn s "/root/left"));
+  Db.get_exn
+    (Db.read_txn db (fun s ->
+         ignore (Db.get_exn (Session.count s "/root/left"))));
   ignore (update_retry db pair_update);
   Alcotest.(check bool) "mvcc.pins counts" true (counter_value "mvcc.pins" [] > pins0);
-  let rendered = Db.metrics_table db in
+  let rendered = Obs.render_table (Obs.snapshot ()) in
   List.iter
     (fun n ->
       Alcotest.(check bool) (n ^ " registered") true (contains rendered n))

@@ -437,11 +437,11 @@ let check_cached (d, pool_paths, rounds) =
   let od = ref d in
   let check_round p src =
     let e1, e2 =
-      Db.read_txn_exn db (fun s ->
+      Db.get_exn (Db.read_txn db (fun s ->
           let v = Db.Session.view s in
-          let a = norm_engine v (Db.Session.query_exn s src) in
-          let b = norm_engine v (Db.Session.query_exn s src) in
-          (a, b))
+          let a = norm_engine v (Db.get_exn (Db.Session.query s src)) in
+          let b = norm_engine v (Db.get_exn (Db.Session.query s src)) in
+          (a, b)))
     in
     let oracle = norm_oracle !od (O.eval !od p) in
     if e1 <> oracle then
@@ -551,9 +551,9 @@ let check_multidoc (docs, pool_paths, rounds) =
     (stats ()).Core.Qcache.hits > h0
   in
   let query_doc name src =
-    Db.read_txn_exn ~doc:name db (fun s ->
+    Db.get_exn (Db.read_txn ~doc:name db (fun s ->
         let v = Db.Session.view s in
-        norm_engine v (Db.Session.query_exn s src))
+        norm_engine v (Db.get_exn (Db.Session.query s src))))
   in
   let check_all p src =
     List.for_all

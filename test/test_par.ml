@@ -97,8 +97,8 @@ let test_par_equals_seq () =
   Par.with_pool ~range_cutoff:1 ~ctx_cutoff:1 ~domains:4 (fun pool ->
       List.iter
         (fun q ->
-          let seq = Db.query_exn db q in
-          let par = Db.query_exn ~par:pool db q in
+          let seq = Db.get_exn (Db.query db q) in
+          let par = Db.get_exn (Db.query ~par:pool db q) in
           Alcotest.(check int)
             (Printf.sprintf "%s: same cardinality" q)
             (List.length seq) (List.length par);
@@ -111,8 +111,11 @@ let test_par_equals_seq_sessions () =
   Par.with_pool ~range_cutoff:1 ~ctx_cutoff:1 ~domains:3 (fun pool ->
       List.iter
         (fun q ->
-          let seq = Db.read_txn_exn db (fun s -> Db.Session.query_exn s q) in
-          let par = Db.read_txn_exn ~par:pool db (fun s -> Db.Session.query_exn s q) in
+          let in_session par =
+            Db.get_exn
+              (Db.read_txn ?par db (fun s -> Db.get_exn (Db.Session.query s q)))
+          in
+          let seq = in_session None and par = in_session (Some pool) in
           Alcotest.(check bool) (Printf.sprintf "%s: same items" q) true (seq = par))
         queries)
 
@@ -126,7 +129,7 @@ let test_worker_spans_attach_to_query_trace () =
      enclosing span, whose tasks correctly surface as root traces *)
   Obs.reset ();
   Par.with_pool ~range_cutoff:1 ~ctx_cutoff:1 ~domains:4 (fun pool ->
-      let _, p = Db.query_profiled_exn ~par:pool db "//item//keyword" in
+      let _, p = Db.get_exn (Db.query_profiled ~par:pool db "//item//keyword") in
       let root =
         match p.Core.Profile.trace with
         | Some s -> s
@@ -172,21 +175,21 @@ let test_vacuum_race () =
       let failures = Atomic.make 0 in
       let reader () =
         for _ = 1 to 40 do
-          Db.read_txn_exn ~par:pool db (fun s ->
-              let a = Db.Session.count_exn s "//item" in
+          Db.get_exn (Db.read_txn ~par:pool db (fun s ->
+              let a = Db.get_exn (Db.Session.count s "//item") in
               Unix.sleepf 0.001;
-              let b = Db.Session.count_exn s "//item" in
-              if a <> b then Atomic.incr failures);
+              let b = Db.get_exn (Db.Session.count s "//item") in
+              if a <> b then Atomic.incr failures));
           Unix.sleepf 0.001
         done
       in
       let readers = List.init 2 (fun _ -> Domain.spawn reader) in
       for i = 1 to 5 do
         ignore
-          (Db.update_exn db
+          (Db.get_exn (Db.update db
              (Printf.sprintf
                 {|<xupdate:modifications><xupdate:append select="/site"><extra n="%d"/></xupdate:append></xupdate:modifications>|}
-                i));
+                i)));
         Db.vacuum db;
         Unix.sleepf 0.002
       done;
@@ -196,7 +199,8 @@ let test_vacuum_race () =
       (match Core.Schema_up.check_integrity (Db.store db) with
       | Ok () -> ()
       | Error m -> Alcotest.failf "integrity after vacuum race: %s" m);
-      Alcotest.(check int) "all appends survived" 5 (Db.query_count_exn db "/site/extra"))
+      Alcotest.(check int) "all appends survived" 5
+        (Db.get_exn (Db.query_count db "/site/extra")))
 
 (* -------------------------------------- forked version.capture crash -- *)
 
@@ -273,14 +277,15 @@ let test_crash_during_capture () =
       | Ok db ->
         (* version.capture fires after the WAL append: the dying commit is
            durable *)
-        Alcotest.(check int) "in-flight commit recovered" 2 (Db.query_count_exn db "/r/i");
+        Alcotest.(check int) "in-flight commit recovered" 2
+          (Db.get_exn (Db.query_count db "/r/i"));
         (match Core.Schema_up.check_integrity (Db.store db) with
         | Ok () -> ()
         | Error m -> Alcotest.failf "integrity after recovery: %s" m);
         (* the recovered store accepts new work, in parallel too *)
         Par.with_pool ~range_cutoff:1 ~ctx_cutoff:1 ~domains:2 (fun pool ->
             Alcotest.(check int) "parallel query after recovery" 2
-              (List.length (Db.query_exn ~par:pool db "//i"))))
+              (List.length (Db.get_exn (Db.query ~par:pool db "//i")))))
 
 let () =
   (match Sys.getenv_opt "PAR_CRASH_DIR" with

@@ -29,7 +29,7 @@ let doc () =
 
 let test_seq_profile () =
   let db = doc () in
-  let items, p = Db.query_profiled_exn db "//item/keyword" in
+  let items, p = Db.get_exn (Db.query_profiled db "//item/keyword") in
   Alcotest.(check int) "result cardinality" 40 (List.length items);
   Alcotest.(check int) "profile.items agrees" 40 p.Profile.items;
   Alcotest.(check int) "sequential = 1 domain" 1 p.Profile.domains;
@@ -57,9 +57,9 @@ let test_seq_profile () =
 
 let test_parallel_plans () =
   let db = doc () in
-  let seq = Db.query_profiled_exn db "//item//keyword" in
+  let seq = Db.get_exn (Db.query_profiled db "//item//keyword") in
   Par.with_pool ~range_cutoff:1 ~ctx_cutoff:1 ~domains:4 (fun par ->
-      let items, p = Db.query_profiled_exn ~par db "//item//keyword" in
+      let items, p = Db.get_exn (Db.query_profiled ~par db "//item//keyword") in
       Alcotest.(check int) "parallel = sequential" (List.length (fst seq))
         (List.length items);
       Alcotest.(check int) "pool width recorded" 4 p.Profile.domains;
@@ -88,7 +88,7 @@ let test_parallel_plans () =
 
 let test_render_explain () =
   let db = doc () in
-  let _, p = Db.query_profiled_exn db "//item/keyword" in
+  let _, p = Db.get_exn (Db.query_profiled db "//item/keyword") in
   let full = Profile.render_explain p in
   Alcotest.(check bool) "query shown" true (contains full "//item/keyword");
   Alcotest.(check bool) "plan column" true (contains full "plan=seq");
@@ -100,13 +100,13 @@ let test_render_explain () =
   let bare = Profile.render_explain ~timings:false p in
   Alcotest.(check bool) "no timings" false (contains bare "parse:" || contains bare "ms)");
   (* two runs of the same query render identically without timings *)
-  let _, p2 = Db.query_profiled_exn db "//item/keyword" in
+  let _, p2 = Db.get_exn (Db.query_profiled db "//item/keyword") in
   Alcotest.(check string) "deterministic" bare
     (Profile.render_explain ~timings:false p2)
 
 let test_render_json_and_chrome () =
   let db = doc () in
-  let _, p = Db.query_profiled_exn db "//item[keyword]/name" in
+  let _, p = Db.get_exn (Db.query_profiled db "//item[keyword]/name") in
   let json = Profile.render_json p in
   List.iter
     (fun needle ->
@@ -161,13 +161,13 @@ let test_slowlog_threshold_and_eviction () =
 
 let test_query_routes_through_slowlog () =
   let db = doc () in
-  let plain = Db.query_exn db "//item/name" in
+  let plain = Db.get_exn (Db.query db "//item/name") in
   Fun.protect ~finally:Profile.Slowlog.disable (fun () ->
       Profile.Slowlog.configure ~capacity:4 ~threshold_s:0.0 ();
       Profile.Slowlog.reset ();
       (* armed log routes Db.query through the profiled path: same results,
          and the query lands in the log (threshold 0 catches everything) *)
-      let routed = Db.query_exn db "//item/name" in
+      let routed = Db.get_exn (Db.query db "//item/name") in
       Alcotest.(check int) "results unchanged" (List.length plain) (List.length routed);
       match Profile.Slowlog.entries () with
       | [ p ] ->

@@ -177,41 +177,37 @@ let test_db_roundtrip () =
     | None -> Alcotest.fail "cache-enabled store must report stats"
   in
   Alcotest.(check int) "fresh cache" 0 s0.Qcache.entries;
-  let r1 = Db.query_strings_exn db "/r/a/text()" in
-  let r2 = Db.query_strings_exn db "/r/a/text()" in
+  let r1 = Db.get_exn (Db.query_strings db "/r/a/text()") in
+  let r2 = Db.get_exn (Db.query_strings db "/r/a/text()") in
   Alcotest.(check (list string)) "repeat equals first" r1 r2;
   let s1 = Option.get (Db.cache_stats db) in
   Alcotest.(check bool) "repeat query hit" true (s1.Qcache.hits >= 1);
   (* a commit advances the epoch: same text re-evaluates and sees the write *)
-  ignore (Db.update_exn db append_a);
+  ignore (Db.get_exn (Db.update db append_a));
   Alcotest.(check (list string)) "post-commit query re-evaluated"
     [ "one"; "two"; "three" ]
-    (Db.query_strings_exn db "/r/a/text()");
-  (* per-transaction opt-out never touches the cache *)
-  let misses_before = (Option.get (Db.cache_stats db)).Qcache.misses in
-  ignore (Db.query_count_exn ~cache:false db "/r/a");
-  Alcotest.(check int) "cache:false bypasses the cache" misses_before
-    (Option.get (Db.cache_stats db)).Qcache.misses
+    (Db.get_exn (Db.query_strings db "/r/a/text()"))
 
 let test_write_session_bypass () =
   let db = Db.of_xml ~cache:(Db.cache_config ()) doc in
   (* warm the cache with the committed state *)
-  Alcotest.(check int) "committed count" 2 (Db.query_count_exn db "/r/a");
-  Db.write_txn_exn db (fun s ->
+  Alcotest.(check int) "committed count" 2 (Db.get_exn (Db.query_count db "/r/a"));
+  Db.get_exn (Db.write_txn db (fun s ->
       Alcotest.(check bool) "write session is uncached" false
         (Session.cached s);
-      ignore (Session.update_exn s append_a);
+      ignore (Db.get_exn (Session.update s append_a));
       (* the session must see its own staged write, not the cached result *)
       Alcotest.(check int) "own write visible" 3
-        (Session.count_exn s "/r/a"));
-  Alcotest.(check int) "committed afterwards" 3 (Db.query_count_exn db "/r/a")
+        (Db.get_exn (Session.count s "/r/a"))));
+  Alcotest.(check int) "committed afterwards" 3
+    (Db.get_exn (Db.query_count db "/r/a"))
 
 let test_profile_annotation () =
   let db = Db.of_xml ~cache:(Db.cache_config ()) doc in
-  let _, p1 = Db.query_profiled_exn db "/r/a" in
+  let _, p1 = Db.get_exn (Db.query_profiled db "/r/a") in
   Alcotest.(check (option string)) "first run is a miss" (Some "miss")
     (Option.map Core.Profile.cache_name p1.Core.Profile.cache);
-  let items, p2 = Db.query_profiled_exn db "/r/a" in
+  let items, p2 = Db.get_exn (Db.query_profiled db "/r/a") in
   Alcotest.(check (option string)) "second run is a hit" (Some "hit")
     (Option.map Core.Profile.cache_name p2.Core.Profile.cache);
   Alcotest.(check int) "hit still carries the result" 2 (List.length items);
@@ -225,7 +221,7 @@ let test_profile_annotation () =
      go 0);
   (* an uncached store never annotates *)
   let db' = Db.of_xml doc in
-  let _, p = Db.query_profiled_exn db' "/r/a" in
+  let _, p = Db.get_exn (Db.query_profiled db' "/r/a") in
   Alcotest.(check bool) "no annotation without a cache" true
     (p.Core.Profile.cache = None)
 
@@ -244,13 +240,13 @@ let test_env_override () =
 
 let test_vacuum_drops_cache () =
   let db = Db.of_xml ~cache:(Db.cache_config ()) doc in
-  ignore (Db.query_count_exn db "/r/a");
+  ignore (Db.get_exn (Db.query_count db "/r/a"));
   Alcotest.(check bool) "entry resident" true
     ((Option.get (Db.cache_stats db)).Qcache.entries > 0);
   Db.vacuum db;
   Alcotest.(check int) "vacuum drops the cache" 0
     ((Option.get (Db.cache_stats db)).Qcache.entries);
-  Alcotest.(check int) "store intact" 2 (Db.query_count_exn db "/r/a")
+  Alcotest.(check int) "store intact" 2 (Db.get_exn (Db.query_count db "/r/a"))
 
 (* --------------------------------------------- epoch-bump ordering ------ *)
 
@@ -263,20 +259,25 @@ let test_vacuum_drops_cache () =
 let test_epoch_bump_ordering () =
   let db = Db.of_xml ~cache:(Db.cache_config ()) doc in
   (* warm the cache at the pre-commit epoch *)
-  Alcotest.(check int) "pre-commit count" 2 (Db.query_count_exn db "/r/a");
+  Alcotest.(check int) "pre-commit count" 2 (Db.get_exn (Db.query_count db "/r/a"));
   Fault.arm ~seed:1 "version.epoch_bump" ~policy:Fault.One_shot
     ~action:(Fault.Delay 0.5);
   Fun.protect ~finally:Fault.reset (fun () ->
-      let writer = Thread.create (fun () -> ignore (Db.update_exn db append_a)) () in
+      let writer =
+        Thread.create (fun () -> ignore (Db.get_exn (Db.update db append_a))) ()
+      in
       Thread.delay 0.15;
       (* the writer is asleep at the failpoint, inside the commit mutex *)
-      let cached = Db.query_count_exn db "/r/a" in
-      let fresh = Db.query_count_exn ~cache:false db "/r/a" in
+      let cached = Db.get_exn (Db.query_count db "/r/a") in
+      let fresh =
+        Db.read db (fun v ->
+            List.length (Db.E.eval_items v (Xpath.Xpath_parser.parse "/r/a")))
+      in
       Thread.join writer;
       Alcotest.(check int) "cached read pinned the old epoch" 2 cached;
       Alcotest.(check int) "fresh read agrees (pre-images resolved)" 2 fresh);
   Alcotest.(check int) "commit visible once the bump lands" 3
-    (Db.query_count_exn db "/r/a")
+    (Db.get_exn (Db.query_count db "/r/a"))
 
 let () =
   Alcotest.run "qcache"

@@ -135,6 +135,16 @@ let test_group_frame_is_atomic () =
 
 (* --------------------------------------------------------------- replay -- *)
 
+(* Replay [wal_path] onto [store] as document 0 — the sole document of a
+   single-plane manager; returns the number of records redone. *)
+let replay ~wal_path store =
+  let progress =
+    Txn.recover_docs ~wal_path
+      ~store_of:(fun id -> if id = 0 then Some store else None)
+      ~after:(fun _ -> 0)
+  in
+  match Hashtbl.find_opt progress 0 with Some (n, _) -> n | None -> 0
+
 let test_wal_replay_reproduces_document () =
   with_temp (fun dir ->
       let wal_path = Filename.concat dir "log.wal" in
@@ -152,7 +162,7 @@ let test_wal_replay_reproduces_document () =
       Wal.close wal;
       (* recover onto a fresh shred of the same base document *)
       let recovered = mk () in
-      let n, _ = Txn.recover ~wal_path recovered in
+      let n = replay ~wal_path recovered in
       Alcotest.(check int) "three records" 3 n;
       check_integrity recovered;
       Alcotest.check doc "same document"
@@ -168,31 +178,31 @@ let test_checkpoint_recover_cycle () =
       let db =
         Core.Db.create ~page_bits:3 ~fill:0.75 ~wal_path Testsupport.small_doc
       in
-      let _ = Core.Db.update_exn db
+      let _ = Core.Db.(get_exn (update db
           {|<xupdate:modifications>
               <xupdate:append select="/site/people">
                 <person id="p9"><name>Barbara</name></person>
               </xupdate:append>
-            </xupdate:modifications>|}
+            </xupdate:modifications>|}))
       in
       Core.Db.checkpoint db ck;
       (* post-checkpoint commits live only in the WAL *)
-      let _ = Core.Db.update_exn db
+      let _ = Core.Db.(get_exn (update db
           {|<xupdate:modifications>
               <xupdate:remove select="/site/items/item[2]"/>
-            </xupdate:modifications>|}
+            </xupdate:modifications>|}))
       in
       let expected = Core.Db.to_xml db in
       Core.Db.close db;
       (* crash: reopen from checkpoint + WAL *)
-      let db2 = Core.Db.open_recovered_exn ~wal_path ~checkpoint:ck () in
+      let db2 = Core.Db.(get_exn (open_recovered ~wal_path ~checkpoint:ck ())) in
       check_integrity (Core.Db.store db2);
       Alcotest.(check string) "document recovered" expected (Core.Db.to_xml db2);
       (* the recovered store accepts new transactions *)
-      let n = Core.Db.update_exn db2
+      let n = Core.Db.(get_exn (update db2
           {|<xupdate:modifications>
               <xupdate:append select="/site/people"><person/></xupdate:append>
-            </xupdate:modifications>|}
+            </xupdate:modifications>|}))
       in
       Alcotest.(check int) "one target" 1 n;
       Core.Db.close db2)
@@ -218,14 +228,14 @@ let test_torn_wal_tail_recovers_prefix () =
       Unix.ftruncate fd (len - 7);
       Unix.close fd;
       let recovered = mk () in
-      let n, _ = Txn.recover ~wal_path recovered in
+      let n = replay ~wal_path recovered in
       Alcotest.(check int) "only the intact record" 1 n;
       check_integrity recovered;
       Alcotest.check doc "prefix state" after_first (Ser.to_dom (View.direct recovered)))
 
 let test_missing_wal_is_empty () =
   let t = Up.of_dom Testsupport.small_doc in
-  let n, _ = Txn.recover ~wal_path:"/nonexistent/definitely/missing.wal" t in
+  let n = replay ~wal_path:"/nonexistent/definitely/missing.wal" t in
   Alcotest.(check int) "zero records" 0 n
 
 (* Recovery must also reproduce overflow commits (staged pages + pagemap). *)
@@ -243,7 +253,7 @@ let test_recovery_with_page_splices () =
       done;
       Wal.close wal;
       let recovered = mk () in
-      let n, _ = Txn.recover ~wal_path recovered in
+      let n = replay ~wal_path recovered in
       Alcotest.(check int) "five records" 5 n;
       check_integrity recovered;
       Alcotest.(check bool) "pagemap no longer identity" false

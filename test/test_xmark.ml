@@ -112,13 +112,15 @@ let test_churn_xupdate_fragments () =
   let dd = Lazy.force d in
   let db = Core.Db.create ~page_bits:4 ~fill:0.9 dd in
   let n =
-    Core.Db.update_exn db
+    Core.Db.get_exn (Core.Db.update db
       (Xmark.Workload.insert_bidder_xupdate ~auction_id:"open_auction0"
-         ~person:"person1")
+         ~person:"person1"))
   in
   Alcotest.(check int) "one auction" 1 n;
   let n =
-    Core.Db.update_exn db (Xmark.Workload.delete_last_bidder_xupdate ~auction_id:"open_auction0")
+    Core.Db.get_exn
+      (Core.Db.update db
+         (Xmark.Workload.delete_last_bidder_xupdate ~auction_id:"open_auction0"))
   in
   Alcotest.(check int) "one removed" 1 n;
   check_integrity (Core.Db.store db)
