@@ -292,6 +292,8 @@ let mid_section_up v =
   in
   back mid
 
+let pre_of_node v node = View.pre_of_pos v (View.node_pos_get v node)
+
 let run_shift_cost ~sizes =
   header "Claim 2.2: structural update cost, naive O(N) vs logical pages";
   let page_bits = 10 in
@@ -314,16 +316,17 @@ let run_shift_cost ~sizes =
               naive_moved := !naive_moved + Naive.last_shifted nv
             done)
       in
-      (* paged: pin the same section by node id (pre values shift) *)
+      (* paged: pin the same section by node id (pre values shift); each
+         insert is one committed transaction *)
       let up = Up.of_dom ~page_bits ~fill:0.9 d in
-      let v = View.direct up in
-      let section_node = Up.node_at up ~pre:(mid_section_up v) in
+      let m = Txn.manager up in
+      let section_node = Up.node_at up ~pre:(mid_section_up (View.direct up)) in
       U.reset_costs ();
       let (), t_paged =
         wall (fun () ->
             for _ = 1 to reps do
-              let p = Option.get (Up.pre_of_node up section_node) in
-              U.insert v (U.First_child p) (frag ())
+              Txn.with_write m (fun v ->
+                  U.insert v (U.First_child (pre_of_node v section_node)) (frag ()))
             done)
       in
       let paged_moved = U.costs.U.moved_tuples in
@@ -353,7 +356,7 @@ let run_insert_cost () =
       List.iter
         (fun m ->
           let up = Up.of_dom ~page_bits ~fill:0.9 (wide_doc doc_n) in
-          let v = View.direct up in
+          let mgr = Txn.manager up in
           let frag =
             Xml.Xml_parser.parse_fragment
               ("<blob>"
@@ -361,14 +364,14 @@ let run_insert_cost () =
                   (List.init (m - 1) (fun i -> Printf.sprintf "<n%d/>" (i mod 5)))
               ^ "</blob>")
           in
-          let section_node = Up.node_at up ~pre:(mid_section_up v) in
+          let section_node = Up.node_at up ~pre:(mid_section_up (View.direct up)) in
           let reps = 10 in
           U.reset_costs ();
           let (), t =
             wall (fun () ->
                 for _ = 1 to reps do
-                  let p = Option.get (Up.pre_of_node up section_node) in
-                  U.insert v (U.First_child p) frag
+                  Txn.with_write mgr (fun v ->
+                      U.insert v (U.First_child (pre_of_node v section_node)) frag)
                 done)
           in
           Printf.printf "%10d %10d | %12.4f %12d %10d\n" doc_n m
@@ -536,17 +539,18 @@ let run_ordpath () =
       let up =
         Up.of_dom ~page_bits:4 ~fill:0.8 (Xml.Xml_parser.parse "<r><a/><b/></r>")
       in
-      let v = View.direct up in
+      let m = Txn.manager up in
       for i = 1 to rounds do
-        let a_pre =
-          match E.parse_eval v "/r/a" with
-          | [ E.Node pre ] -> pre
-          | _ -> failwith "a"
-        in
-        U.insert v (U.After a_pre)
-          (Xml.Xml_parser.parse_fragment (Printf.sprintf "<n i='%d'/>" i))
+        Txn.with_write m (fun v ->
+            let a_pre =
+              match E.parse_eval v "/r/a" with
+              | [ E.Node pre ] -> pre
+              | _ -> failwith "a"
+            in
+            U.insert v (U.After a_pre)
+              (Xml.Xml_parser.parse_fragment (Printf.sprintf "<n i='%d'/>" i)))
       done;
-      let n1 = Up.node_at up ~pre:(View.root_pre v) in
+      let n1 = Up.node_at up ~pre:(Up.root_pre up) in
       let t_lookup =
         bench_ns "fixed-key order test" (fun () ->
             ignore (Up.pre_of_node up n1))

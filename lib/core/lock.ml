@@ -1,17 +1,13 @@
 type page_state = { mutable readers : int list; mutable writer : int option }
 
-let acquisitions scope mode =
+let acquisitions mode =
   Obs.counter ~help:"lock acquisitions"
-    ~labels:[ ("scope", scope); ("mode", mode) ]
+    ~labels:[ ("scope", "page"); ("mode", mode) ]
     "lock.acquisitions"
 
-let m_global_read = acquisitions "global" "read"
+let m_page_read = acquisitions "read"
 
-let m_global_write = acquisitions "global" "write"
-
-let m_page_read = acquisitions "page" "read"
-
-let m_page_write = acquisitions "page" "write"
+let m_page_write = acquisitions "write"
 
 let m_wait =
   Obs.histogram ~help:"time spent blocked waiting for a lock [s]"
@@ -26,10 +22,6 @@ type t = {
   cond : Condition.t;
   pages : (int, page_state) Hashtbl.t;
   timeout_s : float;
-  (* global lock state *)
-  mutable g_readers : int;
-  mutable g_writer : bool;
-  mutable g_waiting_writers : int;
   (* stdlib Condition has no timed wait; while page-lock waiters exist, a
      ticker thread broadcasts periodically so timeouts can fire even when no
      release ever happens (a true deadlock) *)
@@ -44,9 +36,6 @@ let create ?(timeout_s = 1.0) () =
     cond = Condition.create ();
     pages = Hashtbl.create 64;
     timeout_s;
-    g_readers = 0;
-    g_writer = false;
-    g_waiting_writers = 0;
     page_waiters = 0;
     ticker_running = false }
 
@@ -68,43 +57,6 @@ let start_ticker t =
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
-(* ---------------------------------------------------------- global lock -- *)
-
-let with_global_read t f =
-  locked t (fun () ->
-      (* writer preference keeps commits short *)
-      if t.g_writer || t.g_waiting_writers > 0 then begin
-        let t0 = Obs.monotonic () in
-        while t.g_writer || t.g_waiting_writers > 0 do
-          Condition.wait t.cond t.mu
-        done;
-        Obs.observe m_wait (Obs.monotonic () -. t0)
-      end;
-      Obs.inc m_global_read;
-      t.g_readers <- t.g_readers + 1);
-  Fun.protect f ~finally:(fun () ->
-      locked t (fun () ->
-          t.g_readers <- t.g_readers - 1;
-          Condition.broadcast t.cond))
-
-let with_global_write t f =
-  locked t (fun () ->
-      t.g_waiting_writers <- t.g_waiting_writers + 1;
-      if t.g_writer || t.g_readers > 0 then begin
-        let t0 = Obs.monotonic () in
-        while t.g_writer || t.g_readers > 0 do
-          Condition.wait t.cond t.mu
-        done;
-        Obs.observe m_wait (Obs.monotonic () -. t0)
-      end;
-      t.g_waiting_writers <- t.g_waiting_writers - 1;
-      Obs.inc m_global_write;
-      t.g_writer <- true);
-  Fun.protect f ~finally:(fun () ->
-      locked t (fun () ->
-          t.g_writer <- false;
-          Condition.broadcast t.cond))
 
 (* ------------------------------------------------------------ page locks -- *)
 

@@ -1,13 +1,15 @@
-(** The lock manager (paper §3.2).
+(** The page-lock manager (paper §3.2).
 
-    Two levels, as in Figure 8:
-    - a {e global} lock: read-only queries hold it shared for their whole
-      run; a committing write transaction takes it exclusively for the short
-      apply phase ("get global write-lock");
-    - {e page} locks, acquired incrementally by write transactions — shared
-      while reading during XPath execution, exclusive for pages whose tuples
-      the transaction rewrites.  Ancestor [size] maintenance deliberately
-      takes {e no} page lock: it travels as commutative deltas.
+    Write transactions acquire {e page} locks incrementally — shared while
+    reading during XPath execution, exclusive for pages whose tuples the
+    transaction rewrites. Ancestor [size] maintenance deliberately takes
+    {e no} page lock: it travels as commutative deltas.
+
+    Figure 8's global lock has no counterpart here. Readers take no lock at
+    all: they pin an MVCC version ({!Version}) and evaluate against that
+    snapshot. Commits serialise on the commit lane's mutex ({!Txn.shared}),
+    and the short apply phase runs inside the store seqlock, so a pinned
+    reader retries any read that overlaps it.
 
     Lock-upgrade (read → write) is supported for the sole reader. Writers
     that cannot make progress within the timeout receive {!Would_deadlock}
@@ -20,12 +22,6 @@ exception Would_deadlock of { owner : int; page : int }
 
 val create : ?timeout_s:float -> unit -> t
 (** [timeout_s] bounds every blocking page-lock acquisition (default 1.0). *)
-
-(** {1 Global lock} *)
-
-val with_global_read : t -> (unit -> 'a) -> 'a
-
-val with_global_write : t -> (unit -> 'a) -> 'a
 
 (** {1 Page locks} *)
 

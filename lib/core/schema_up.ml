@@ -127,11 +127,6 @@ let blank_page t phys =
     Varray.set t.node (base + off) Varray.null
   done
 
-let append_pages t ~at_logical ~count =
-  let fresh = Pagemap.splice t.map ~at:at_logical ~count in
-  List.iter (blank_page t) fresh;
-  fresh
-
 let grow_pages t ~count =
   let fresh = List.init count (fun _ -> Pagemap.append_page t.map) in
   List.iter (blank_page t) fresh;

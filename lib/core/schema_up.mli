@@ -69,20 +69,11 @@ val get_cell : t -> col -> int -> int
 
 val set_cell : t -> col -> int -> int -> unit
 
-val append_pages : t -> at_logical:int -> count:int -> int list
-(** Physically append [count] fresh all-unused pages and splice them into
-    logical order at logical page index [at_logical]; returns the new
-    physical page ids. *)
-
 val grow_pages : t -> count:int -> int list
 (** Physically append fresh all-unused pages {e without} touching the
     pageOffset table (they are placed at the logical end) — the primitive a
     transaction uses to stage private pages that other transactions cannot
     see until its own pageOffset is installed. *)
-
-val recompute_free_runs : t -> phys_page:int -> unit
-(** Restore the page-local free-run invariant on one page after its slots
-    changed. O(page size). *)
 
 val used_in_page : t -> phys_page:int -> int
 (** Number of used slots in a physical page. *)
@@ -190,7 +181,8 @@ val compact : ?fill:float -> t -> unit
     becomes the identity again, and freed/slack slots are re-pooled.
     Node ids are {e preserved} (clients' handles stay valid); tombstoned
     attribute rows are dropped. O(N). Callers must hold the store exclusively
-    (the transaction manager's vacuum wraps this in the global write lock). *)
+    ({!Txn.vacuum} holds the commit mutex and waits for every pinned
+    snapshot to unpin). *)
 
 val check_integrity : t -> (unit, string) result
 (** Verify every structural invariant (pagemap permutation, free runs,

@@ -51,8 +51,6 @@ let exclusively lane f =
 
 let with_commit_mu m f = exclusively m.lane f
 
-let exclusive m f = with_commit_mu m (fun () -> f (View.direct m.base))
-
 exception Aborted of string
 
 exception Conflict of { page : int; stamp : int; snapshot : int }
@@ -167,7 +165,7 @@ let col_of_int = function
   | n -> invalid_arg (Printf.sprintf "Txn: bad column index %d" n)
 
 (* Redo one commit record onto the base store — used both by live commits
-   (under the global write lock) and by recovery. [lsn] orders page stamps by
+   (under the commit mutex) and by recovery. [lsn] orders page stamps by
    commit (txn ids are begin-ordered, which is not the same thing). *)
 let apply_wal_record ?lsn b (r : Wal.record) =
   let lsn = Option.value ~default:r.Wal.txn lsn in

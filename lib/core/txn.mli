@@ -66,17 +66,12 @@ val doc_id : manager -> int
 val versions : manager -> Version.store
 (** The MVCC version chain ([mvcc.*] metrics, pin/unpin bookkeeping). *)
 
-val exclusive : manager -> (View.t -> 'a) -> 'a
-(** Run [f] on a direct view with commits excluded (the commit mutex is
-    held) — for maintenance that must observe a quiescent base without
-    blocking snapshot readers, e.g. writing a checkpoint. Do not call from
-    inside a transaction or another exclusive section. *)
-
 val exclusively : shared -> (unit -> 'a) -> 'a
 (** Run [f] with the lane's commit mutex held — excludes commits to {e
-    every} document on the lane at once (a whole-catalog checkpoint needs a
-    cut that is consistent across documents). Same nesting caveats as
-    {!exclusive}. *)
+    every} document on the lane at once, for maintenance that must observe
+    a quiescent base without blocking snapshot readers (a whole-catalog
+    checkpoint needs a cut that is consistent across documents). Do not
+    call from inside a transaction or another exclusive section. *)
 
 exception Aborted of string
 (** The transaction was rolled back (deadlock timeout, validation failure,

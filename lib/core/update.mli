@@ -1,8 +1,7 @@
 (** Structural and value updates on the updateable schema (paper Figure 7).
 
-    All operations work on a {!View.t}, so the same code serves the
-    auto-commit path (direct view) and the transaction protocol (staged
-    view).
+    All operations work on a transaction's staged {!View.t}; direct and
+    snapshot views are read-only and reject them.
 
     Insert placement follows the paper:
     - if the inserted subtree fits the free slots of the logical page

@@ -40,14 +40,19 @@ let snapshot vs =
 
 (* Base reads of staged and snapshot views must not observe a commit's
    half-applied state; [stable] retries them through the store seqlock.
-   Direct views skip it — they are single-owner by construction. *)
+   Direct views skip it — they read a quiescent base. *)
 let stable v f =
   match v.snap with
   | Some vs -> Version.stable vs f
   | None -> (
     match v.seq with Some sq -> Version.stable_seq sq f | None -> f ())
 
-let ro_err what = invalid_arg ("View." ^ what ^ ": snapshot views are read-only")
+(* The one write path: every mutation lands in a transaction's staged
+   state. Direct and snapshot views are read-only. *)
+let staged_exn v what =
+  match v.st with
+  | Some st -> st
+  | None -> invalid_arg ("View." ^ what ^ ": only staged views are writable")
 
 let staged ?(touch = fun _ _ -> ()) ?seq b =
   let st =
@@ -133,22 +138,19 @@ let read_cell v col pos =
           | None -> Schema_up.get_cell v.b col pos)
 
 let write_cell v col pos x =
-  if v.snap <> None then ro_err "write_cell";
-  match v.st with
-  | None -> Schema_up.set_cell v.b col pos x
-  | Some st ->
-    let p = page_size v in
-    let base_cap = st.base_npages * p in
-    if pos >= base_cap then begin
-      let page = (pos / p) - st.base_npages in
-      if page >= st.sp_len then
-        invalid_arg (Printf.sprintf "View.write_cell: pos %d beyond staged pages" pos);
-      st.sp.(page).(col_int col).(pos mod p) <- x
-    end
-    else begin
-      st.touch (pos / p) true;
-      Hashtbl.replace st.cells ((pos * 8) lor col_int col) x
-    end
+  let st = staged_exn v "write_cell" in
+  let p = page_size v in
+  let base_cap = st.base_npages * p in
+  if pos >= base_cap then begin
+    let page = (pos / p) - st.base_npages in
+    if page >= st.sp_len then
+      invalid_arg (Printf.sprintf "View.write_cell: pos %d beyond staged pages" pos);
+    st.sp.(page).(col_int col).(pos mod p) <- x
+  end
+  else begin
+    st.touch (pos / p) true;
+    Hashtbl.replace st.cells ((pos * 8) lor col_int col) x
+  end
 
 let pos_of_pre v pre =
   match v.snap, v.st with
@@ -172,47 +174,41 @@ let blank_arrays p =
   [| size; level; kind; name; node |]
 
 let splice_pages v ~at_logical ~count =
-  if v.snap <> None then ro_err "splice_pages";
-  match v.st with
-  | None -> Schema_up.append_pages v.b ~at_logical ~count
-  | Some st ->
-    let anchor =
-      if at_logical = 0 then Start
-      else After_phys (Pagemap.phys_of_logical st.pmap (at_logical - 1))
-    in
-    let fresh = Pagemap.splice st.pmap ~at:at_logical ~count in
-    let p = page_size v in
-    let needed = st.sp_len + count in
-    if needed > Array.length st.sp then begin
-      let sp' = Array.make (max 4 (2 * needed)) [||] in
-      Array.blit st.sp 0 sp' 0 st.sp_len;
-      st.sp <- sp'
-    end;
-    List.iter
-      (fun phys ->
-        assert (phys = st.base_npages + st.sp_len);
-        st.sp.(st.sp_len) <- blank_arrays p;
-        st.sp_len <- st.sp_len + 1)
-      fresh;
-    st.splices <- { anchor; pages = fresh } :: st.splices;
-    fresh
+  let st = staged_exn v "splice_pages" in
+  let anchor =
+    if at_logical = 0 then Start
+    else After_phys (Pagemap.phys_of_logical st.pmap (at_logical - 1))
+  in
+  let fresh = Pagemap.splice st.pmap ~at:at_logical ~count in
+  let p = page_size v in
+  let needed = st.sp_len + count in
+  if needed > Array.length st.sp then begin
+    let sp' = Array.make (max 4 (2 * needed)) [||] in
+    Array.blit st.sp 0 sp' 0 st.sp_len;
+    st.sp <- sp'
+  end;
+  List.iter
+    (fun phys ->
+      assert (phys = st.base_npages + st.sp_len);
+      st.sp.(st.sp_len) <- blank_arrays p;
+      st.sp_len <- st.sp_len + 1)
+    fresh;
+  st.splices <- { anchor; pages = fresh } :: st.splices;
+  fresh
 
 let recompute_free_runs v ~phys_page =
-  if v.snap <> None then ro_err "recompute_free_runs";
-  match v.st with
-  | None -> Schema_up.recompute_free_runs v.b ~phys_page
-  | Some _ ->
-    let p = page_size v in
-    let base = phys_page * p in
-    let following = ref 0 in
-    for off = p - 1 downto 0 do
-      if read_cell v Clevel (base + off) = Varray.null then begin
-        if read_cell v Csize (base + off) <> !following then
-          write_cell v Csize (base + off) !following;
-        incr following
-      end
-      else following := 0
-    done
+  ignore (staged_exn v "recompute_free_runs");
+  let p = page_size v in
+  let base = phys_page * p in
+  let following = ref 0 in
+  for off = p - 1 downto 0 do
+    if read_cell v Clevel (base + off) = Varray.null then begin
+      if read_cell v Csize (base + off) <> !following then
+        write_cell v Csize (base + off) !following;
+      incr following
+    end
+    else following := 0
+  done
 
 (* ---------------------------------------------------------- node identity -- *)
 
@@ -229,99 +225,78 @@ let node_pos_get v id =
           else Varray.null))
 
 let node_pos_set v id pos =
-  if v.snap <> None then ro_err "node_pos_set";
-  match v.st with
-  | None -> Schema_up.node_pos_set v.b id pos
-  | Some st -> Hashtbl.replace st.node_pos_w id pos
+  Hashtbl.replace (staged_exn v "node_pos_set").node_pos_w id pos
 
 let fresh_node_id v =
-  if v.snap <> None then ro_err "fresh_node_id";
-  match v.st with
-  | None -> Schema_up.fresh_node_id v.b
-  | Some st ->
-    let id = Schema_up.fresh_node_id v.b in
-    st.fresh_nodes <- id :: st.fresh_nodes;
-    id
+  let st = staged_exn v "fresh_node_id" in
+  let id = Schema_up.fresh_node_id v.b in
+  st.fresh_nodes <- id :: st.fresh_nodes;
+  id
 
 let free_node_id v id =
-  if v.snap <> None then ro_err "free_node_id";
-  match v.st with
-  | None -> Schema_up.free_node_id v.b id
-  | Some st ->
-    (* Own reads must see the node as gone; the id returns to the shared
-       allocator only at commit. *)
-    Hashtbl.replace st.node_pos_w id Varray.null;
-    st.freed_nodes <- id :: st.freed_nodes
+  let st = staged_exn v "free_node_id" in
+  (* Own reads must see the node as gone; the id returns to the shared
+     allocator only at commit. *)
+  Hashtbl.replace st.node_pos_w id Varray.null;
+  st.freed_nodes <- id :: st.freed_nodes
 
 let add_size_delta v ~node delta =
-  if v.snap <> None then ro_err "add_size_delta";
-  match v.st with
-  | None ->
-    let pos = Schema_up.node_pos_get v.b node in
-    if pos = Varray.null then invalid_arg "View.add_size_delta: freed node";
-    Schema_up.set_cell v.b Csize pos (Schema_up.get_cell v.b Csize pos + delta)
-  | Some st ->
-    let cur = Option.value ~default:0 (Hashtbl.find_opt st.size_deltas node) in
-    Hashtbl.replace st.size_deltas node (cur + delta)
+  let st = staged_exn v "add_size_delta" in
+  let cur = Option.value ~default:0 (Hashtbl.find_opt st.size_deltas node) in
+  Hashtbl.replace st.size_deltas node (cur + delta)
 
 let add_live v d =
-  if v.snap <> None then ro_err "add_live";
-  match v.st with
-  | None -> Schema_up.add_live_nodes v.b d
-  | Some st -> st.live_delta <- st.live_delta + d
+  let st = staged_exn v "add_live" in
+  st.live_delta <- st.live_delta + d
 
 (* --------------------------------------------------- dictionaries / pools -- *)
 
-let log_pool v pool id s =
-  match v.st with
-  | None -> ()
-  | Some st -> st.pool_log <- (pool, id, s) :: st.pool_log
+(* Appends go straight to the shared base (append-only, invisible until a
+   commit references them) and are logged for the WAL. *)
+let log_pool st pool id s = st.pool_log <- (pool, id, s) :: st.pool_log
 
 let intern_qn v q =
-  if v.snap <> None then ro_err "intern_qn";
+  let st = staged_exn v "intern_qn" in
   let id = Schema_up.intern_qn v.b q in
-  log_pool v Dqn id (Xml.Qname.to_string q);
+  log_pool st Dqn id (Xml.Qname.to_string q);
   id
 
 let intern_prop v s =
-  if v.snap <> None then ro_err "intern_prop";
+  let st = staged_exn v "intern_prop" in
   let id = Schema_up.intern_prop v.b s in
-  log_pool v Dprop id s;
+  log_pool st Dprop id s;
   id
 
 let push_text v s =
-  if v.snap <> None then ro_err "push_text";
+  let st = staged_exn v "push_text" in
   let id = Schema_up.push_text v.b s in
-  log_pool v Ptext id s;
+  log_pool st Ptext id s;
   id
 
 let push_comment v s =
-  if v.snap <> None then ro_err "push_comment";
+  let st = staged_exn v "push_comment" in
   let id = Schema_up.push_comment v.b s in
-  log_pool v Pcomment id s;
+  log_pool st Pcomment id s;
   id
 
 let push_pi v ~target ~data =
-  if v.snap <> None then ro_err "push_pi";
+  let st = staged_exn v "push_pi" in
   let id = Schema_up.push_pi v.b ~target ~data in
-  log_pool v Ppi_target id target;
-  log_pool v Ppi_data id data;
+  log_pool st Ppi_target id target;
+  log_pool st Ppi_data id data;
   id
 
 (* -------------------------------------------------------------- attributes -- *)
 
 let attr_add v ~node ~qn ~prop =
-  if v.snap <> None then ro_err "attr_add";
-  match v.st with
-  | None -> ignore (Schema_up.attr_add v.b ~node ~qn ~prop)
-  | Some st ->
-    if st.attr_adds_len >= Array.length st.attr_adds then begin
-      let a = Array.make (max 8 (2 * (st.attr_adds_len + 1))) (0, 0, 0) in
-      Array.blit st.attr_adds 0 a 0 st.attr_adds_len;
-      st.attr_adds <- a
-    end;
-    st.attr_adds.(st.attr_adds_len) <- (node, qn, prop);
-    st.attr_adds_len <- st.attr_adds_len + 1
+  let st = staged_exn v "attr_add" in
+  if st.attr_adds_len >= Array.length st.attr_adds then begin
+    let a = Array.make (max 8 (2 * (st.attr_adds_len + 1))) (0, 0, 0) in
+    Array.blit st.attr_adds 0 a 0 st.attr_adds_len;
+    st.attr_adds <- a
+  end;
+  st.attr_adds.(st.attr_adds_len) <- (node, qn, prop);
+  st.attr_adds_len <- st.attr_adds_len + 1
 
 (* Live attribute rows of a node through the view: (row-id, qn, prop).
    Staged adds get pseudo ids past the snapshot boundary. *)
@@ -352,26 +327,24 @@ let attr_entries v node =
     done;
     from_base @ !from_staged
 
-let attr_remove_row v row =
-  if v.snap <> None then ro_err "attr_remove_row";
-  match v.st with
-  | None -> Schema_up.attr_tombstone v.b ~row
-  | Some st ->
-    if row >= v.base_attr_len then begin
-      let i = row - v.base_attr_len in
-      let _, qn, prop = st.attr_adds.(i) in
-      st.attr_adds.(i) <- (Varray.null, qn, prop)
-    end
-    else st.attr_dels <- row :: st.attr_dels
+let attr_remove_row v st row =
+  if row >= v.base_attr_len then begin
+    let i = row - v.base_attr_len in
+    let _, qn, prop = st.attr_adds.(i) in
+    st.attr_adds.(i) <- (Varray.null, qn, prop)
+  end
+  else st.attr_dels <- row :: st.attr_dels
 
 let attr_remove_node v ~node =
-  List.iter (fun (row, _, _) -> attr_remove_row v row) (attr_entries v node)
+  let st = staged_exn v "attr_remove_node" in
+  List.iter (fun (row, _, _) -> attr_remove_row v st row) (attr_entries v node)
 
 let attr_remove_named v ~node ~qn =
+  let st = staged_exn v "attr_remove_named" in
   match List.find_opt (fun (_, q, _) -> q = qn) (attr_entries v node) with
   | None -> false
   | Some (row, _, _) ->
-    attr_remove_row v row;
+    attr_remove_row v st row;
     true
 
 (* -------------------------------------------------- the storage signature -- *)

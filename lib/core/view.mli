@@ -1,18 +1,17 @@
 (** Access views over the updateable schema.
 
     The structural update algorithms (Figure 7) and in-transaction query
-    evaluation are written once, against a {!t}:
+    evaluation are written once, against a {!t}.
 
-    - a {e direct} view passes every operation straight through to the base
-      {!Schema_up.t} — the auto-commit path and the single-threaded bench path;
-    - a {e staged} view is a transaction's private world (Figure 8): cell
-      writes to existing pages go into a differential list (the base is
-      read-through, copy-on-write style); new pages are staged privately and
-      referenced only from the view's private pageOffset table; ancestor
-      [size] changes are kept as {e commutative deltas}; attribute and
-      node/pos changes are differential; dictionary/pool appends pass through
-      to the base (append-only, invisible until referenced) but are logged
-      for the WAL.
+    A {e staged} view is a transaction's private world (Figure 8) and the
+    only writable flavour. Cell writes to existing pages go into a
+    differential list (the base is read-through, copy-on-write style); new
+    pages are staged privately and referenced only from the view's private
+    pageOffset table; ancestor [size] changes are kept as {e commutative
+    deltas}; attribute and node/pos changes are differential, and freed node
+    ids return to the allocator only at commit; dictionary/pool appends pass
+    through to the base (append-only, invisible until referenced) but are
+    logged for the WAL.
 
     A staged view makes {e no} destructive change to base pages, so abort is
     "drop the view".  The [touch] callback fires before any base-page access
@@ -20,12 +19,14 @@
     and size deltas bypass it — that is precisely the paper's trick for not
     locking the root.
 
-    A third flavour, the {e snapshot} view, reads a pinned MVCC version
-    ({!Version.t}): base cells are resolved through the version chain's
-    pre-image overlays and the descriptor's frozen pageOffset, wrapped in
-    the store seqlock, so evaluation holds no lock and observes exactly the
-    store as of the pinned commit. Snapshot views reject every mutating
-    operation with [Invalid_argument]. *)
+    A {e direct} view reads the base {!Schema_up.t} as it stands — a
+    read-only view of a quiescent base. A {e snapshot} view reads a pinned
+    MVCC version ({!Version.t}): base cells are resolved through the version
+    chain's pre-image overlays and the descriptor's frozen pageOffset,
+    wrapped in the store seqlock, so evaluation holds no lock and observes
+    exactly the store as of the pinned commit. Direct and snapshot views reject every
+    mutating operation with [Invalid_argument]: every change to the plane
+    goes through a transaction ({!Txn.with_write}). *)
 
 type pool = Ptext | Pcomment | Ppi_target | Ppi_data | Dqn | Dprop
 (** Identifies a shared string container in WAL log entries. *)
@@ -59,6 +60,8 @@ type staged = {
 type t
 
 val direct : Schema_up.t -> t
+(** Read-only view of the base as it stands. Only sound while no commit is
+    in flight. *)
 
 val staged : ?touch:(int -> bool -> unit) -> ?seq:int Atomic.t -> Schema_up.t -> t
 (** [seq], when given, is the MVCC store's seqlock: base-page reads (and
@@ -120,9 +123,8 @@ val fresh_node_id : t -> int
 val free_node_id : t -> int -> unit
 
 val add_size_delta : t -> node:int -> int -> unit
-(** Commutative ancestor-size adjustment. Direct view: applied immediately.
-    Staged view: accumulated; own size reads see it. Never touches page
-    locks. *)
+(** Commutative ancestor-size adjustment, accumulated until commit; own size
+    reads see it. Never touches page locks. *)
 
 val add_live : t -> int -> unit
 

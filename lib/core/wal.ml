@@ -118,8 +118,6 @@ let encode_group rs =
   enc_list enc encode_record rs;
   Persist.Enc.contents enc
 
-let encode r = encode_group [ r ]
-
 let decode_record dec =
   let open Persist.Dec in
   let doc = int dec in
@@ -171,15 +169,6 @@ let decode_group payload =
   let dec = Persist.Dec.of_string payload in
   dec_list dec decode_record
 
-let decode payload =
-  match decode_group payload with
-  | [ r ] -> r
-  | rs ->
-    raise
-      (Persist.Dec.Corrupt
-         (Printf.sprintf "expected a single record, frame holds %d"
-            (List.length rs)))
-
 let append_group t rs =
   if rs <> [] then begin
     Fault.hit "wal.append.before";
@@ -192,13 +181,11 @@ let append_group t rs =
     Obs.add m_bytes (String.length payload + frame_header_bytes)
   end
 
-let append t r = append_group t [ r ]
-
 let close t = close_out t.oc
 
 let m_rotations = Obs.counter ~help:"log truncations after checkpoint" "wal.rotations"
 
-(* Truncate the log in place. Callers must exclude concurrent [append]s (the
+(* Truncate the log in place. Callers must exclude concurrent appends (the
    transaction manager holds its commit mutex) and must already have made
    every logged commit durable elsewhere — i.e. a checkpoint covering the
    whole log has hit disk. *)

@@ -1,8 +1,8 @@
 (** Write-ahead log (paper §3.2, Figure 8).
 
-    One checksummed frame per committed transaction, written (and flushed)
-    while the global write lock is held — "writing the WAL is the crucial
-    stage in transaction commit, it consists of a single I/O".  A record is a
+    One checksummed frame per commit group, written (and flushed) while the
+    commit lane's mutex is held — "writing the WAL is the crucial stage in
+    transaction commit, it consists of a single I/O".  A record is a
     self-contained {e redo} description of the commit:
 
     - the differential cell list for existing pages,
@@ -37,10 +37,6 @@ type t
 val open_log : string -> t
 (** Open (create or append to) a WAL file. *)
 
-val append : t -> record -> unit
-(** Write one single-record frame and flush — the commit point.
-    Equivalent to {!append_group}[ t [r]]. *)
-
 val append_group : t -> record list -> unit
 (** Write one {e commit group} — the records of one atomic commit, one per
     touched document — as a single checksummed frame, and flush. The frame
@@ -63,13 +59,6 @@ val replay : string -> (record -> unit) -> int
     group frames are flattened in commit order, so a mixed multi-document
     log replays records exactly as they were committed. Returns the number
     of records applied. A missing file replays zero. *)
-
-val encode : record -> string
-(** Exposed for tests (frame payload of a single-record group). *)
-
-val decode : string -> record
-(** Raises {!Column.Persist.Dec.Corrupt} on malformed payloads or when the
-    frame holds more than one record. *)
 
 val encode_group : record list -> string
 (** Frame payload of a whole commit group. *)

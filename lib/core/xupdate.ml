@@ -242,29 +242,13 @@ let apply_command v cmd =
        values: clearing an earlier element target deletes its descendants,
        and a raw pre captured for a later target then points at a stale (or
        unused) slot. A vanished target is an error, like everywhere else.
-
-       Pinning alone is not enough on a direct view: the allocator recycles
-       freed node ids immediately, so the replacement-text insert can be
-       handed the id of a deleted later target — reborn as an unrelated
-       node, it would resolve again. Track the ids this command frees and
-       refuse them explicitly (staged views get this for free by deferring
-       frees to commit). *)
+       Freed ids return to the allocator only at commit, so a replacement
+       text node can never be handed (and revive) a deleted target's id. *)
     let targets = target_nodes v path in
-    let freed = Hashtbl.create 8 in
-    let resolve node =
-      if Hashtbl.mem freed node then afail "update: target vanished mid-command";
-      pre_of_node_exn v node "update"
-    in
-    let note_freed pre =
-      let id_at p = View.read_cell v Cnode (View.pos_of_pre v p) in
-      Hashtbl.replace freed (id_at pre) ();
-      Sj.iter_descendants v pre (fun d -> Hashtbl.replace freed (id_at d) ())
-    in
+    let resolve node = pre_of_node_exn v node "update" in
     List.iter
       (function
-        | `Attr (node, qn) ->
-          let pre = resolve node in
-          Update.set_attribute v ~pre qn text
+        | `Attr (node, qn) -> Update.set_attribute v ~pre:(resolve node) qn text
         | `Tree node -> (
           let pre = resolve node in
           match View.kind v pre with
@@ -272,17 +256,15 @@ let apply_command v cmd =
           | Kind.Element ->
             (* replace content: drop current children, insert the text *)
             let rec clear () =
-              let pre = resolve node in
-              match Sj.children v [ pre ] with
+              match Sj.children v [ resolve node ] with
               | [] -> ()
               | kid :: _ ->
-                note_freed kid;
                 Update.delete v ~pre:kid;
                 clear ()
             in
             clear ();
-            let pre = resolve node in
-            if text <> "" then Update.insert v (Update.Last_child pre) [ Dom.Text text ]))
+            if text <> "" then
+              Update.insert v (Update.Last_child (resolve node)) [ Dom.Text text ]))
       targets;
     List.length targets
 

@@ -46,7 +46,7 @@ val parse_command : Xml.Dom.node -> command
 exception Apply_error of string
 
 val apply : View.t -> command list -> int
-(** Execute commands in order against a view (direct or staged). Returns the
+(** Execute commands in order against a transaction's staged view. Returns the
     number of nodes/attributes affected. Raises {!Apply_error} when a select
     yields an unusable target (e.g. inserting before the root). *)
 

@@ -18,11 +18,12 @@ let bidder_fragment r =
     (rand r 1000) (1 + rand r 50)
 
 let churn store ~ops ~seed =
-  let v = View.direct store in
+  let m = Core.Txn.manager store in
+  let node_of v pre = View.read_cell v Core.Schema_up.Cnode (View.pos_of_pre v pre) in
   let auctions =
-    List.map
-      (fun pre -> Core.Schema_up.node_at store ~pre)
-      (E.eval_nodes v (Xpath.Xpath_parser.parse "/site/open_auctions/open_auction"))
+    Core.Txn.read m (fun v ->
+        List.map (node_of v)
+          (E.eval_nodes v (Xpath.Xpath_parser.parse "/site/open_auctions/open_auction")))
   in
   if auctions = [] then 0
   else begin
@@ -30,33 +31,36 @@ let churn store ~ops ~seed =
     let r = { state = (if seed = 0 then 1 else seed) } in
     let inserted = ref [] in
     let applied = ref 0 in
+    (* Resolve a node id through the view; [None] once it was deleted. *)
+    let pre_of v node =
+      match View.node_pos_get v node with
+      | pos when pos <> Column.Varray.null -> Some (View.pre_of_pos v pos)
+      | _ -> None
+    in
     for i = 1 to ops do
-      let delete_phase = i land 1 = 0 && !inserted <> [] in
-      if delete_phase then begin
-        match !inserted with
-        | [] -> ()
-        | node :: rest ->
-          inserted := rest;
-          (match View.node_pos_get v node with
-          | pos when pos <> Column.Varray.null ->
-            U.delete v ~pre:(View.pre_of_pos v pos);
-            incr applied
-          | _ -> ())
-      end
-      else begin
-        let auction = auctions.(rand r (Array.length auctions)) in
-        match View.node_pos_get v auction with
-        | pos when pos <> Column.Varray.null ->
-          let pre = View.pre_of_pos v pos in
-          let frag = Xml.Xml_parser.parse_fragment (bidder_fragment r) in
-          U.insert v (U.First_child pre) frag;
-          (* remember the bidder's node id for a later delete *)
-          (match E.eval_nodes v ~context:[ pre ] (Xpath.Xpath_parser.parse "bidder[1]") with
-          | b :: _ -> inserted := Core.Schema_up.node_at store ~pre:b :: !inserted
-          | [] -> ());
-          incr applied
-        | _ -> ()
-      end
+      Core.Txn.with_write m (fun v ->
+          match !inserted with
+          | node :: rest when i land 1 = 0 ->
+            inserted := rest;
+            Option.iter
+              (fun pre ->
+                U.delete v ~pre;
+                incr applied)
+              (pre_of v node)
+          | _ ->
+            let auction = auctions.(rand r (Array.length auctions)) in
+            Option.iter
+              (fun pre ->
+                let frag = Xml.Xml_parser.parse_fragment (bidder_fragment r) in
+                U.insert v (U.First_child pre) frag;
+                (* remember the bidder's node id for a later delete *)
+                (match
+                   E.eval_nodes v ~context:[ pre ] (Xpath.Xpath_parser.parse "bidder[1]")
+                 with
+                | b :: _ -> inserted := node_of v b :: !inserted
+                | [] -> ());
+                incr applied)
+              (pre_of v auction))
     done;
     !applied
   end

@@ -7,9 +7,10 @@
 
 val churn : Core.Schema_up.t -> ops:int -> seed:int -> int
 (** Apply [ops] alternating structural updates (insert a bidder into a random
-    open auction / delete a previously inserted bidder) through direct views,
-    leaving the document logically similar but the pages fragmented. Returns
-    the number of operations actually applied. *)
+    open auction / delete a previously inserted bidder), one committed
+    transaction each over a private unlogged {!Core.Txn.manager}, leaving the
+    document logically similar but the pages fragmented. Returns the number
+    of operations actually applied. *)
 
 val insert_bidder_xupdate : auction_id:string -> person:string -> string
 (** The XUpdate document for one bidder insertion — the workload unit for the

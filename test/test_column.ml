@@ -4,8 +4,6 @@ open Column
 
 let check = Alcotest.(check int)
 
-let check_list = Alcotest.(check (list int))
-
 (* ------------------------------------------------------------- varray -- *)
 
 let test_varray_push_get () =
@@ -70,63 +68,6 @@ let test_dict () =
   Alcotest.(check (option int)) "find" (Some a) (Dict.find_opt d "alpha");
   Alcotest.(check (option int)) "find missing" None (Dict.find_opt d "gamma");
   check "cardinal" 2 (Dict.cardinal d)
-
-(* ---------------------------------------------------------------- bat -- *)
-
-let test_bat_positional () =
-  let b = Bat.of_int_array "t" [| 10; 20; 30 |] in
-  check "get" 20 (Bat.get_int b 1);
-  Bat.set_int b 1 99;
-  check "set" 99 (Bat.get_int b 1);
-  let oid = Bat.append_int b 40 in
-  check "append oid" 3 oid;
-  check "count" 4 (Bat.count b)
-
-let test_bat_seqbase () =
-  let b = Bat.of_int_array ~seqbase:100 "t" [| 5; 6 |] in
-  check "oid offset" 6 (Bat.get_int b 101);
-  Alcotest.check_raises "oid below base" (Invalid_argument "Bat t: oid 99 out of range")
-    (fun () -> ignore (Bat.get_int b 99))
-
-let test_bat_select_join () =
-  let b = Bat.of_int_array "t" [| 3; 1; 3; 2 |] in
-  check_list "select_eq" [ 0; 2 ] (Bat.select_eq b (Bat.I 3));
-  check_list "select_range" [ 0; 2; 3 ] (Bat.select_range b ~lo:2 ~hi:3);
-  let inner = Bat.create_str "s" in
-  ignore (Bat.append_str inner "zero");
-  ignore (Bat.append_str inner "one");
-  ignore (Bat.append_str inner "two");
-  ignore (Bat.append_str inner "three");
-  (match Bat.positional_join b inner 0 with
-  | Bat.S s -> Alcotest.(check string) "positional join" "three" s
-  | Bat.I _ -> Alcotest.fail "expected string");
-  Bat.build_index b;
-  check_list "indexed find_all" [ 0; 2 ] (Bat.find_all b (Bat.I 3));
-  Bat.set_int b 0 7;
-  (* mutation invalidates the index; falls back to scan *)
-  check_list "find after mutation" [ 2 ] (Bat.find_all b (Bat.I 3))
-
-(* -------------------------------------------------------------- delta -- *)
-
-let test_delta_apply () =
-  let base = Bat.of_int_array "t" [| 1; 2; 3 |] in
-  let d = Delta.create "t" in
-  Delta.record_update d ~pos:1 ~old_value:(Bat.I 2) (Bat.I 20);
-  Delta.record_update d ~pos:1 ~old_value:(Bat.I 2) (Bat.I 22);
-  Delta.record_append d (Bat.I 4);
-  (* isolation: base unchanged until apply *)
-  check "base isolated" 2 (Bat.get_int base 1);
-  (match Delta.read d base 1 with
-  | Bat.I v -> check "delta read pending" 22 v
-  | Bat.S _ -> Alcotest.fail "int expected");
-  (match Delta.read d base 3 with
-  | Bat.I v -> check "delta read append" 4 v
-  | Bat.S _ -> Alcotest.fail "int expected");
-  Delta.apply d base;
-  check "applied update" 22 (Bat.get_int base 1);
-  check "applied append" 4 (Bat.get_int base 3);
-  Delta.undo d base;
-  check "undo restores before-image" 2 (Bat.get_int base 1)
 
 (* ------------------------------------------------------------ pagemap -- *)
 
@@ -269,11 +210,6 @@ let () =
           Alcotest.test_case "fill/pop/truncate/ensure" `Quick test_varray_ops ] );
       ("strpool", [ Alcotest.test_case "basic" `Quick test_strpool ]);
       ("dict", [ Alcotest.test_case "intern" `Quick test_dict ]);
-      ( "bat",
-        [ Alcotest.test_case "positional access" `Quick test_bat_positional;
-          Alcotest.test_case "seqbase" `Quick test_bat_seqbase;
-          Alcotest.test_case "select and join" `Quick test_bat_select_join ] );
-      ("delta", [ Alcotest.test_case "record/apply/undo" `Quick test_delta_apply ]);
       ( "pagemap",
         [ Alcotest.test_case "identity" `Quick test_pagemap_identity;
           Alcotest.test_case "splice" `Quick test_pagemap_splice;

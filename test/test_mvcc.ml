@@ -95,11 +95,10 @@ let prop_snapshot_frozen =
 
 (* ------------------------------------------------------- lock-free reads -- *)
 
-(* The retired global read lock: a burst of queries and read transactions
-   acquires no lock of any kind and can never deadlock. *)
+(* A burst of queries and read transactions acquires no page lock and can
+   never deadlock. *)
 let test_reads_take_no_locks () =
   let db = Db.of_xml "<root><left><l/></left><right><r/></right></root>" in
-  let before_global = counter_value "lock.acquisitions" [ ("scope", "global") ] in
   let before_page = counter_value "lock.acquisitions" [ ("scope", "page") ] in
   let before_dead = counter_value "lock.would_deadlock" [] in
   for _ = 1 to 50 do
@@ -108,8 +107,6 @@ let test_reads_take_no_locks () =
         ignore (Db.get_exn (Session.count s "/root/right/r"));
         ignore (Session.serialize s)))
   done;
-  Alcotest.(check int) "no global lock on read path" before_global
-    (counter_value "lock.acquisitions" [ ("scope", "global") ]);
   Alcotest.(check int) "no page lock on read path" before_page
     (counter_value "lock.acquisitions" [ ("scope", "page") ]);
   Alcotest.(check int) "no deadlock on read path" before_dead

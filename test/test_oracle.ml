@@ -8,6 +8,7 @@
      (every eligible step partitioned, merge machinery always exercised);
    - update equivalence: same affected-count and structurally equal
      documents on success, errors on both sides otherwise;
+   - rollback: a failing script leaves the store byte-identical;
    - query-after-update equivalence on the mutated stores. *)
 
 module Dom = Xml.Dom
@@ -16,6 +17,7 @@ module Up = Core.Schema_up
 module View = Core.View
 module Par = Core.Par
 module Xupdate = Core.Xupdate
+module Txn = Core.Txn
 module E = Core.Engine.Make (Core.View)
 module Ns = Core.Node_serialize.Make (Core.View)
 module Ord = Testsupport.Ord (Core.View)
@@ -305,13 +307,17 @@ let show_command = function
 
 (* ------------------------------------------------- update equivalence -- *)
 
+(* The engine runs a script the way every shipped entry point does: one
+   write transaction on the store's manager, committed on success and
+   rolled back on error. *)
+let run_script t cmds = Txn.with_write (Txn.manager t) (fun v -> Xupdate.apply v cmds)
+
 let apply_engine d cmds =
   let t = Up.of_dom ~page_bits:3 ~fill:0.7 d in
-  let v = View.direct t in
-  match Xupdate.apply v cmds with
+  match run_script t cmds with
   | n -> (
     match Up.check_integrity t with
-    | Ok () -> Ok (t, v, n)
+    | Ok () -> Ok (t, View.direct t, n)
     | Error m -> Error (`Integrity m))
   | exception Xupdate.Apply_error m -> Error (`Apply m)
   (* append's attribute content is applied outside the wrapper that turns
@@ -324,9 +330,7 @@ let apply_oracle d cmds =
   | exception O.Oracle_error m -> Error m
 
 (* Both sides succeed with the same count and structurally equal documents,
-   or both fail. (Partial effects on failure are not compared: the engine's
-   transactional wrapper in Db rolls them back; here the view is applied to
-   directly.) *)
+   or both fail. (What a failure leaves behind is prop_rollback's business.) *)
 let check_update (d, cmds) =
   match (apply_engine d cmds, apply_oracle d cmds) with
   | Error (`Integrity m), _ -> QCheck2.Test.fail_reportf "engine integrity: %s" m
@@ -361,6 +365,29 @@ let print_update_case (d, cmds) =
 let prop_update =
   QCheck2.Test.make ~name:"random updates: engine = oracle" ~count:300
     ~print:print_update_case gen_update_case check_update
+
+(* A script that fails part-way (any command erroring after earlier ones
+   applied) must leave no trace: the store serialises byte-identically to
+   its state before the script and stays internally consistent. *)
+let check_rollback (d, cmds) =
+  let t = Up.of_dom ~page_bits:3 ~fill:0.7 d in
+  let serialize () = Xml.Xml_serialize.to_string (Ns.to_dom (View.direct t)) in
+  let before = serialize () in
+  match run_script t cmds with
+  | _ -> true
+  | exception (Xupdate.Apply_error _ | Core.Update.Update_error _) -> (
+    let after = serialize () in
+    if not (String.equal before after) then
+      QCheck2.Test.fail_reportf "failed script left effects\nbefore: %s\nafter:  %s"
+        before after
+    else
+      match Up.check_integrity t with
+      | Ok () -> true
+      | Error m -> QCheck2.Test.fail_reportf "integrity after rollback: %s" m)
+
+let prop_rollback =
+  QCheck2.Test.make ~name:"failed random updates roll back completely" ~count:300
+    ~print:print_update_case gen_update_case check_rollback
 
 (* ------------------------------------------- query after update -------- *)
 
@@ -622,6 +649,7 @@ let () =
           Testsupport.qcheck_case prop_query_par ] );
       ( "updates",
         [ Testsupport.qcheck_case prop_update;
+          Testsupport.qcheck_case prop_rollback;
           Testsupport.qcheck_case prop_query_after_update ] );
       ("cache", [ Testsupport.qcheck_case prop_cached ]);
       ("multidoc", [ Testsupport.qcheck_case prop_multidoc ])

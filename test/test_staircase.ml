@@ -48,7 +48,7 @@ let li = Alcotest.(check (list int))
    must survive that undershoot. *)
 let test_undershoot_after_delete () =
   let t, v = slack_store () in
-  U.delete v ~pre:(pre_of v 3);
+  Core.Txn.with_write (Core.Txn.manager t) (fun w -> U.delete w ~pre:(pre_of w 3));
   check_integrity t;
   (* ordinals after the delete: r=0 a=1 b=2 d=3 e=4 f=5 g=6 h=7 *)
   let p = pre_of v in
@@ -83,9 +83,10 @@ let test_context_adjacent_to_free_run () =
    step and the axes must behave as on the dense equivalent. *)
 let test_empty_pages () =
   let t, v = slack_store () in
-  U.delete v ~pre:(pre_of v 6) (* f (and g) *);
-  U.delete v ~pre:(pre_of v 2) (* b (and c, d) *);
-  U.delete v ~pre:(pre_of v 2) (* e, now ordinal 2 *);
+  Core.Txn.with_write (Core.Txn.manager t) (fun w ->
+      U.delete w ~pre:(pre_of w 6) (* f (and g) *);
+      U.delete w ~pre:(pre_of w 2) (* b (and c, d) *);
+      U.delete w ~pre:(pre_of w 2) (* e, now ordinal 2 *));
   check_integrity t;
   let p = pre_of v in
   li "children of r" [ 1; 2 ] (ords v (Sj.children v [ p 0 ]));

@@ -197,13 +197,14 @@ let test_up_skip_edges () =
   Alcotest.(check int) "full page: prev_used identity" 5 (Up.prev_used t 5);
   let v = View.direct t in
   (* delete b..f (pres 2..6): page 1 becomes fully empty, page 0 gets a hole *)
-  List.iter
-    (fun name ->
-      let module E = Core.Engine.Make (Core.View) in
-      match E.parse_eval v (Printf.sprintf "//%s" name) with
-      | [ E.Node pre ] -> U.delete v ~pre
-      | _ -> Alcotest.fail name)
-    [ "b"; "c"; "d"; "e"; "f" ];
+  Core.Txn.with_write (Core.Txn.manager t) (fun w ->
+      List.iter
+        (fun name ->
+          let module E = Core.Engine.Make (Core.View) in
+          match E.parse_eval w (Printf.sprintf "//%s" name) with
+          | [ E.Node pre ] -> U.delete w ~pre
+          | _ -> Alcotest.fail name)
+        [ "b"; "c"; "d"; "e"; "f" ]);
   check_integrity t;
   (* view now: r(0) a(1) _ _ | _ _ _ _ (empty page) | g somewhere *)
   let g =

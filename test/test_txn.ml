@@ -64,53 +64,6 @@ let test_lock_basics () =
   Core.Lock.release_all lk ~owner:1;
   Alcotest.(check bool) "released" true (Core.Lock.holds lk ~owner:1 ~page:0 = `None)
 
-let test_global_lock () =
-  let lk = Core.Lock.create () in
-  let trace = ref [] in
-  Core.Lock.with_global_read lk (fun () -> trace := `R1 :: !trace);
-  Core.Lock.with_global_write lk (fun () -> trace := `W :: !trace);
-  Core.Lock.with_global_read lk (fun () -> trace := `R2 :: !trace);
-  Alcotest.(check int) "all ran" 3 (List.length !trace)
-
-let test_global_lock_threads () =
-  (* a writer excludes readers; readers run shared; everything drains *)
-  let lk = Core.Lock.create () in
-  let mu = Mutex.create () in
-  let active_readers = ref 0 and max_readers = ref 0 and saw_write = ref false in
-  let reader () =
-    Thread.create
-      (fun () ->
-        for _ = 1 to 20 do
-          Core.Lock.with_global_read lk (fun () ->
-              Mutex.lock mu;
-              incr active_readers;
-              if !active_readers > !max_readers then max_readers := !active_readers;
-              Mutex.unlock mu;
-              Thread.yield ();
-              Mutex.lock mu;
-              decr active_readers;
-              Mutex.unlock mu)
-        done)
-      ()
-  in
-  let writer =
-    Thread.create
-      (fun () ->
-        for _ = 1 to 10 do
-          Core.Lock.with_global_write lk (fun () ->
-              Mutex.lock mu;
-              if !active_readers <> 0 then
-                Alcotest.fail "writer ran alongside readers";
-              saw_write := true;
-              Mutex.unlock mu)
-        done)
-      ()
-  in
-  let rs = List.init 3 (fun _ -> reader ()) in
-  List.iter Thread.join (writer :: rs);
-  Alcotest.(check bool) "writer ran" true !saw_write;
-  Alcotest.(check bool) "readers overlapped" true (!max_readers >= 1)
-
 let test_page_lock_released_unblocks () =
   let lk = Core.Lock.create ~timeout_s:5.0 () in
   Core.Lock.acquire_page lk ~owner:1 ~page:7 ~write:true;
@@ -438,8 +391,6 @@ let () =
   Alcotest.run "txn"
     [ ( "locks",
         [ Alcotest.test_case "page lock basics" `Quick test_lock_basics;
-          Alcotest.test_case "global lock" `Quick test_global_lock;
-          Alcotest.test_case "global lock under threads" `Quick test_global_lock_threads;
           Alcotest.test_case "release unblocks waiter" `Quick
             test_page_lock_released_unblocks ] );
       ( "acid",

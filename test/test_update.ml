@@ -8,6 +8,7 @@ module P = Xml.Xml_parser
 module Up = Core.Schema_up
 module View = Core.View
 module U = Core.Update
+module Txn = Core.Txn
 module Ser = Core.Node_serialize.Make (Core.View)
 module Sj = Core.Staircase.Make (Core.View)
 module E = Core.Engine.Make (Core.View)
@@ -35,7 +36,7 @@ let test_figure4 () =
   let g = pre_of_ordinal v 6 in
   Alcotest.(check string) "g found" "g" (Qname.to_string (View.qname v g));
   let kids = P.parse_fragment "<k><l/><m/></k>" in
-  U.insert v (U.Last_child g) kids;
+  Txn.with_write (Txn.manager t) (fun w -> U.insert w (U.Last_child g) kids);
   check_integrity t;
   (* A third page was appended physically and spliced in as logical page 1 *)
   Alcotest.(check int) "three pages" 3 (Up.npages t);
@@ -71,7 +72,8 @@ let test_figure4_within_page () =
   let t = Up.of_dom ~page_bits:3 ~fill:0.875 Testsupport.paper_doc in
   let v = View.direct t in
   let g = pre_of_ordinal v 6 in
-  U.insert v (U.Last_child g) (P.parse_fragment "<k/>");
+  Txn.with_write (Txn.manager t) (fun w ->
+      U.insert w (U.Last_child g) (P.parse_fragment "<k/>"));
   check_integrity t;
   Alcotest.(check int) "still two pages" 2 (Up.npages t);
   Alcotest.(check bool) "pagemap still identity" true
@@ -94,39 +96,50 @@ let person v i =
 
 let test_insert_before_after () =
   let t = site () in
+  let m = Txn.manager t in
   let v = View.direct t in
-  U.insert v (U.Before (person v 1)) (P.parse_fragment "<person><name>Zero</name></person>");
+  Txn.with_write m (fun w ->
+      U.insert w (U.Before (person w 1))
+        (P.parse_fragment "<person><name>Zero</name></person>"));
   check_integrity t;
   Alcotest.(check (list string)) "before first"
     [ "Zero"; "Ada"; "Grace"; "Edsger" ] (names v);
-  U.insert v (U.After (person v 2)) (P.parse_fragment "<person><name>Half</name></person>");
+  Txn.with_write m (fun w ->
+      U.insert w (U.After (person w 2))
+        (P.parse_fragment "<person><name>Half</name></person>"));
   check_integrity t;
   Alcotest.(check (list string)) "after second"
     [ "Zero"; "Ada"; "Half"; "Grace"; "Edsger" ] (names v)
 
 let test_insert_nth_and_first () =
   let t = site () in
+  let m = Txn.manager t in
   let v = View.direct t in
   let people =
     match query v "/site/people" with
     | [ E.Node pre ] -> pre
     | _ -> Alcotest.fail "people"
   in
-  U.insert v (U.First_child people) (P.parse_fragment "<person><name>First</name></person>");
-  U.insert v (U.Nth_child (people, 3)) (P.parse_fragment "<person><name>Third</name></person>");
+  Txn.with_write m (fun w ->
+      U.insert w (U.First_child people)
+        (P.parse_fragment "<person><name>First</name></person>");
+      U.insert w (U.Nth_child (people, 3))
+        (P.parse_fragment "<person><name>Third</name></person>"));
   check_integrity t;
   Alcotest.(check (list string)) "first and third"
     [ "First"; "Ada"; "Third"; "Grace"; "Edsger" ] (names v);
   Alcotest.check_raises "nth out of range"
     (U.Update_error "insert nth-child: position 9 out of range (node has 5 children)")
-    (fun () -> U.insert v (U.Nth_child (people, 9)) (P.parse_fragment "<x/>"))
+    (fun () ->
+      Txn.with_write m (fun w ->
+          U.insert w (U.Nth_child (people, 9)) (P.parse_fragment "<x/>")))
 
 let test_insert_forest_and_mixed () =
   let t = site () in
   let v = View.direct t in
   let p = person v 3 in
-  U.insert v (U.Last_child p)
-    (P.parse_fragment "text<why>because</why><!--note-->");
+  Txn.with_write (Txn.manager t) (fun w ->
+      U.insert w (U.Last_child p) (P.parse_fragment "text<why>because</why><!--note-->"));
   check_integrity t;
   match query v "/site/people/person[3]" with
   | [ E.Node pre ] ->
@@ -135,30 +148,35 @@ let test_insert_forest_and_mixed () =
 
 let test_insert_errors () =
   let t = site () in
+  let m = Txn.manager t in
   let v = View.direct t in
   let root = View.root_pre v in
   Alcotest.check_raises "before root" (U.Update_error "insert-before: target is the root")
-    (fun () -> U.insert v (U.Before root) (P.parse_fragment "<x/>"));
+    (fun () ->
+      Txn.with_write m (fun w -> U.insert w (U.Before root) (P.parse_fragment "<x/>")));
   (* a text node cannot take children *)
   (match query v "/site/people/person[1]/name/text()" with
   | [ E.Node txt ] -> (
-    match U.insert v (U.Last_child txt) (P.parse_fragment "<x/>") with
+    match
+      Txn.with_write m (fun w -> U.insert w (U.Last_child txt) (P.parse_fragment "<x/>"))
+    with
     | () -> Alcotest.fail "expected error"
     | exception U.Update_error _ -> ())
   | _ -> Alcotest.fail "text node");
   (* empty forest is a no-op *)
-  U.insert v (U.Last_child root) [];
+  Txn.with_write m (fun w -> U.insert w (U.Last_child root) []);
   check_integrity t
 
 (* ------------------------------------------------------------ deletes -- *)
 
 let test_delete_subtree () =
   let t = site () in
+  let m = Txn.manager t in
   let v = View.direct t in
   let before_live = Up.node_count t in
   let p = person v 2 in
   let psize = View.size v p in
-  U.delete v ~pre:p;
+  Txn.with_write m (fun w -> U.delete w ~pre:p);
   check_integrity t;
   Alcotest.(check (list string)) "grace gone" [ "Ada"; "Edsger" ] (names v);
   Alcotest.(check int) "live count dropped" (before_live - psize - 1) (Up.node_count t);
@@ -166,16 +184,18 @@ let test_delete_subtree () =
   Alcotest.(check int) "extent unchanged" (Up.extent t) (View.extent v);
   Alcotest.check_raises "delete root"
     (U.Update_error "delete: cannot remove the document root") (fun () ->
-      U.delete v ~pre:(View.root_pre v))
+      Txn.with_write m (fun w -> U.delete w ~pre:(View.root_pre w)))
 
 let test_delete_then_insert_reuses_slots () =
   let t = site () in
+  let m = Txn.manager t in
   let v = View.direct t in
   let pages_before = Up.npages t in
-  U.delete v ~pre:(person v 2);
+  Txn.with_write m (fun w -> U.delete w ~pre:(person w 2));
   (* the freed slots allow a within-page insert where it would have overflowed *)
-  U.insert v (U.After (person v 1))
-    (P.parse_fragment "<person><name>Grace</name><age>45</age></person>");
+  Txn.with_write m (fun w ->
+      U.insert w (U.After (person w 1))
+        (P.parse_fragment "<person><name>Grace</name><age>45</age></person>"));
   check_integrity t;
   Alcotest.(check (list string)) "restored" [ "Ada"; "Grace"; "Edsger" ] (names v);
   Alcotest.(check int) "no new pages" pages_before (Up.npages t)
@@ -184,22 +204,25 @@ let test_delete_then_insert_reuses_slots () =
 
 let test_value_updates () =
   let t = site () in
+  let m = Txn.manager t in
   let v = View.direct t in
   (match query v "/site/people/person[1]/name/text()" with
-  | [ E.Node txt ] -> U.set_text v ~pre:txt "Augusta"
+  | [ E.Node txt ] -> Txn.with_write m (fun w -> U.set_text w ~pre:txt "Augusta")
   | _ -> Alcotest.fail "text");
   Alcotest.(check (list string)) "text updated" [ "Augusta"; "Grace"; "Edsger" ] (names v);
   let p = person v 1 in
-  U.set_attribute v ~pre:p (Qname.make "id") "p0-renamed";
-  U.set_attribute v ~pre:p (Qname.make "vip") "yes";
+  Txn.with_write m (fun w ->
+      U.set_attribute w ~pre:p (Qname.make "id") "p0-renamed";
+      U.set_attribute w ~pre:p (Qname.make "vip") "yes");
   Alcotest.(check (option string)) "attr replaced" (Some "p0-renamed")
     (View.attribute v p (Qname.make "id"));
   Alcotest.(check (option string)) "attr added" (Some "yes")
     (View.attribute v p (Qname.make "vip"));
-  Alcotest.(check bool) "attr removed" true (U.remove_attribute v ~pre:p (Qname.make "vip"));
+  Alcotest.(check bool) "attr removed" true
+    (Txn.with_write m (fun w -> U.remove_attribute w ~pre:p (Qname.make "vip")));
   Alcotest.(check (option string)) "gone" None (View.attribute v p (Qname.make "vip"));
   Alcotest.(check bool) "remove missing" false
-    (U.remove_attribute v ~pre:p (Qname.make "vip"));
+    (Txn.with_write m (fun w -> U.remove_attribute w ~pre:p (Qname.make "vip")));
   check_integrity t
 
 (* -------------------------------------------- randomised oracle mirror -- *)
@@ -232,7 +255,7 @@ let gen_op =
        return (Ins (target, where, frag)));
       map (fun t -> Del t) (int_bound 1000) ]
 
-(* Apply an op to both the storage (direct view) and the DOM; targets are
+(* Apply an op to both the storage (a staged view) and the DOM; targets are
    ordinals modulo the current node count. *)
 let apply_both v dom op =
   let count = Dom.node_count dom in
@@ -277,16 +300,17 @@ let apply_both v dom op =
 
 let prop_update_mirror =
   QCheck2.Test.make
-    ~name:"random update sequences match the DOM oracle (direct view)"
+    ~name:"random update sequences match the DOM oracle (one commit per op)"
     ~count:150
     QCheck2.Gen.(
       triple Testsupport.gen_doc (list_size (int_range 1 15) gen_op)
         (oneofl [ (1, 1.0); (2, 0.6); (3, 0.8); (4, 1.0) ]))
     (fun (d, ops, (bits, fill)) ->
       let t = Up.of_dom ~page_bits:bits ~fill d in
+      let m = Txn.manager t in
       let v = View.direct t in
       let dom = ref d in
-      List.iter (fun op -> dom := apply_both v !dom op) ops;
+      List.iter (fun op -> dom := Txn.with_write m (fun w -> apply_both w !dom op)) ops;
       (match Up.check_integrity t with
       | Ok () -> ()
       | Error m -> QCheck2.Test.fail_report m);
@@ -311,14 +335,16 @@ let prop_update_mirror =
    variable-length labelling schemes; here it must stay healthy. *)
 let test_repeated_inserts_same_point () =
   let t = Up.of_dom ~page_bits:2 ~fill:0.75 (P.parse "<r><a/><b/></r>") in
+  let m = Txn.manager t in
   let v = View.direct t in
   for i = 1 to 200 do
-    let a =
-      match query v "/r/a" with
-      | [ E.Node pre ] -> pre
-      | _ -> Alcotest.fail "a"
-    in
-    U.insert v (U.After a) (P.parse_fragment (Printf.sprintf "<n i='%d'/>" i))
+    Txn.with_write m (fun w ->
+        let a =
+          match query w "/r/a" with
+          | [ E.Node pre ] -> pre
+          | _ -> Alcotest.fail "a"
+        in
+        U.insert w (U.After a) (P.parse_fragment (Printf.sprintf "<n i='%d'/>" i)))
   done;
   check_integrity t;
   Alcotest.(check int) "all present" 200 (List.length (query v "/r/n"));
@@ -336,7 +362,8 @@ let test_insert_cost_is_local () =
   let v = View.direct t in
   U.reset_costs ();
   let target = pre_of_ordinal v 2500 in
-  U.insert v (U.Before target) (P.parse_fragment "<probe/>");
+  Txn.with_write (Txn.manager t) (fun w ->
+      U.insert w (U.Before target) (P.parse_fragment "<probe/>"));
   check_integrity t;
   Alcotest.(check bool)
     (Printf.sprintf "moved %d tuples <= page size" U.costs.U.moved_tuples)

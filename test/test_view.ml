@@ -14,13 +14,40 @@ let base () = Up.of_dom ~page_bits:3 ~fill:0.75 Testsupport.paper_doc
 
 (* ---------------------------------------------------------- cell layer -- *)
 
-let test_direct_passthrough () =
+(* Only a transaction's staged view is writable: every mutating operation on
+   a direct view raises, and the base stays as it was. *)
+let test_direct_read_only () =
   let t = base () in
+  let before = Ser.to_dom (View.direct t) in
   let v = View.direct t in
   Alcotest.(check bool) "no staged state" true (View.staged_state v = None);
-  View.write_cell v Up.Cname 3 99;
-  Alcotest.(check int) "direct write hits base" 99 (Up.get_cell t Up.Cname 3);
-  Alcotest.(check int) "direct read" 99 (View.read_cell v Up.Cname 3)
+  let root = View.root_pre v in
+  let node = Up.node_at t ~pre:root in
+  let ops =
+    [ ("write_cell", fun () -> View.write_cell v Up.Cname 3 99);
+      ("splice_pages", fun () -> ignore (View.splice_pages v ~at_logical:0 ~count:1));
+      ("recompute_free_runs", fun () -> View.recompute_free_runs v ~phys_page:0);
+      ("node_pos_set", fun () -> View.node_pos_set v node 0);
+      ("fresh_node_id", fun () -> ignore (View.fresh_node_id v));
+      ("free_node_id", fun () -> View.free_node_id v node);
+      ("add_size_delta", fun () -> View.add_size_delta v ~node 1);
+      ("add_live", fun () -> View.add_live v 1);
+      ("intern_qn", fun () -> ignore (View.intern_qn v (Xml.Qname.make "fresh")));
+      ("intern_prop", fun () -> ignore (View.intern_prop v "p"));
+      ("push_text", fun () -> ignore (View.push_text v "t"));
+      ("push_comment", fun () -> ignore (View.push_comment v "c"));
+      ("push_pi", fun () -> ignore (View.push_pi v ~target:"t" ~data:"d"));
+      ("attr_add", fun () -> View.attr_add v ~node ~qn:0 ~prop:0);
+      ("attr_remove_node", fun () -> View.attr_remove_node v ~node);
+      ("attr_remove_named", fun () -> ignore (View.attr_remove_named v ~node ~qn:0)) ]
+  in
+  List.iter
+    (fun (what, op) ->
+      match op () with
+      | () -> Alcotest.failf "%s on a direct view did not raise" what
+      | exception Invalid_argument _ -> ())
+    ops;
+  Alcotest.(check bool) "base unchanged" true (Dom.equal before (Ser.to_dom v))
 
 let test_staged_read_through_and_cow () =
   let t = base () in
@@ -66,11 +93,7 @@ let test_size_delta_visibility () =
   View.add_size_delta v ~node 2;
   Alcotest.(check int) "own reads see accumulated delta" (s0 + 7) (View.size v root);
   Alcotest.(check int) "raw cell unchanged" s0 (View.read_cell v Up.Csize (View.pos_of_pre v root));
-  Alcotest.(check int) "base unchanged" s0 (Up.size t root);
-  (* direct views apply immediately *)
-  let dv = View.direct t in
-  View.add_size_delta dv ~node (-1);
-  Alcotest.(check int) "direct applied" (s0 - 1) (Up.size t root)
+  Alcotest.(check int) "base unchanged" s0 (Up.size t root)
 
 let test_node_id_lifecycle () =
   let t = base () in
@@ -182,7 +205,7 @@ let test_staging_never_mutates_base () =
 let () =
   Alcotest.run "view"
     [ ( "cells",
-        [ Alcotest.test_case "direct passthrough" `Quick test_direct_passthrough;
+        [ Alcotest.test_case "direct views are read-only" `Quick test_direct_read_only;
           Alcotest.test_case "staged COW" `Quick test_staged_read_through_and_cow;
           Alcotest.test_case "private pages" `Quick test_staged_pages_private ] );
       ( "deltas",

@@ -50,13 +50,14 @@ let sample_record =
     live_delta = 1 }
 
 let test_record_roundtrip () =
-  let payload = Wal.encode sample_record in
-  let r = Wal.decode payload in
-  Alcotest.(check int) "txn" 42 r.Wal.txn;
-  Alcotest.(check bool) "equal" true (r = sample_record)
+  match Wal.decode_group (Wal.encode_group [ sample_record ]) with
+  | [ r ] ->
+    Alcotest.(check int) "txn" 42 r.Wal.txn;
+    Alcotest.(check bool) "equal" true (r = sample_record)
+  | rs -> Alcotest.failf "expected one record, got %d" (List.length rs)
 
 let test_record_corrupt () =
-  match Wal.decode "garbage" with
+  match Wal.decode_group "garbage" with
   | _ -> Alcotest.fail "expected Corrupt"
   | exception Column.Persist.Dec.Corrupt _ -> ()
 
@@ -96,17 +97,13 @@ let gen_record =
 
 let prop_record_roundtrip =
   QCheck2.Test.make ~name:"WAL record encode/decode roundtrip" ~count:300
-    gen_record (fun r -> Wal.decode (Wal.encode r) = r)
+    gen_record (fun r -> Wal.decode_group (Wal.encode_group [ r ]) = [ r ])
 
 let test_group_roundtrip () =
   let r2 = { sample_record with Wal.doc = 1; txn = 43 } in
   let payload = Wal.encode_group [ sample_record; r2 ] in
   let rs = Wal.decode_group payload in
-  Alcotest.(check bool) "group equal" true (rs = [ sample_record; r2 ]);
-  (* the single-record decoder refuses a multi-record frame *)
-  match Wal.decode payload with
-  | _ -> Alcotest.fail "expected Corrupt"
-  | exception Column.Persist.Dec.Corrupt _ -> ()
+  Alcotest.(check bool) "group equal" true (rs = [ sample_record; r2 ])
 
 (* A commit group is one checksummed frame: an intact log replays its records
    in order; a torn tail drops the WHOLE trailing group, never part of it. *)
@@ -114,7 +111,7 @@ let test_group_frame_is_atomic () =
   with_temp (fun dir ->
       let wal_path = Filename.concat dir "log.wal" in
       let wal = Wal.open_log wal_path in
-      Wal.append wal sample_record;
+      Wal.append_group wal [ sample_record ];
       let r2 = { sample_record with Wal.doc = 1; txn = 43 } in
       let r3 = { sample_record with Wal.doc = 2; txn = 44 } in
       Wal.append_group wal [ r2; r3 ];

@@ -6,6 +6,7 @@ module P = Xml.Xml_parser
 module Up = Core.Schema_up
 module View = Core.View
 module Xu = Core.Xupdate
+module Txn = Core.Txn
 module E = Core.Engine.Make (Core.View)
 module Ser = Core.Node_serialize.Make (Core.View)
 
@@ -18,12 +19,13 @@ let check_integrity t =
   | Ok () -> ()
   | Error m -> Alcotest.failf "integrity: %s" m
 
+(* Apply a script as one committed transaction; return the affected count,
+   the store and a (read-only) direct view of the result. *)
 let apply_to ?(src = Testsupport.small_doc) body =
   let t = Up.of_dom ~page_bits:3 ~fill:0.75 src in
-  let v = View.direct t in
-  let n = Xu.apply_string v (wrap body) in
+  let n = Txn.with_write (Txn.manager t) (fun v -> Xu.apply_string v (wrap body)) in
   check_integrity t;
-  (n, t, v)
+  (n, t, View.direct t)
 
 (* -------------------------------------------------------------- parsing -- *)
 
@@ -189,23 +191,19 @@ let test_update_text_and_element_and_attr () =
   Alcotest.(check int) "attr renamed" 1 (List.length (E.parse_eval v "//person[@id='p1-new']"))
 
 let test_apply_errors () =
-  let t = Up.of_dom Testsupport.small_doc in
-  let v = View.direct t in
-  (match Xu.apply_string v (wrap {|<xupdate:remove select="/site"/>|}) with
+  let m = Txn.manager (Up.of_dom Testsupport.small_doc) in
+  let apply body = Txn.with_write m (fun v -> Xu.apply_string v (wrap body)) in
+  (match apply {|<xupdate:remove select="/site"/>|} with
   | _ -> Alcotest.fail "expected remove-root error"
   | exception Xu.Apply_error _ -> ());
-  (match
-     Xu.apply_string v
-       (wrap {|<xupdate:insert-before select="/site"><x/></xupdate:insert-before>|})
-   with
+  (match apply {|<xupdate:insert-before select="/site"><x/></xupdate:insert-before>|} with
   | _ -> Alcotest.fail "expected before-root error"
   | exception Xu.Apply_error _ -> ());
   match
-    Xu.apply_string v
-      (wrap
-         {|<xupdate:insert-after select="//person[1]">
-             <xupdate:attribute name="a">v</xupdate:attribute>
-           </xupdate:insert-after>|})
+    apply
+      {|<xupdate:insert-after select="//person[1]">
+          <xupdate:attribute name="a">v</xupdate:attribute>
+        </xupdate:insert-after>|}
   with
   | _ -> Alcotest.fail "expected attr-content error"
   | exception Xu.Apply_error _ -> ()
@@ -233,9 +231,9 @@ let test_rename () =
 let test_rename_errors () =
   expect_parse_error {|<xupdate:rename select="//a">not a name!</xupdate:rename>|};
   let t = Up.of_dom Testsupport.small_doc in
-  let v = View.direct t in
   match
-    Xu.apply_string v (wrap {|<xupdate:rename select="//name/text()">x</xupdate:rename>|})
+    Txn.with_write (Txn.manager t) (fun v ->
+        Xu.apply_string v (wrap {|<xupdate:rename select="//name/text()">x</xupdate:rename>|}))
   with
   | _ -> Alcotest.fail "expected error renaming a text node"
   | exception Xu.Apply_error _ -> ()
@@ -276,13 +274,13 @@ let prop_geometry_equivalence =
       let script = wrap (String.concat "" cmds) in
       let run (bits, fill) =
         let t = Up.of_dom ~page_bits:bits ~fill Testsupport.small_doc in
-        let v = View.direct t in
-        (try ignore (Xu.apply_string v script)
+        (try
+           ignore (Txn.with_write (Txn.manager t) (fun v -> Xu.apply_string v script))
          with Xu.Apply_error _ -> () (* same script fails the same way *));
         (match Up.check_integrity t with
         | Ok () -> ()
         | Error m -> QCheck2.Test.fail_report m);
-        Xml.Xml_serialize.to_string (Ser.to_dom v)
+        Xml.Xml_serialize.to_string (Ser.to_dom (View.direct t))
       in
       let reference = run (12, 1.0) in
       List.for_all
