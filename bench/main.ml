@@ -31,6 +31,7 @@ module Ro = Core.Schema_ro
 module Up = Core.Schema_up
 module Q_ro = Xmark.Queries.Make (Core.Schema_ro)
 module Q_up = Xmark.Queries.Make (Core.Schema_up)
+module Q_view = Xmark.Queries.Make (Core.View)
 module View = Core.View
 module U = Core.Update
 module Txn = Core.Txn
@@ -106,9 +107,13 @@ let write_artifact path s =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
+let geomean l =
+  exp (List.fold_left (fun a x -> a +. log x) 0.0 l /. float_of_int (List.length l))
+
 let run_fig9 ~scales ~quota =
   header
-    "Figure 9: XMark Q1-Q20, read-only ('ro') vs updateable ('up') schema";
+    "Figure 9: XMark Q1-Q20, read-only ('ro') vs updateable ('up') schema,\n\
+     and the pinned MVCC snapshot ('view') every Db reader uses";
   let last_doc = ref None in
   let per_scale =
     List.map
@@ -121,11 +126,13 @@ let run_fig9 ~scales ~quota =
           nodes t_gen;
         let ro = Ro.of_dom d in
         let up = Up.of_dom ~fill:0.8 d in
-        (* both schemas must give identical answers before we time anything *)
+        let db = Core.Db.create ~fill:0.8 d in
+        (* all three must give identical answers before we time anything *)
         let a_ro = Q_ro.run_all ro and a_up = Q_up.run_all up in
+        let a_view = Core.Db.read db Q_view.run_all in
         Array.iteri
           (fun i r ->
-            if r <> a_up.(i) then
+            if r <> a_up.(i) || r <> a_view.(i) then
               failwith (Printf.sprintf "Q%d disagrees between schemas!" (i + 1)))
           a_ro;
         let times =
@@ -141,24 +148,35 @@ let run_fig9 ~scales ~quota =
                   (Printf.sprintf "s%.4f/up/Q%d" scale q)
                   (fun () -> ignore (Q_up.run up q))
               in
-              (t_ro, t_up))
+              (* a fresh pin per run, as every Db reader does *)
+              let t_view =
+                bench_ns ~quota
+                  (Printf.sprintf "s%.4f/view/Q%d" scale q)
+                  (fun () -> ignore (Core.Db.read db (fun v -> Q_view.run v q)))
+              in
+              (t_ro, t_up, t_view))
         in
+        Core.Db.close db;
         (scale, nodes, times))
       scales
   in
-  (* table view (paper's right-hand side): seconds, ro and up per size *)
+  (* table view (paper's right-hand side): seconds, ro, up and view per size *)
   print_newline ();
   Printf.printf "%-4s" "Q";
   List.iter
-    (fun (scale, _, _) -> Printf.printf "  %10s %10s" (Printf.sprintf "ro@%.4g" scale) (Printf.sprintf "up@%.4g" scale))
+    (fun (scale, _, _) ->
+      List.iter
+        (fun col -> Printf.printf " %10s" (Printf.sprintf "%s@%.4g" col scale))
+        [ "ro"; "up"; "view" ])
     per_scale;
   print_newline ();
   for i = 0 to Xmark.Queries.query_count - 1 do
     Printf.printf "%-4s" (Xmark.Queries.name (i + 1));
     List.iter
       (fun (_, _, times) ->
-        let t_ro, t_up = times.(i) in
-        Printf.printf "  %10.6f %10.6f" (t_ro *. 1e-9) (t_up *. 1e-9))
+        let t_ro, t_up, t_view = times.(i) in
+        Printf.printf " %10.6f %10.6f %10.6f" (t_ro *. 1e-9) (t_up *. 1e-9)
+          (t_view *. 1e-9))
       per_scale;
     print_newline ()
   done;
@@ -173,7 +191,7 @@ let run_fig9 ~scales ~quota =
     Printf.printf "%-4s" (Xmark.Queries.name (i + 1));
     List.iteri
       (fun si (_, _, times) ->
-        let t_ro, t_up = times.(i) in
+        let t_ro, t_up, _ = times.(i) in
         let ov = 100.0 *. ((t_up /. t_ro) -. 1.0) in
         sums.(si) <- sums.(si) +. ov;
         let bar = max 0 (min 16 (int_of_float (ov /. 5.0))) in
@@ -190,6 +208,36 @@ let run_fig9 ~scales ~quota =
   record_gate "fig9_avg_overhead_pct"
     (Array.fold_left ( +. ) 0.0 sums
     /. float_of_int (Xmark.Queries.query_count * Array.length sums));
+  (* what the snapshot view adds on top of the updateable schema: the
+     current-version fast path should keep it close to 1 *)
+  print_newline ();
+  Printf.printf "snapshot view over the updateable schema (view/up)\n";
+  Printf.printf "%-4s %s\n" "Q"
+    (String.concat " "
+       (List.map
+          (fun (s, _, _) -> Printf.sprintf "%8s" (Printf.sprintf "@%.4g" s))
+          per_scale));
+  for i = 0 to Xmark.Queries.query_count - 1 do
+    Printf.printf "%-4s" (Xmark.Queries.name (i + 1));
+    List.iter
+      (fun (_, _, times) ->
+        let _, t_up, t_view = times.(i) in
+        Printf.printf " %7.3fx" (t_view /. t_up))
+      per_scale;
+    print_newline ()
+  done;
+  let view_over_up =
+    List.map
+      (fun (_, _, times) ->
+        geomean
+          (Array.to_list
+             (Array.map (fun (_, t_up, t_view) -> t_view /. t_up) times)))
+      per_scale
+  in
+  Printf.printf "%-4s" "geo";
+  List.iter (fun r -> Printf.printf " %7.3fx" r) view_over_up;
+  print_newline ();
+  record_gate "fig9_view_over_up" (geomean view_over_up);
   (* representative profile artifact: per-step plans and cardinalities for a
      few descendant-heavy queries on the largest document of the run, plus a
      Chrome trace of the first one. The timed loops above run unprofiled, so

@@ -107,6 +107,8 @@ let column t = function
 
 let get_cell t c pos = Varray.get (column t c) pos
 
+let column_data t c = Varray.unsafe_data (column t c)
+
 let set_cell t c pos v = Varray.set (column t c) pos v
 
 (* Fresh pages come up all-unused: level NULL, free runs covering the page. *)

@@ -67,6 +67,12 @@ val pre_of_pos : t -> int -> int
 val get_cell : t -> col -> int -> int
 (** Read a column cell by {e physical} position. *)
 
+val column_data : t -> col -> int array
+(** A column's backing array, valid for positions below {!capacity}. Its
+    identity changes when the store grows, so a cached copy is only sound
+    while no commit has begun since — the snapshot read path re-validates
+    every read with {!Version.is_current}. *)
+
 val set_cell : t -> col -> int -> int -> unit
 
 val grow_pages : t -> count:int -> int list

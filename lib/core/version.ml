@@ -13,9 +13,11 @@
    Torn reads are prevented by a store-wide seqlock: the commit critical
    section flips [seq] odd, captures, applies, installs the new descriptor,
    and flips [seq] back even; readers retry any read that overlaps an odd
-   or changed [seq]. Readers therefore never take a lock on the query path
-   (the dictionaries' hash probes take the store's [shared_mu] for domain
-   safety, but that is a point mutex unrelated to commit progress). *)
+   or changed [seq] — or, while their version is current ([is_current]),
+   read the base and check [seq] once afterwards. Readers therefore never
+   take a lock on the query path (the dictionaries' hash probes take the
+   store's [shared_mu] for domain safety, but that is a point mutex
+   unrelated to commit progress). *)
 
 open Column
 module IMap = Map.Make (Int)
@@ -30,6 +32,7 @@ type t = {
   attr_hwm : int;  (* attribute-table length as of [epoch] *)
   pool_hwms : int array;
   seq : int Atomic.t;  (* the store-wide seqlock, shared by every version *)
+  stable_seq : int;  (* what [seq] holds once this version is fully installed *)
   mutable refs : int;
   mutable pages : int array array IMap.t;  (* phys page -> column pre-images *)
   mutable node_pos : int IMap.t;  (* node id -> pre-image pos *)
@@ -72,6 +75,9 @@ let m_captured_pages =
 
 (* --------------------------------------------------------- construction -- *)
 
+(* A descriptor is built either before any commit ([seq] even) or inside
+   the write section that installs it ([seq] odd); either way the next even
+   value is what [seq] reads once the version is fully installed. *)
 let descriptor ~epoch ~seq base =
   { epoch;
     base;
@@ -82,6 +88,7 @@ let descriptor ~epoch ~seq base =
     attr_hwm = Schema_up.attr_table_len base;
     pool_hwms = Schema_up.pool_hwms base;
     seq;
+    stable_seq = (Atomic.get seq + 1) land lnot 1;
     refs = 0;
     pages = IMap.empty;
     node_pos = IMap.empty;
@@ -195,6 +202,12 @@ let stable_seq sq f = stable_aux sq f 0
 
 let stable v f = stable_aux v.seq f 0
 
+(* The seqlock's first read, hoisted to install time: [seq] only grows, and
+   every commit and vacuum makes it odd before touching the base, so while
+   it still equals [stable_seq] no write section has begun since [v]'s base
+   was complete. *)
+let is_current v = Atomic.get v.seq = v.stable_seq
+
 (* ------------------------------------------------------- commit protocol -- *)
 
 (* The committer already holds the manager's commit mutex; [commit_begin]
@@ -287,16 +300,17 @@ let attr_row v row =
      live-at-epoch;
    - rows tombstoned by a commit after the epoch: their pre-image sits in
      exactly one overlay of the chain (a row is tombstoned at most once). *)
+let base_attr_entries v node =
+  List.filter_map
+    (fun row ->
+      if row >= v.attr_hwm then None
+      else
+        let _, qn, prop = Schema_up.attr_row v.base row in
+        Some (row, qn, prop))
+    (Schema_up.attr_rows_of_node v.base node)
+
 let attr_entries v node =
-  let from_base =
-    List.filter_map
-      (fun row ->
-        if row >= v.attr_hwm then None
-        else
-          let _, qn, prop = Schema_up.attr_row v.base row in
-          Some (row, qn, prop))
-      (Schema_up.attr_rows_of_node v.base node)
-  in
+  let from_base = base_attr_entries v node in
   let resurrected = ref [] in
   let rec walk = function
     | None -> ()

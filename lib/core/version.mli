@@ -13,7 +13,8 @@
     A store-wide seqlock makes the scheme safe across domains without any
     reader-side lock: the commit critical section holds the sequence number
     odd while it captures and applies, and {!stable} retries reads that
-    overlap it.
+    overlap it. A version that no commit has overtaken ({!is_current}) needs
+    neither: its readers read the base and check afterwards.
 
     Registers the [mvcc.*] instruments: [mvcc.live_versions],
     [mvcc.pinned_readers], [mvcc.versions_reclaimed], [mvcc.pins],
@@ -79,6 +80,13 @@ val stable_seq : int Atomic.t -> (unit -> 'a) -> 'a
 (** Same, from the raw sequence counter — used by staged views that read
     base cells while other transactions commit. *)
 
+val is_current : t -> bool
+(** [true] while no commit or vacuum has begun since the version was
+    installed: the base store then holds exactly the version's state, so a
+    base read followed by a [true] check needs neither a chain walk nor a
+    retry. Reads made before a [false] check may be torn or stale and must
+    be redone through {!stable}. *)
+
 (** {1 Commit protocol}
 
     Callers serialise commits externally (the transaction manager's commit
@@ -123,6 +131,11 @@ val attr_row : t -> int -> int * int * int
 val attr_entries : t -> int -> (int * int * int) list
 (** [(row, qn, prop)] attribute rows of a node id as of the epoch, in row
     order. *)
+
+val base_attr_entries : t -> int -> (int * int * int) list
+(** The rows of {!attr_entries} still live in the base (those allocated
+    before the epoch), in row order — all of them while {!is_current} holds,
+    since only a later commit can have tombstoned one. *)
 
 (** {1 Quiescence} *)
 

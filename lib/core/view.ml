@@ -25,27 +25,60 @@ type staged = {
   touch : int -> bool -> unit;
 }
 
+(* A pinned MVCC snapshot, with what its reads need cached once per pin:
+   the frozen pageOffset's l2p array (as immutable as the version) and the
+   base column arrays, which stay the version's state only while
+   [Version.is_current] holds. *)
+type snap = {
+  vs : Version.t;
+  bits : int;
+  mask : int;  (* page size - 1 *)
+  l2p : int array;
+  size_a : int array;
+  level_a : int array;
+  kind_a : int array;
+  name_a : int array;
+  node_a : int array;
+}
+
 type t = {
   b : Schema_up.t;
   st : staged option;
-  snap : Version.t option; (* pinned MVCC snapshot (read-only) *)
+  snap : snap option; (* pinned MVCC snapshot (read-only) *)
   seq : int Atomic.t option; (* seqlock guarding base reads against commits *)
   base_attr_len : int; (* attr-table snapshot boundary for staged reads *)
 }
 
+let m_overtaken =
+  Obs.counter
+    ~help:
+      "snapshot reads a commit or vacuum overtook (resolved through the \
+       version chain)"
+    "mvcc.overtaken_reads"
+
 let direct b = { b; st = None; snap = None; seq = None; base_attr_len = 0 }
 
 let snapshot vs =
-  { b = Version.base vs; st = None; snap = Some vs; seq = None; base_attr_len = 0 }
+  let b = Version.base vs in
+  let col c = Schema_up.column_data b c in
+  let s =
+    { vs;
+      bits = Schema_up.page_bits b;
+      mask = Schema_up.page_size b - 1;
+      l2p = Pagemap.unsafe_l2p (Version.pmap vs);
+      size_a = col Csize;
+      level_a = col Clevel;
+      kind_a = col Ckind;
+      name_a = col Cname;
+      node_a = col Cnode }
+  in
+  { b; st = None; snap = Some s; seq = None; base_attr_len = 0 }
 
-(* Base reads of staged and snapshot views must not observe a commit's
-   half-applied state; [stable] retries them through the store seqlock.
-   Direct views skip it — they read a quiescent base. *)
+(* Base reads of staged views must not observe a commit's half-applied
+   state; [stable] retries them through the store seqlock. Direct views skip
+   it — they read a quiescent base. *)
 let stable v f =
-  match v.snap with
-  | Some vs -> Version.stable vs f
-  | None -> (
-    match v.seq with Some sq -> Version.stable_seq sq f | None -> f ())
+  match v.seq with Some sq -> Version.stable_seq sq f | None -> f ()
 
 (* The one write path: every mutation lands in a transaction's staged
    state. Direct and snapshot views are read-only. *)
@@ -81,7 +114,7 @@ let base v = v.b
 
 let staged_state v = v.st
 
-let snapshot_version v = v.snap
+let snapshot_version v = Option.map (fun s -> s.vs) v.snap
 
 (* ------------------------------------------------------------- geometry -- *)
 
@@ -91,7 +124,7 @@ let page_size v = Schema_up.page_size v.b
 
 let npages v =
   match v.snap, v.st with
-  | Some vs, _ -> Version.npages vs
+  | Some s, _ -> Version.npages s.vs
   | None, None -> Schema_up.npages v.b
   | None, Some st -> st.base_npages + st.sp_len
 
@@ -108,16 +141,36 @@ let col_index = col_int
 
 (* ----------------------------------------------------------- cell access -- *)
 
+let[@inline] snap_col s : Schema_up.col -> int array = function
+  | Csize -> s.size_a
+  | Clevel -> s.level_a
+  | Ckind -> s.kind_a
+  | Cname -> s.name_a
+  | Cnode -> s.node_a
+
+let snap_pos s pre = (s.l2p.(pre lsr s.bits) lsl s.bits) lor (pre land s.mask)
+
+(* A snapshot read a commit or vacuum overtook: the first chain overlay
+   capturing this page has its content as of the pinned epoch; otherwise no
+   commit since has touched it and the base still does. *)
+let overtaken_cell v s col pos =
+  Obs.inc m_overtaken;
+  Version.stable s.vs (fun () ->
+      match Version.find_page s.vs (pos lsr s.bits) with
+      | Some arrays -> arrays.(col_int col).(pos land s.mask)
+      | None -> Schema_up.get_cell v.b col pos)
+
+(* The fast path: while no commit has begun since the pinned version was
+   installed, the base holds exactly its state — read the cached array
+   [a] (column [col]), then validate. A stale cached array can only be read
+   when the check already fails. *)
+let[@inline] snap_cell v s a col pos =
+  let x = a.(pos) in
+  if Version.is_current s.vs then x else overtaken_cell v s col pos
+
 let read_cell v col pos =
   match v.snap, v.st with
-  | Some vs, _ ->
-    (* Snapshot resolution: the first chain overlay capturing this page has
-       its content as of the pinned epoch; otherwise no commit since has
-       touched it and the base still does. *)
-    Version.stable vs (fun () ->
-        match Version.find_page vs (pos lsr page_bits v) with
-        | Some arrays -> arrays.(col_int col).(pos land (page_size v - 1))
-        | None -> Schema_up.get_cell v.b col pos)
+  | Some s, _ -> snap_cell v s (snap_col s col) col pos
   | None, None -> Schema_up.get_cell v.b col pos
   | None, Some st ->
     let p = page_size v in
@@ -154,13 +207,13 @@ let write_cell v col pos x =
 
 let pos_of_pre v pre =
   match v.snap, v.st with
-  | Some vs, _ -> Pagemap.pre_to_pos (Version.pmap vs) pre
+  | Some s, _ -> snap_pos s pre
   | None, None -> Schema_up.pos_of_pre v.b pre
   | None, Some st -> Pagemap.pre_to_pos st.pmap pre
 
 let pre_of_pos v pos =
   match v.snap, v.st with
-  | Some vs, _ -> Pagemap.pos_to_pre (Version.pmap vs) pos
+  | Some s, _ -> Pagemap.pos_to_pre (Version.pmap s.vs) pos
   | None, None -> Schema_up.pre_of_pos v.b pos
   | None, Some st -> Pagemap.pos_to_pre st.pmap pos
 
@@ -214,7 +267,15 @@ let recompute_free_runs v ~phys_page =
 
 let node_pos_get v id =
   match v.snap, v.st with
-  | Some vs, _ -> Version.stable vs (fun () -> Version.node_pos vs id)
+  | Some s, _ ->
+    if id >= Version.node_hwm s.vs then Varray.null
+    else
+      let pos = Schema_up.node_pos_get v.b id in
+      if Version.is_current s.vs then pos
+      else begin
+        Obs.inc m_overtaken;
+        Version.stable s.vs (fun () -> Version.node_pos s.vs id)
+      end
   | None, None -> Schema_up.node_pos_get v.b id
   | None, Some st -> (
     match Hashtbl.find_opt st.node_pos_w id with
@@ -302,7 +363,13 @@ let attr_add v ~node ~qn ~prop =
    Staged adds get pseudo ids past the snapshot boundary. *)
 let attr_entries v node =
   match v.snap, v.st with
-  | Some vs, _ -> Version.stable vs (fun () -> Version.attr_entries vs node)
+  | Some s, _ ->
+    let rows = Version.base_attr_entries s.vs node in
+    if Version.is_current s.vs then rows
+    else begin
+      Obs.inc m_overtaken;
+      Version.stable s.vs (fun () -> Version.attr_entries s.vs node)
+    end
   | None, None ->
     List.map
       (fun row ->
@@ -353,13 +420,19 @@ let extent = capacity
 
 let node_count v =
   match v.snap, v.st with
-  | Some vs, _ -> Version.live vs
+  | Some s, _ -> Version.live s.vs
   | None, None -> Schema_up.node_count v.b
   | None, Some st -> Schema_up.node_count v.b + st.live_delta
 
-let is_used v pre = read_cell v Clevel (pos_of_pre v pre) <> Varray.null
+(* A cell by pre: snapshots read the cached arrays directly. *)
+let[@inline] cell v col pre =
+  match v.snap with
+  | Some s -> snap_cell v s (snap_col s col) col (snap_pos s pre)
+  | None -> read_cell v col (pos_of_pre v pre)
 
-let next_used v pre =
+let is_used v pre = cell v Clevel pre <> Varray.null
+
+let next_used_cells v pre =
   let stop = extent v in
   let pre = ref pre in
   while
@@ -375,6 +448,34 @@ let next_used v pre =
     ()
   done;
   min !pre stop
+
+(* The staircase join's skip primitive: on a snapshot, the whole hop runs
+   on the cached arrays and is validated once. Whatever a racing commit
+   makes it read, [p] strictly grows, so the loop ends; a hop a commit
+   overtook is then redone read by read. *)
+let next_used v pre =
+  match v.snap with
+  | None -> next_used_cells v pre
+  | Some s ->
+    let stop = Version.npages s.vs lsl s.bits in
+    let p = ref pre in
+    while
+      !p < stop
+      &&
+      let pos = snap_pos s !p in
+      s.level_a.(pos) = Varray.null
+      && begin
+           p := !p + s.size_a.(pos) + 1;
+           true
+         end
+    do
+      ()
+    done;
+    if Version.is_current s.vs then min !p stop
+    else begin
+      Obs.inc m_overtaken;
+      next_used_cells v pre
+    end
 
 let prev_used v pre =
   let mask = page_size v - 1 in
@@ -395,11 +496,11 @@ let prev_used v pre =
   if !pre < 0 then -1 else !pre
 
 let size v pre =
-  let pos = pos_of_pre v pre in
-  let s = read_cell v Csize pos in
   match v.st with
-  | None -> s
+  | None -> cell v Csize pre
   | Some st ->
+    let pos = pos_of_pre v pre in
+    let s = read_cell v Csize pos in
     if Hashtbl.length st.size_deltas = 0 || read_cell v Clevel pos = Varray.null
     then s
     else
@@ -407,11 +508,11 @@ let size v pre =
       + Option.value ~default:0
           (Hashtbl.find_opt st.size_deltas (read_cell v Cnode pos))
 
-let level v pre = read_cell v Clevel (pos_of_pre v pre)
+let level v pre = cell v Clevel pre
 
-let kind v pre = Kind.of_int (read_cell v Ckind (pos_of_pre v pre))
+let kind v pre = Kind.of_int (cell v Ckind pre)
 
-let name_id v pre = read_cell v Cname (pos_of_pre v pre)
+let name_id v pre = cell v Cname pre
 
 let qname v pre =
   match kind v pre with

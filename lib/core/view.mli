@@ -21,12 +21,15 @@
 
     A {e direct} view reads the base {!Schema_up.t} as it stands — a
     read-only view of a quiescent base. A {e snapshot} view reads a pinned
-    MVCC version ({!Version.t}): base cells are resolved through the version
-    chain's pre-image overlays and the descriptor's frozen pageOffset,
-    wrapped in the store seqlock, so evaluation holds no lock and observes
-    exactly the store as of the pinned commit. Direct and snapshot views reject every
-    mutating operation with [Invalid_argument]: every change to the plane
-    goes through a transaction ({!Txn.with_write}). *)
+    MVCC version ({!Version.t}) through the descriptor's frozen pageOffset,
+    so evaluation holds no lock and observes exactly the store as of the
+    pinned commit. While no commit or vacuum has begun since the version was
+    installed ({!Version.is_current}), a read is a plain array read of the
+    base, checked afterwards; a read that a commit overtook is redone
+    through the version chain's pre-image overlays inside the store seqlock
+    and counted in [mvcc.overtaken_reads]. Direct and snapshot views reject
+    every mutating operation with [Invalid_argument]: every change to the
+    plane goes through a transaction ({!Txn.with_write}). *)
 
 type pool = Ptext | Pcomment | Ppi_target | Ppi_data | Dqn | Dprop
 (** Identifies a shared string container in WAL log entries. *)
@@ -69,7 +72,9 @@ val staged : ?touch:(int -> bool -> unit) -> ?seq:int Atomic.t -> Schema_up.t ->
     observing half-applied pages. *)
 
 val snapshot : Version.t -> t
-(** Read-only view of a pinned version descriptor. *)
+(** Read-only view of a pinned version descriptor. Caches the frozen
+    pageOffset and the base column arrays once, for the current-version
+    fast path. *)
 
 val base : t -> Schema_up.t
 

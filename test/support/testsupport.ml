@@ -309,69 +309,13 @@ let children_count doc path =
   | Dom.Element e -> List.length e.children
   | Dom.Text _ | Dom.Comment _ | Dom.Pi _ -> 0
 
-(* --------------------------------------------------- random documents -- *)
+(* ------------------------------------------------------ random inputs -- *)
 
-let names = [| "a"; "b"; "c"; "item"; "name"; "x"; "y" |]
-
-let attr_names = [| "id"; "k"; "v" |]
-
-let gen_doc : Dom.t QCheck2.Gen.t =
-  let open QCheck2.Gen in
-  let gen_name = oneofa names in
-  let gen_text = map (fun i -> "t" ^ string_of_int i) (int_bound 30) in
-  let gen_attrs =
-    let* n = int_bound 2 in
-    let rec distinct acc k =
-      if k = 0 then return acc
-      else
-        let* a = oneofa attr_names in
-        if List.mem_assoc a acc then distinct acc k
-        else
-          let* v = gen_text in
-          distinct ((a, v) :: acc) (k - 1)
-    in
-    let* pairs = distinct [] n in
-    return (List.map (fun (a, v) -> (Qname.make a, v)) pairs)
-  in
-  let rec gen_node depth budget =
-    if depth = 0 || budget <= 1 then
-      oneof
-        [ map (fun s -> Dom.Text s) gen_text;
-          map (fun s -> Dom.Comment s) gen_text;
-          (let* name = gen_name in
-           let* attrs = gen_attrs in
-           return (Dom.Element { name = Qname.make name; attrs; children = [] })) ]
-    else
-      frequency
-        [ (2, map (fun s -> Dom.Text s) gen_text);
-          (1, map (fun s -> Dom.Comment s) gen_text);
-          ( 1,
-            map
-              (fun s -> Dom.Pi { target = "pi"; data = s })
-              gen_text );
-          ( 5,
-            let* name = gen_name in
-            let* attrs = gen_attrs in
-            let* k = int_bound (min 4 (budget - 1)) in
-            let* children = gen_children depth (budget - 1) k in
-            return (Dom.Element { name = Qname.make name; attrs; children }) ) ]
-  and gen_children depth budget k =
-    if k = 0 then return []
-    else
-      let* c = gen_node (depth - 1) (budget / k) in
-      let* rest = gen_children depth budget (k - 1) in
-      return (c :: rest)
-  in
-  let* budget = int_range 1 60 in
-  let* name = gen_name in
-  let* attrs = gen_attrs in
-  let* k = int_bound 5 in
-  let* children = gen_children 5 budget k in
-  (* Normalised: adjacent text nodes are indistinguishable after one
-     serialise/parse cycle, so round-trip laws hold only on this form. *)
-  return (Dom.normalize { Dom.root = { name = Qname.make name; attrs; children } })
-
-let print_doc d = Xml.Xml_serialize.to_string ~indent:true d
+(* Random documents, XPath paths and XUpdate scripts live in gen.ml; the
+   document generator is used by most suites, so it is also included at
+   top level. *)
+module Gen = Gen
+include Gen
 
 (* --------------------------------------------- reproducible properties -- *)
 

@@ -7,6 +7,8 @@ module P = Xml.Xml_parser
 module Up = Core.Schema_up
 module Db = Core.Db
 module Txn = Core.Txn
+module View = Core.View
+module Version = Core.Version
 module Session = Core.Db.Session
 
 let contains hay needle =
@@ -93,6 +95,161 @@ let prop_snapshot_frozen =
           && Db.get_exn (Session.count s "/root/left/l") = cnt
           && cnt = before_n)))
 
+(* ------------------------------------------------- current-version reads -- *)
+
+let overtaken () = counter_value "mvcc.overtaken_reads" []
+
+let temp_dir () =
+  let dir = Filename.temp_file "mvcc" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  dir
+
+(* A snapshot of a version no commit has overtaken reads the base directly:
+   rendering the whole document and an attribute query leave
+   mvcc.overtaken_reads where it was. The four stores pin versions made by
+   each way a descriptor is built: a fresh chain (shred, recovery), a commit,
+   and a vacuum. *)
+let test_current_reads_fast () =
+  let check_fast what db =
+    let before = overtaken () in
+    let xml, ids =
+      Db.get_exn
+        (Db.read_txn db (fun s ->
+             (Session.serialize s, Db.get_exn (Session.count s "//*[@id]"))))
+    in
+    Alcotest.(check bool) (what ^ ": document read") true (String.length xml > 0);
+    Alcotest.(check int) (what ^ ": attribute read") 1 ids;
+    Alcotest.(check int) (what ^ ": no overtaken read") before (overtaken ())
+  in
+  let dir = temp_dir () in
+  let wal = Filename.concat dir "log.wal" in
+  let ckpt = Filename.concat dir "snap.ckpt" in
+  let db =
+    Db.of_xml ~page_bits:2 ~wal_path:wal
+      {|<root><left id="l"></left><right></right></root>|}
+  in
+  check_fast "shredded" db;
+  ignore (update_retry db pair_update);
+  check_fast "updated" db;
+  Db.vacuum ~checkpoint_to:ckpt db;
+  check_fast "vacuumed" db;
+  ignore (update_retry db pair_update);
+  let expect = Db.to_xml db in
+  Db.close db;
+  let db =
+    match Db.open_recovered ~wal_path:wal ~checkpoint:ckpt () with
+    | Ok db -> db
+    | Error e -> Alcotest.failf "recover: %s" (Db.Error.to_string e)
+  in
+  Alcotest.(check string) "recovered" expect (Db.to_xml db);
+  check_fast "recovered" db;
+  (* a snapshot pinned before a commit is overtaken by it: its reads take
+     the fallback, and still see the pinned state *)
+  Db.get_exn
+    (Db.read_txn db (fun s ->
+         let before = Session.serialize s in
+         let c0 = overtaken () in
+         ignore (update_retry db pair_update);
+         let after = Session.serialize s in
+         Alcotest.(check string) "overtaken snapshot unchanged" before after;
+         Alcotest.(check bool) "overtaken reads counted" true (overtaken () > c0)));
+  Db.close db;
+  Sys.remove wal;
+  Sys.remove ckpt;
+  Unix.rmdir dir
+
+(* Every snapshot accessor at every pre of the extent, one line per slot. *)
+let dump v =
+  List.init (View.extent v) (fun pre ->
+      let links =
+        Printf.sprintf "%d: used=%b next=%d prev=%d" pre (View.is_used v pre)
+          (View.next_used v pre) (View.prev_used v pre)
+      in
+      if not (View.is_used v pre) then links
+      else
+        let node = View.read_cell v Up.Cnode (View.pos_of_pre v pre) in
+        Printf.sprintf "%s size=%d level=%d kind=%s name=%d node=%d pos=%d attrs=[%s]"
+          links (View.size v pre) (View.level v pre)
+          (Core.Kind.to_string (View.kind v pre))
+          (View.name_id v pre) node (View.node_pos_get v node)
+          (String.concat ","
+             (List.map
+                (fun (q, x) -> Xml.Qname.to_string q ^ "=" ^ x)
+                (View.attributes v pre))))
+
+let tombstones st = Up.attr_table_len st - Up.attr_live_count st
+
+(* How often the property's commits did what the fast path must survive:
+   page splices, ancestor size deltas, attribute removals. *)
+let splices = ref 0 and size_deltas = ref 0 and attr_removals = ref 0
+
+(* The fast path against the fallback, by value: a snapshot dumped while
+   current, then again through the same view after 1-5 random commits have
+   overtaken it, must not move. *)
+let check_overtaken (d, scripts) =
+  let db = Db.create ~page_bits:4 ~fill:0.9 d in
+  let st = Db.store db in
+  Db.get_exn
+    (Db.read_txn db (fun s ->
+         let v = Session.view s in
+         let vs = Option.get (View.snapshot_version v) in
+         let first = dump v in
+         let pages = Up.npages st and nodes = Up.node_count st in
+         let dead = tombstones st in
+         List.iter
+           (fun cmds ->
+             ignore
+               (Db.write_txn db (fun w ->
+                    Core.Xupdate.apply (Session.view w) cmds)))
+           scripts;
+         if Up.npages st > pages then incr splices;
+         if Up.node_count st <> nodes then incr size_deltas;
+         if tombstones st > dead then incr attr_removals;
+         let c0 = overtaken () in
+         let second = dump v in
+         let moved = overtaken () > c0 in
+         if Version.is_current vs = moved then
+           QCheck2.Test.fail_reportf "current=%b but overtaken reads moved=%b"
+             (Version.is_current vs) moved;
+         match List.find_opt (fun (a, b) -> a <> b) (List.combine first second) with
+         | None -> true
+         | Some (a, b) ->
+           QCheck2.Test.fail_reportf "snapshot moved\nbefore: %s\nafter:  %s" a b))
+
+let gen_overtaken_case =
+  let open QCheck2.Gen in
+  let* d = Testsupport.gen_doc in
+  let* scripts = list_size (int_range 1 5) Testsupport.gen_cmds in
+  return (d, scripts)
+
+let print_overtaken_case (d, scripts) =
+  Printf.sprintf "commits: %s\ndoc: %s"
+    (String.concat " | "
+       (List.map
+          (fun cmds -> String.concat " ; " (List.map Testsupport.show_command cmds))
+          scripts))
+    (Testsupport.print_doc d)
+
+let prop_overtaken =
+  QCheck2.Test.make ~name:"overtaken snapshot reads = current snapshot reads"
+    ~count:1000 ~print:print_overtaken_case gen_overtaken_case check_overtaken
+
+(* The property, then a check that its commits exercised every kind of
+   change the fallback must resolve. *)
+let overtaken_case =
+  let name, speed, run = Testsupport.qcheck_case prop_overtaken in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      List.iter
+        (fun (what, n) ->
+          Alcotest.(check bool) (what ^ " covered") true (!n > 0))
+        [ ("page splices", splices);
+          ("size deltas", size_deltas);
+          ("attribute removals", attr_removals) ] )
+
 (* ------------------------------------------------------- lock-free reads -- *)
 
 (* A burst of queries and read transactions acquires no page lock and can
@@ -168,9 +325,7 @@ let test_concurrent_readers_writers () =
 (* ------------------------------------------------- checkpoint + truncate -- *)
 
 let test_checkpoint_truncates_wal () =
-  let dir = Filename.temp_file "mvcc" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
+  let dir = temp_dir () in
   let wal = Filename.concat dir "log.wal" in
   let ckpt = Filename.concat dir "snap.ckpt" in
   let db = Db.of_xml ~wal_path:wal "<root><left></left><right></right></root>" in
@@ -282,14 +437,18 @@ let test_mvcc_metrics () =
     (fun n ->
       Alcotest.(check bool) (n ^ " registered") true (contains rendered n))
     [ "mvcc.pins"; "mvcc.live_versions"; "mvcc.pinned_readers";
-      "mvcc.versions_reclaimed"; "mvcc.commit_cs_latency"; "wal.rotations" ]
+      "mvcc.versions_reclaimed"; "mvcc.commit_cs_latency"; "mvcc.overtaken_reads";
+      "wal.rotations" ]
 
 let () =
   Alcotest.run "mvcc"
     [ ( "snapshots",
         [ Alcotest.test_case "stable across commit" `Quick
             test_snapshot_stable_across_commit;
-          Testsupport.qcheck_case prop_snapshot_frozen ] );
+          Testsupport.qcheck_case prop_snapshot_frozen;
+          Alcotest.test_case "current reads take the fast path" `Quick
+            test_current_reads_fast;
+          overtaken_case ] );
       ( "lock-free reads",
         [ Alcotest.test_case "no locks on read path" `Quick
             test_reads_take_no_locks;

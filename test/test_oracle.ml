@@ -23,103 +23,7 @@ module Ns = Core.Node_serialize.Make (Core.View)
 module Ord = Testsupport.Ord (Core.View)
 module O = Testsupport.Oracle
 open Xpath.Xpath_ast
-
-(* ----------------------------------------------------- path generators -- *)
-
-let gen_axis =
-  QCheck2.Gen.frequency
-    [ (6, QCheck2.Gen.return Child);
-      (3, QCheck2.Gen.return Descendant);
-      (2, QCheck2.Gen.return Descendant_or_self);
-      (1, QCheck2.Gen.return Self);
-      (1, QCheck2.Gen.return Parent);
-      (1, QCheck2.Gen.return Ancestor);
-      (1, QCheck2.Gen.return Ancestor_or_self);
-      (1, QCheck2.Gen.return Following);
-      (1, QCheck2.Gen.return Preceding);
-      (1, QCheck2.Gen.return Following_sibling);
-      (1, QCheck2.Gen.return Preceding_sibling) ]
-
-let gen_test =
-  let open QCheck2.Gen in
-  frequency
-    [ (6, map (fun n -> Name (Qname.make n)) (oneofa Testsupport.names));
-      (2, return Wildcard);
-      (1, return Kind_node);
-      (1, return Kind_text);
-      (1, return Kind_comment);
-      (1, oneofl [ Kind_pi None; Kind_pi (Some "pi") ]) ]
-
-let gen_value ~depth gen_path =
-  let open QCheck2.Gen in
-  frequency
-    ([ (2, map (fun i -> Lit_str ("t" ^ string_of_int i)) (int_bound 30));
-       (2, map (fun i -> Lit_num (float_of_int i)) (int_bound 9));
-       (1, return Ctx_string) ]
-    @
-    if depth <= 0 then []
-    else
-      [ (2, map (fun p -> Path_string p) (gen_path (depth - 1)));
-        (1, map (fun p -> Count p) (gen_path (depth - 1))) ])
-
-let gen_cmpop = QCheck2.Gen.oneofl [ Eq; Neq; Lt; Le; Gt; Ge ]
-
-let rec gen_bool_pred ~depth gen_path =
-  let open QCheck2.Gen in
-  if depth <= 0 then
-    let* a = gen_value ~depth:0 gen_path in
-    let* op = gen_cmpop in
-    let* b = gen_value ~depth:0 gen_path in
-    return (Cmp (a, op, b))
-  else
-    frequency
-      [ ( 3,
-          let* a = gen_value ~depth gen_path in
-          let* op = gen_cmpop in
-          let* b = gen_value ~depth gen_path in
-          return (Cmp (a, op, b)) );
-        (2, map (fun p -> Exists p) (gen_path (depth - 1)));
-        ( 1,
-          let* a = gen_value ~depth gen_path in
-          let* b = gen_value ~depth gen_path in
-          return (Contains (a, b)) );
-        ( 1,
-          let* a = gen_bool_pred ~depth:(depth - 1) gen_path in
-          let* b = gen_bool_pred ~depth:(depth - 1) gen_path in
-          oneofl [ And (a, b); Or (a, b); Not a ] ) ]
-
-let gen_pred ~depth gen_path =
-  let open QCheck2.Gen in
-  frequency
-    ([ (3, map (fun n -> Pos (1 + n)) (int_bound 3)); (1, return Last) ]
-    @ if depth <= 0 then [] else [ (6, gen_bool_pred ~depth gen_path) ])
-
-let rec gen_path depth : path QCheck2.Gen.t =
-  let open QCheck2.Gen in
-  let gen_step =
-    let* axis = gen_axis in
-    let* test = gen_test in
-    let* npreds = frequency [ (5, return 0); (3, return 1); (1, return 2) ] in
-    let* preds = list_repeat npreds (gen_pred ~depth (fun d -> gen_path d)) in
-    return { axis; test; preds }
-  in
-  let* absolute = bool in
-  let* nsteps = int_range 1 3 in
-  let* steps = list_repeat nsteps gen_step in
-  let* attr_tail =
-    frequency
-      [ (4, return None);
-        ( 1,
-          let* a = oneofa Testsupport.attr_names in
-          let* preds =
-            frequency
-              [ (4, return []);
-                (1, map (fun p -> [ p ]) (gen_pred ~depth:1 (fun d -> gen_path d))) ]
-          in
-          return (Some { axis = Attribute; test = Name (Qname.make a); preds }) ) ]
-  in
-  let steps = match attr_tail with None -> steps | Some s -> steps @ [ s ] in
-  return { absolute; steps }
+open Testsupport.Gen
 
 (* ------------------------------------------------- result normalisation -- *)
 
@@ -159,12 +63,12 @@ let show_norms l = String.concat " " (List.map show_norm l)
 
 let gen_query_case =
   let open QCheck2.Gen in
-  let* d = Testsupport.gen_doc in
+  let* d = gen_doc in
   let* p = gen_path 2 in
   return (d, p)
 
 let print_query_case (d, p) =
-  Printf.sprintf "path: %s\ndoc: %s" (to_string p) (Testsupport.print_doc d)
+  Printf.sprintf "path: %s\ndoc: %s" (to_string p) (print_doc d)
 
 let check_query ?par (d, p) =
   let t = Up.of_dom ~page_bits:3 ~fill:0.7 d in
@@ -190,120 +94,6 @@ let prop_query_par =
     ~name:"random queries: parallel engine = oracle (forced cutoffs)"
     ~count:200 ~print:print_query_case gen_query_case (fun c ->
       check_query ~par:(Lazy.force pool) c)
-
-(* -------------------------------------------------- update generators -- *)
-
-let gen_text = QCheck2.Gen.(map (fun i -> "t" ^ string_of_int i) (int_bound 30))
-
-let gen_content_node =
-  let open QCheck2.Gen in
-  let* depth = int_bound 1 in
-  let rec go depth =
-    let leaf =
-      frequency
-        [ (3, map Dom.text gen_text);
-          (1, map (fun s -> Dom.Comment s) gen_text);
-          (1, map (fun s -> Dom.Pi { target = "pi"; data = s }) gen_text) ]
-    in
-    let elem =
-      let* name = oneofa Testsupport.names in
-      let* attrs =
-        frequency
-          [ (3, return []);
-            ( 1,
-              let* a = oneofa Testsupport.attr_names in
-              let* s = gen_text in
-              return [ (Qname.make a, s) ] ) ]
-      in
-      let* children =
-        if depth <= 0 then return [] else list_size (int_bound 2) (go (depth - 1))
-      in
-      return (Dom.Element { Dom.name = Qname.make name; attrs; children })
-    in
-    frequency [ (3, elem); (2, leaf) ]
-  in
-  go depth
-
-(* A content forest: node items, occasionally an xupdate:attribute item
-   (valid only for append; sibling inserts must reject it on both sides). *)
-let gen_content =
-  let open QCheck2.Gen in
-  let* nodes =
-    list_size (int_bound 2) (map (fun n -> Xupdate.Node n) gen_content_node)
-  in
-  let* attr =
-    frequency
-      [ (5, return []);
-        ( 1,
-          let* a = oneofa Testsupport.attr_names in
-          let* s = gen_text in
-          return [ Xupdate.Attr (Qname.make a, s) ] ) ]
-  in
-  return (attr @ nodes)
-
-(* Update targets: short paths so commands actually hit something, but any
-   generated path is fair game — unusable targets must error identically on
-   both sides. *)
-let gen_target =
-  let open QCheck2.Gen in
-  let* p = gen_path 1 in
-  let* nsteps = int_range 1 2 in
-  let steps = List.filteri (fun i _ -> i < nsteps) p.steps in
-  return { p with steps }
-
-let gen_command =
-  let open QCheck2.Gen in
-  frequency
-    [ (3, map (fun p -> Xupdate.Remove p) gen_target);
-      ( 2,
-        let* p = gen_target in
-        let* c = gen_content in
-        return (Xupdate.Insert_before (p, c)) );
-      ( 2,
-        let* p = gen_target in
-        let* c = gen_content in
-        return (Xupdate.Insert_after (p, c)) );
-      ( 3,
-        let* p = gen_target in
-        let* child =
-          frequency [ (3, return None); (1, map (fun k -> Some (1 + k)) (int_bound 3)) ]
-        in
-        let* c = gen_content in
-        return (Xupdate.Append (p, child, c)) );
-      ( 3,
-        let* p = gen_target in
-        let* s = frequency [ (4, gen_text); (1, return "") ] in
-        return (Xupdate.Update (p, s)) );
-      ( 2,
-        let* p = gen_target in
-        let* n = oneof [ oneofa Testsupport.names; oneofa Testsupport.attr_names ] in
-        return (Xupdate.Rename (p, Qname.make n)) ) ]
-
-let gen_cmds = QCheck2.Gen.(list_size (int_range 1 3) gen_command)
-
-let show_content c =
-  String.concat ""
-    (List.map
-       (function
-         | Xupdate.Node n -> Xml.Xml_serialize.node_to_string n
-         | Xupdate.Attr (q, s) ->
-           Printf.sprintf "<xupdate:attribute name=%S>%s</xupdate:attribute>"
-             (Qname.to_string q) s)
-       c)
-
-let show_command = function
-  | Xupdate.Remove p -> Printf.sprintf "remove[%s]" (to_string p)
-  | Xupdate.Insert_before (p, c) ->
-    Printf.sprintf "insert-before[%s]{%s}" (to_string p) (show_content c)
-  | Xupdate.Insert_after (p, c) ->
-    Printf.sprintf "insert-after[%s]{%s}" (to_string p) (show_content c)
-  | Xupdate.Append (p, k, c) ->
-    Printf.sprintf "append[%s]%s{%s}" (to_string p)
-      (match k with None -> "" | Some k -> Printf.sprintf "@%d" k)
-      (show_content c)
-  | Xupdate.Update (p, s) -> Printf.sprintf "update[%s]'%s'" (to_string p) s
-  | Xupdate.Rename (p, q) ->
-    Printf.sprintf "rename[%s]->%s" (to_string p) (Qname.to_string q)
 
 (* ------------------------------------------------- update equivalence -- *)
 
@@ -353,14 +143,14 @@ let check_update (d, cmds) =
 
 let gen_update_case =
   let open QCheck2.Gen in
-  let* d = Testsupport.gen_doc in
+  let* d = gen_doc in
   let* cmds = gen_cmds in
   return (d, cmds)
 
 let print_update_case (d, cmds) =
   Printf.sprintf "cmds: %s\ndoc: %s"
     (String.concat " ; " (List.map show_command cmds))
-    (Testsupport.print_doc d)
+    (print_doc d)
 
 let prop_update =
   QCheck2.Test.make ~name:"random updates: engine = oracle" ~count:300
@@ -393,7 +183,7 @@ let prop_rollback =
 
 let gen_qau_case =
   let open QCheck2.Gen in
-  let* d = Testsupport.gen_doc in
+  let* d = gen_doc in
   let* cmds = gen_cmds in
   let* p = gen_path 2 in
   return (d, cmds, p)
@@ -440,7 +230,7 @@ module Db = Core.Db
 
 let gen_cached_case =
   let open QCheck2.Gen in
-  let* d = Testsupport.gen_doc in
+  let* d = gen_doc in
   let* pool_paths = list_repeat 4 (gen_path 2) in
   let* rounds = list_size (int_range 2 5) (pair gen_cmds (int_bound 3)) in
   return (d, pool_paths, rounds)
@@ -454,7 +244,7 @@ let print_cached_case (d, pool_paths, rounds) =
             Printf.sprintf "q%d after {%s}" pi
               (String.concat " ; " (List.map show_command cmds)))
           rounds))
-    (Testsupport.print_doc d)
+    (print_doc d)
 
 let check_cached (d, pool_paths, rounds) =
   let db =
@@ -529,7 +319,7 @@ let doc_name i = if i = 0 then Db.default_doc else Printf.sprintf "d%d" i
 let gen_multidoc_case =
   let open QCheck2.Gen in
   let* ndocs = int_range 2 3 in
-  let* docs = list_repeat ndocs Testsupport.gen_doc in
+  let* docs = list_repeat ndocs gen_doc in
   let* pool_paths = list_repeat 3 (gen_path 2) in
   let* rounds =
     list_size (int_range 2 5)
@@ -548,7 +338,7 @@ let print_multidoc_case (docs, pool_paths, rounds) =
           rounds))
     (String.concat "\n"
        (List.mapi
-          (fun i d -> Printf.sprintf "  %s: %s" (doc_name i) (Testsupport.print_doc d))
+          (fun i d -> Printf.sprintf "  %s: %s" (doc_name i) (print_doc d))
           docs))
 
 let check_multidoc (docs, pool_paths, rounds) =
