@@ -3,11 +3,13 @@
    Every insert changes the size of ALL its ancestors — including the
    document root. A naive locking protocol would make the root a global
    write hotspot. The paper's fix: size maintenance travels as commutative
-   delta-increments, so transactions only lock the pages they actually
-   rewrite. This example runs several writer threads editing disjoint
-   subtrees plus reader threads, and shows (a) all writers commit without
-   ever waiting on the root, (b) the root's size ends up exactly
-   base + sum(deltas) regardless of commit order.
+   delta-increments, so transactions never touch the ancestors' pages.
+   Writers here take no lock at all: they stage privately and are validated
+   at commit (first-committer-wins on the pages they touched), retrying
+   when a concurrent commit got there first. This example runs several
+   writer threads editing disjoint subtrees plus a reader thread, and shows
+   (a) all writers commit without ever waiting on the root, (b) the root's
+   size ends up exactly base + sum(deltas) regardless of commit order.
 
    Run with: dune exec examples/concurrent_editing.exe *)
 
@@ -29,16 +31,23 @@ let () =
   in
   let xml = "<org>" ^ String.concat "" departments ^ "</org>" in
   let base = Up.of_dom ~page_bits:6 ~fill:0.5 (Xml.Xml_parser.parse xml) in
-  let m = Txn.manager ~lock_timeout_s:10.0 base in
+  let m = Txn.manager base in
 
   let root_size0 = Txn.read m (fun v -> View.size v (View.root_pre v)) in
   Printf.printf "root size before: %d\n%!" root_size0;
 
+  let rec with_retry f =
+    match Txn.with_write m f with
+    | () -> ()
+    | exception Txn.Aborted _ ->
+      Thread.yield ();
+      with_retry f
+  in
   let writer i =
     Thread.create
       (fun () ->
         for k = 1 to inserts_per_writer do
-          Txn.with_write m (fun v ->
+          with_retry (fun v ->
               match E.parse_eval v (Printf.sprintf "/org/dept[@id='d%d']/staff" i) with
               | [ E.Node staff ] ->
                 U.insert v (U.Last_child staff)

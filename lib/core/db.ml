@@ -1,5 +1,5 @@
 (* A store is a CATALOG of named documents. Each document owns its own
-   plane, pagemap, locks, version chain and schema (a private Txn.manager);
+   plane, pagemap, version chain and schema (a private Txn.manager);
    all documents share one commit lane (commit mutex + WAL), one query
    cache and one domain pool. The document named [default_doc] plays the
    role the whole store used to: every entry point defaults to it, so
@@ -73,9 +73,6 @@ let capture f =
      wrapper that turns Update_error into Apply_error *)
   | exception Update.Update_error msg -> Error (Error.Apply msg)
   | exception Txn.Aborted msg -> Error (Error.Aborted msg)
-  | exception Lock.Would_deadlock { owner; page } ->
-    Error
-      (Error.Aborted (Printf.sprintf "deadlock: page %d held by txn %d" page owner))
   | exception Column.Persist.Dec.Corrupt msg -> Error (Error.Corrupt msg)
   | exception Failure msg -> Error (Error.Corrupt msg)
   | exception Sys_error msg -> Error (Error.Io msg)

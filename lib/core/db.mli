@@ -1,7 +1,7 @@
 (** The database facade: an ACID XML store on the updateable schema.
 
     A store is a {e catalog of named documents}: each document owns its own
-    pre/size/level plane, pagemap, lock table, version chain and schema,
+    pre/size/level plane, pagemap, version chain and schema,
     while the whole catalog shares one commit mutex, one WAL, one query
     cache and (via [?par]) one domain pool. Every entry point takes [?doc]
     (default: {!default_doc}, the document [create] shreds), so
@@ -44,8 +44,10 @@ module Error : sig
         (** XPath / XUpdate / XML syntax error; [source] names the
             language. *)
     | Aborted of string
-        (** Transaction rolled back: snapshot conflict, deadlock timeout or
-            schema-validation failure. Retrying is usually appropriate. *)
+        (** Transaction rolled back: snapshot conflict (a concurrent commit
+            changed a page this transaction touched — writers take no lock
+            and are validated at commit) or schema-validation failure.
+            Retrying is usually appropriate. *)
     | Apply of string  (** XUpdate targeted a nonexistent or invalid node. *)
     | Corrupt of string  (** Checkpoint / WAL payload failed to decode. *)
     | Io of string  (** Operating-system error (missing file, …). *)

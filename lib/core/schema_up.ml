@@ -23,7 +23,10 @@ type t = {
   attr_qn : Varray.t;
   attr_prop : Varray.t;
   attr_index : (int, int list) Hashtbl.t; (* node id -> rows, reverse order *)
-  stamps : Varray.t; (* per physical page: LSN of the last modifying commit *)
+  (* per physical page: LSN of the last commit that rewrote it, and of the
+     last one that adjusted a size on it *)
+  bulk_stamps : Varray.t;
+  delta_stamps : Varray.t;
   shared_mu : Mutex.t;
       (* guards the appenders shared by concurrent staging transactions:
          node-id allocator, dictionaries, value pools *)
@@ -64,7 +67,8 @@ let create ?(page_bits = default_page_bits) () =
     attr_qn = Varray.create ();
     attr_prop = Varray.create ();
     attr_index = Hashtbl.create 64;
-    stamps = Varray.create ();
+    bulk_stamps = Varray.create ();
+    delta_stamps = Varray.create ();
     shared_mu = Mutex.create () }
 
 (* ------------------------------------------------------- physical layer *)
@@ -114,7 +118,6 @@ let set_cell t c pos v = Varray.set (column t c) pos v
 (* Fresh pages come up all-unused: level NULL, free runs covering the page. *)
 let blank_page t phys =
   let p = page_size t in
-  Varray.ensure_length t.stamps (phys + 1) 0;
   let base = phys * p in
   Varray.ensure_length t.size (base + p) 0;
   Varray.ensure_length t.level (base + p) 0;
@@ -146,12 +149,18 @@ let recompute_free_runs t ~phys_page =
     else following := 0
   done
 
-let page_stamp t phys =
-  if phys < Varray.length t.stamps then Varray.get t.stamps phys else 0
+type stamp = Bulk | Delta
 
-let stamp_page t phys lsn =
-  Varray.ensure_length t.stamps (phys + 1) 0;
-  Varray.set t.stamps phys lsn
+let stamps t = function Bulk -> t.bulk_stamps | Delta -> t.delta_stamps
+
+let page_stamp t kind phys =
+  let a = stamps t kind in
+  if phys < Varray.length a then Varray.get a phys else 0
+
+let stamp_page t kind phys lsn =
+  let a = stamps t kind in
+  Varray.ensure_length a (phys + 1) 0;
+  Varray.set a phys lsn
 
 let used_in_page t ~phys_page =
   let p = page_size t in
@@ -499,7 +508,8 @@ let compact ?(fill = 0.8) t =
   t.map <- Pagemap.create ~bits:t.pbits;
   let cols = [ t.size; t.level; t.kind; t.name; t.node ] in
   List.iter (fun c -> Varray.truncate c 0) cols;
-  Varray.truncate t.stamps 0;
+  Varray.truncate t.bulk_stamps 0;
+  Varray.truncate t.delta_stamps 0;
   for _ = 1 to pages do
     blank_page t (Pagemap.append_page t.map)
   done;
@@ -614,7 +624,8 @@ let load dec =
       qn; props; text_pool; comment_pool; pi_target_pool; pi_data_pool;
       attr_node; attr_qn; attr_prop;
       attr_index = Hashtbl.create 64;
-      stamps = Varray.make (Pagemap.npages map) 0;
+      bulk_stamps = Varray.create ();
+      delta_stamps = Varray.create ();
       shared_mu = Mutex.create () }
   in
   rebuild_transients t;

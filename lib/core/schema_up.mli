@@ -84,14 +84,23 @@ val grow_pages : t -> count:int -> int list
 val used_in_page : t -> phys_page:int -> int
 (** Number of used slots in a physical page. *)
 
-val page_stamp : t -> int -> int
-(** Commit LSN that last modified the page (0 = since load). Staging
-    transactions validate their snapshot against this on every page touch
-    ("first-committer-wins" read validation, see {!Txn}). *)
+type stamp =
+  | Bulk  (** cell writes, fresh pages, attribute owners, vacuum *)
+  | Delta  (** commutative ancestor-size deltas only *)
+(** Every physical page carries two commit stamps. Staging transactions
+    conflict when they touch a page with either stamp newer than their
+    snapshot. At commit a newer {!Bulk} stamp on a touched page fails
+    validation, but a newer {!Delta} stamp only does under a node the
+    committer frees: elsewhere a size delta commutes with the committer's
+    own writes (see {!Txn.commit_group}). *)
 
-val stamp_page : t -> int -> int -> unit
-(** [stamp_page t phys lsn] — called by the commit apply path, inside the
-    commit critical section, {e before} the page's data changes. *)
+val page_stamp : t -> stamp -> int -> int
+(** [page_stamp t kind phys]: LSN of the last commit that modified the page
+    in that way (0 = since load). *)
+
+val stamp_page : t -> stamp -> int -> int -> unit
+(** [stamp_page t kind phys lsn] — called by the commit apply path, inside
+    the commit critical section, {e before} the page's data changes. *)
 
 val capture_page : t -> int -> int array array
 (** [capture_page t phys] copies one physical page of all five columns, in

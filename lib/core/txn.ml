@@ -11,31 +11,28 @@ let shared ?wal () = { commit_mu = Mutex.create (); wal_log = wal }
 
 type manager = {
   base : Schema_up.t;
-  locks : Lock.t;
   lane : shared;
   doc_id : int;
   versions : Version.store;
   mutable next_txn : int;
   mutable last_commit : int;
+  mutable last_vacuum : int; (* LSN of the last compaction, 0 if none *)
   id_mu : Mutex.t;
 }
 
-let manager ?wal ?(lock_timeout_s = 1.0) ?(next_txn = 1) ?(doc_id = 0) ?shared:lane
-    base =
+let manager ?wal ?(next_txn = 1) ?(doc_id = 0) ?shared:lane base =
   { base;
-    locks = Lock.create ~timeout_s:lock_timeout_s ();
     lane = (match lane with Some l -> l | None -> shared ?wal ());
     doc_id;
     versions = Version.create ~epoch:(next_txn - 1) base;
     next_txn;
     last_commit = next_txn - 1;
+    last_vacuum = 0;
     id_mu = Mutex.create () }
 
 let last_committed m = m.last_commit
 
 let store m = m.base
-
-let lock_table m = m.locks
 
 let wal m = m.lane.wal_log
 
@@ -89,11 +86,10 @@ type t = {
   m : manager;
   txn_id : int;
   v : View.t;
-  held : (int, bool) Hashtbl.t; (* page -> write?; fast path before the lock table *)
+  snapshot : int; (* last commit LSN visible to this transaction *)
+  touched : (int, unit) Hashtbl.t; (* base pages read or written *)
   mutable state : state;
 }
-
-let id t = t.txn_id
 
 let view t = t.v
 
@@ -103,47 +99,36 @@ let begin_write m =
   let txn_id = m.next_txn in
   m.next_txn <- txn_id + 1;
   Mutex.unlock m.id_mu;
-  let held = Hashtbl.create 16 in
-  let snapshot = ref 0 in
-  (* Snapshot validation (first-committer-wins): touching a base page that a
-     later commit has modified — bulk change OR a commutative size delta —
-     would mix that commit's data with this transaction's frozen pageOffset
-     snapshot, so it conflicts instead. Pages never re-touched after a
-     concurrent commit keep the transaction's snapshot consistent. *)
-  let check page =
-    let stamp = Schema_up.page_stamp m.base page in
-    if stamp > !snapshot then begin
-      Obs.inc m_conflicts;
-      raise (Conflict { page; stamp; snapshot = !snapshot })
-    end
-  in
-  let touch page write =
-    (match Hashtbl.find_opt held page with
-    | Some true -> ()
-    | Some false when not write -> ()
-    | _ ->
-      Lock.acquire_page m.locks ~owner:txn_id ~page ~write;
-      Hashtbl.replace held page write);
-    check page
-  in
+  let touched = Hashtbl.create 16 in
   (* The pageOffset snapshot must be consistent with the snapshot LSN: take
      both under the commit mutex, excluding mid-flight commits. *)
-  let v =
-    with_commit_mu m (fun () ->
-        snapshot := m.last_commit;
-        View.staged ~touch ~seq:(Version.seq m.versions) m.base)
-  in
-  { m; txn_id; v; held; state = Active }
+  with_commit_mu m (fun () ->
+      let snapshot = m.last_commit in
+      (* Touch-time validation: touching a base page that a later commit
+         has modified — bulk change OR a commutative size delta — would mix
+         that commit's data with this transaction's frozen pageOffset
+         snapshot, so it conflicts instead. The page joins the touched set
+         that commit-time validation rechecks. *)
+      let touch page =
+        Hashtbl.replace touched page ();
+        let stamp =
+          max
+            (Schema_up.page_stamp m.base Bulk page)
+            (Schema_up.page_stamp m.base Delta page)
+        in
+        if stamp > snapshot then begin
+          Obs.inc m_conflicts;
+          raise (Conflict { page; stamp; snapshot })
+        end
+      in
+      let v = View.staged ~touch ~seq:(Version.seq m.versions) m.base in
+      { m; txn_id; v; snapshot; touched; state = Active })
 
 let check_active t what =
   match t.state with
   | Active -> ()
   | Committed -> invalid_arg (what ^ ": transaction already committed")
   | Rolled_back -> invalid_arg (what ^ ": transaction already aborted")
-
-let release t =
-  Lock.release_all t.m.locks ~owner:t.txn_id;
-  Hashtbl.reset t.held
 
 let abort t =
   check_active t "Txn.abort";
@@ -153,8 +138,7 @@ let abort t =
   | None -> ()
   | Some st ->
     (* The base was never written; just return allocated node ids. *)
-    List.iter (Schema_up.free_node_id t.m.base) st.View.fresh_nodes);
-  release t
+    List.iter (Schema_up.free_node_id t.m.base) st.View.fresh_nodes)
 
 let col_of_int = function
   | 0 -> Schema_up.Csize
@@ -182,7 +166,7 @@ let apply_wal_record ?lsn b (r : Wal.record) =
   let p = Schema_up.page_size b in
   (* Stamps precede data so a racing snapshot-validating reader can never see
      new data under an old stamp. *)
-  let bump_page phys = Schema_up.stamp_page b phys lsn in
+  let bump_page phys = Schema_up.stamp_page b Bulk phys lsn in
   let bump_pos pos = bump_page (pos / p) in
   let fresh = Schema_up.grow_pages b ~count:(List.length r.Wal.pages) in
   List.iter bump_page fresh;
@@ -220,7 +204,7 @@ let apply_wal_record ?lsn b (r : Wal.record) =
       if node < Schema_up.node_ids b then begin
         let pos = Schema_up.node_pos_get b node in
         if pos <> Varray.null then begin
-          bump_pos pos;
+          Schema_up.stamp_page b Delta (pos / p) lsn;
           Schema_up.set_cell b Schema_up.Csize pos
             (Schema_up.get_cell b Schema_up.Csize pos + d)
         end
@@ -251,17 +235,19 @@ let build_record t (st : View.staged) =
   let b = t.m.base in
   let p = Schema_up.page_size b in
   let cur_np = Schema_up.npages b in
+  (* No vacuum since the snapshot (commit-time validation), so the base only
+     grew. *)
   let shift = cur_np - st.View.base_npages in
-  assert (shift >= 0);
   let renum_page pg = if pg >= st.View.base_npages then pg + shift else pg in
   let renum_pos pos = if pos >= st.View.base_npages * p then pos + (shift * p) else pos in
-  (* Ancestor sizes are updated WITHOUT page locks (the commutative-delta
-     trick), so a size value this transaction copied while moving a tuple
-     within its locked pages may be stale: a concurrent commit's delta can
-     have landed on the base since. A committed size cell of a pre-existing
-     live node must therefore be the node's CURRENT base size — our own
-     change to it travels separately in [size_deltas]. Free-run lengths
-     (unused slots) and brand-new nodes keep their staged values. *)
+  (* Ancestor sizes are updated as commutative deltas that touch no page, and
+     commit-time validation ignores newer delta stamps on touched pages, so
+     a size value this transaction copied while moving a tuple within its
+     pages may be stale: a concurrent commit's delta can have landed on the
+     base since. A committed size cell of a pre-existing live node must
+     therefore be the node's CURRENT base size — our own change to it
+     travels separately in [size_deltas]. Free-run lengths (unused slots)
+     and brand-new nodes keep their staged values. *)
   let read_staged col pos =
     match Hashtbl.find_opt st.View.cells ((pos * 8) lor View.col_index col) with
     | Some v -> v
@@ -376,6 +362,71 @@ let capture_for_snapshot m (r : Wal.record) =
   List.iter (fun node -> Version.capture_node vs node) r.Wal.freed_nodes;
   List.iter (fun row -> Version.capture_attr vs row) r.Wal.attr_dels
 
+let conflict_on page = Printf.sprintf "snapshot conflict on page %d" page
+
+(* Commit-time validation (first-committer-wins), run under the commit
+   mutex. Staging is private and takes no lock, so this is what keeps two
+   writers off each other's work. A transaction fails when
+   (a) a page it touched carries a bulk stamp newer than its snapshot — a
+       later commit rewrote cells or attributes it read or wrote;
+   (b) a pre-existing node it frees sits on a page with a newer delta stamp —
+       a later commit inserted under that node, and freeing it would orphan
+       the insert; other newer deltas commute with this transaction's writes
+       ([build_record] re-reads the current sizes);
+   (c) its snapshot predates the last vacuum, which relocated every tuple. *)
+let stale t (st : View.staged) =
+  let b = t.m.base in
+  let newer kind page = Schema_up.page_stamp b kind page > t.snapshot in
+  let freed_page node =
+    let pos = Schema_up.node_pos_get b node in
+    if pos = Varray.null then None else Some (pos / Schema_up.page_size b)
+  in
+  if t.snapshot < t.m.last_vacuum then
+    Some
+      (Printf.sprintf "snapshot conflict: store vacuumed at LSN %d"
+         t.m.last_vacuum)
+  else
+    match Seq.find (newer Bulk) (Hashtbl.to_seq_keys t.touched) with
+    | Some page -> Some (conflict_on page)
+    | None ->
+      List.find_map
+        (fun node ->
+          match freed_page node with
+          | Some page when newer Delta page -> Some (conflict_on page)
+          | _ -> None)
+        st.View.freed_nodes
+
+(* The commit proper, under the commit mutex once every member validated:
+   one WAL frame, then each document's apply. *)
+let log_and_apply lane staged =
+  let recs = List.map (fun (t, _, st) -> (t, build_record t st)) staged in
+  (* Failpoint: a crash here loses the group entirely — the WAL frame was
+     never written, recovery must not see it. *)
+  Fault.hit "txn.commit.before_wal";
+  (* The WAL write is the commit point: a single flushed frame carrying
+     every document's record. *)
+  (match lane.wal_log with
+  | None -> ()
+  | Some w -> Wal.append_group w (List.map snd recs));
+  (* Failpoint: the frame is durable but nothing was applied — the whole
+     group must be present after recovery. *)
+  Fault.hit "txn.commit.after_wal";
+  List.iter
+    (fun (t, record) ->
+      let lsn = t.m.last_commit + 1 in
+      (* Short MVCC critical section per document: flip the seqlock odd,
+         capture the pre-images, apply in place, install the new version.
+         Readers pinned at older versions retry any read overlapping this
+         window and then resolve through the captured overlays. *)
+      let cs0 = Version.commit_begin t.m.versions in
+      Fun.protect
+        ~finally:(fun () -> Version.commit_end t.m.versions ~epoch:lsn cs0)
+        (fun () ->
+          capture_for_snapshot t.m record;
+          apply_wal_record ~lsn t.m.base record);
+      t.m.last_commit <- lsn)
+    recs
+
 (* Atomic commit of a group of transactions — at most one per document, all
    on the same commit lane. The group's records travel in ONE WAL frame, so
    the commit point is still a single flushed I/O and recovery replays the
@@ -405,6 +456,7 @@ let commit_group ts =
           | Some st -> (t, validate, st))
         ts
     in
+    let abort_all () = List.iter (fun (t, _, _) -> abort t) staged in
     (* Consistency: validate every member before attempting to commit
        (Figure 8); one failure aborts the whole group. *)
     List.iter
@@ -415,62 +467,34 @@ let commit_group ts =
           match check t.v with
           | Ok () -> ()
           | Error msg ->
-            List.iter
-              (fun (t, _, _) -> if t.state = Active then abort t)
-              staged;
+            abort_all ();
             raise (Aborted ("validation failed: " ^ msg))))
       staged;
     let t0m = Obs.monotonic () in
     (match
        exclusively t0.m.lane (fun () ->
-           let recs =
-             List.map (fun (t, _, st) -> (t, build_record t st)) staged
-           in
-           (* Failpoint: a crash here loses the group entirely — the WAL
-              frame was never written, recovery must not see it. *)
-           Fault.hit "txn.commit.before_wal";
-           (* The WAL write is the commit point: a single flushed frame
-              carrying every document's record. *)
-           (match t0.m.lane.wal_log with
-           | None -> ()
-           | Some w -> Wal.append_group w (List.map snd recs));
-           (* Failpoint: the frame is durable but nothing was applied — the
-              whole group must be present after recovery. *)
-           Fault.hit "txn.commit.after_wal";
-           List.iter
-             (fun (t, record) ->
-               let lsn = t.m.last_commit + 1 in
-               (* Short MVCC critical section per document: flip the seqlock
-                  odd, capture the pre-images, apply in place, install the
-                  new version. Readers pinned at older versions retry any
-                  read overlapping this window and then resolve through the
-                  captured overlays. *)
-               let cs0 = Version.commit_begin t.m.versions in
-               Fun.protect
-                 ~finally:(fun () ->
-                   Version.commit_end t.m.versions ~epoch:lsn cs0)
-                 (fun () ->
-                   capture_for_snapshot t.m record;
-                   apply_wal_record ~lsn t.m.base record);
-               t.m.last_commit <- lsn)
-             recs)
+           match List.find_map (fun (t, _, st) -> stale t st) staged with
+           | Some conflict -> Error conflict
+           | None -> Ok (log_and_apply t0.m.lane staged))
      with
-    | () ->
+    | Ok () ->
       List.iter
         (fun (t, _, _) ->
           t.state <- Committed;
-          Obs.inc m_commits;
-          release t)
+          Obs.inc m_commits)
         staged;
       Obs.observe m_commit_latency (Obs.monotonic () -. t0m)
+    | Error conflict ->
+      Obs.inc m_conflicts;
+      abort_all ();
+      raise (Aborted conflict)
     | exception e ->
       (* Apply-phase failures must not leave any member half-open. *)
       List.iter
         (fun (t, _, _) ->
           if t.state = Active then begin
             t.state <- Rolled_back;
-            Obs.inc m_rollbacks;
-            release t
+            Obs.inc m_rollbacks
           end)
         staged;
       raise e)
@@ -487,10 +511,7 @@ let with_write_group members f =
     List.iter (fun (t, _) -> if t.state = Active then abort t) ts;
     raise
       (match e with
-      | Lock.Would_deadlock { page; _ } ->
-        Aborted (Printf.sprintf "deadlock timeout on page %d" page)
-      | Conflict { page; _ } ->
-        Aborted (Printf.sprintf "snapshot conflict on page %d" page)
+      | Conflict { page; _ } -> Aborted (conflict_on page)
       | e -> e)
 
 let with_write m ?validate f =
@@ -508,9 +529,10 @@ let vacuum ?fill m =
           Schema_up.compact ?fill m.base;
           let lsn = m.last_commit + 1 in
           for page = 0 to Schema_up.npages m.base - 1 do
-            Schema_up.stamp_page m.base page lsn
+            Schema_up.stamp_page m.base Bulk page lsn
           done;
           m.last_commit <- lsn;
+          m.last_vacuum <- lsn;
           if m.next_txn <= lsn then m.next_txn <- lsn + 1;
           lsn))
 

@@ -1,23 +1,24 @@
-(** The transaction protocol of Figure 8: multi-version strict two-phase
-    locking with write-ahead logging.
+(** The transaction protocol of Figure 8, with the paper's page locks
+    replaced by optimistic validation: multi-version snapshots, first-
+    committer-wins on page stamps, write-ahead logging.
 
     - Read-only work pins an MVCC version descriptor ({!Version}) and
       evaluates against that immutable snapshot — {e no} lock is held
       during evaluation, so long scans never delay commits and commit
       bursts never starve readers.
     - A write transaction stages everything in a {!View.t} (copy-on-write
-      differential lists, privately staged pages, a private pageOffset), and
-      takes page locks incrementally — read locks while navigating, write
-      locks on pages it rewrites.  Ancestor size changes travel as
-      commutative deltas and take {e no} locks, so the root is never a
-      bottleneck.
-    - Commit: optional validation, then the manager's commit mutex, one WAL
+      differential lists, privately staged pages, a private pageOffset) and
+      takes {e no} lock: it records the base pages it touches and raises
+      {!Conflict} as soon as one carries a commit stamp newer than its
+      snapshot. Ancestor size changes travel as commutative deltas and touch
+      no page, so the root is never a bottleneck.
+    - Commit: optional validation, then the lane's commit mutex, under which
+      the touched pages are validated again ({!commit_group}), one WAL
       frame, a short seqlock critical section that captures pre-images for
       pinned snapshots and carries the differential lists through to the
-      base, install the new pageOffset table and version descriptor,
-      release.
-    - Abort (or a {!Lock.Would_deadlock} timeout): drop the staged view,
-      return fresh node ids to the allocator; the base was never touched.
+      base, install the new pageOffset table and version descriptor.
+    - Abort: drop the staged view, return fresh node ids to the allocator;
+      the base was never touched.
 
     {!recover_docs} rebuilds stores from a checkpoint plus the intact WAL
     prefix. *)
@@ -28,7 +29,7 @@ type shared
 (** A {e commit lane}: the commit mutex and WAL shared by every document of
     a catalog. Commits to different documents serialise through one lane, so
     a multi-document commit group is one critical section and one WAL frame;
-    per-document state (plane, locks, version chain, LSN counters) stays in
+    per-document state (plane, version chain, LSN counters) stays in
     each document's {!manager}. *)
 
 val shared : ?wal:Wal.t -> unit -> shared
@@ -36,7 +37,6 @@ val shared : ?wal:Wal.t -> unit -> shared
 
 val manager :
   ?wal:Wal.t ->
-  ?lock_timeout_s:float ->
   ?next_txn:int ->
   ?doc_id:int ->
   ?shared:shared ->
@@ -53,8 +53,6 @@ val last_committed : manager -> int
 (** Highest committed transaction id (0 if none) — the checkpoint LSN. *)
 
 val store : manager -> Schema_up.t
-
-val lock_table : manager -> Lock.t
 
 val wal : manager -> Wal.t option
 
@@ -74,15 +72,16 @@ val exclusively : shared -> (unit -> 'a) -> 'a
     call from inside a transaction or another exclusive section. *)
 
 exception Aborted of string
-(** The transaction was rolled back (deadlock timeout, validation failure,
-    or an exception in the body of {!with_write}). *)
+(** The transaction was rolled back (snapshot conflict at commit, validation
+    failure, or an exception in the body of {!with_write}). *)
 
 exception Conflict of { page : int; stamp : int; snapshot : int }
-(** Snapshot validation failed: the transaction touched a base page modified
-    by a commit newer than its snapshot ("first-committer-wins"). Size deltas
-    count as modifications here — the losing transaction retries instead of
-    ever waiting on an ancestor lock. {!with_write} converts this to
-    {!Aborted}; explicit transactions should abort and retry. *)
+(** Touch-time validation failed: the transaction touched a base page
+    modified by a commit newer than its snapshot ("first-committer-wins").
+    Either stamp counts here ({!Schema_up.stamp}), size deltas included — the
+    losing transaction retries instead of ever waiting on an ancestor lock.
+    {!with_write} converts this to {!Aborted}; explicit transactions should
+    abort and retry. *)
 
 (** {1 Read-only transactions} *)
 
@@ -98,8 +97,6 @@ type t
 
 val begin_write : manager -> t
 
-val id : t -> int
-
 val view : t -> View.t
 (** The staged view — pass it to {!Update} and to in-transaction queries
     (an [Engine.Make (View)] instance); it sees the transaction's own
@@ -107,14 +104,21 @@ val view : t -> View.t
 
 val commit : ?validate:(View.t -> (unit, string) result) -> t -> unit
 (** Figure 8's commit sequence. [validate] runs before the commit mutex is
-    taken; a failure aborts (raises {!Aborted}). Committing or aborting
-    twice raises [Invalid_argument]. *)
+    taken; a failure aborts (raises {!Aborted}). Snapshot validation runs
+    under it (see {!commit_group}). Committing or aborting twice raises
+    [Invalid_argument]. *)
 
 val commit_group : (t * (View.t -> (unit, string) result) option) list -> unit
 (** Commit several transactions — at most one per document, all on the same
     commit lane — {e atomically}: all validations run first (one failure
-    aborts every member and raises {!Aborted}), then one WAL frame carries
-    every document's record, then each document applies under its own MVCC
+    aborts every member and raises {!Aborted}). Then, under the commit
+    mutex, every member's snapshot is validated: it fails when a page it
+    touched carries a {!Schema_up.Bulk} stamp newer than its snapshot, when
+    a pre-existing node it frees sits on a page with a newer
+    {!Schema_up.Delta} stamp (a concurrent insert under that node), or when
+    the store was vacuumed since. A failure aborts every member and raises
+    [Aborted "snapshot conflict …"]. Otherwise one WAL frame carries every
+    document's record, then each document applies under its own MVCC
     critical section. Recovery replays the frame all-or-nothing, so a crash
     can never surface half a group. [Invalid_argument] if two members share
     a document or span different lanes. An empty group is a no-op. *)
@@ -127,8 +131,8 @@ val with_write_group :
   'a
 (** Begin one write transaction per member, run the body on their views (in
     member order) and {!commit_group} them; the group commits or aborts as a
-    whole. On deadlock timeout or snapshot conflict (re-raised as {!Aborted})
-    or any other exception from the body, every member is aborted. *)
+    whole. On a snapshot conflict (re-raised as {!Aborted}) or any other
+    exception from the body, every member is aborted. *)
 
 val with_write :
   manager -> ?validate:(View.t -> (unit, string) result) -> (View.t -> 'a) -> 'a
@@ -140,9 +144,10 @@ val vacuum : ?fill:float -> manager -> unit
     unpins} (compaction physically relocates tuples, which no pre-image
     overlay can describe); every physical page is then stamped with a fresh
     LSN so in-flight transactions conflict-and-retry rather than observe
-    moved tuples. Do not call while holding a pin (self-deadlock). The WAL
-    (if any) is invalidated by compaction — take a checkpoint right after
-    (as {!Db.vacuum} does). *)
+    moved tuples, and any transaction whose snapshot predates the vacuum
+    fails commit-time validation. Do not call while holding a pin
+    (self-deadlock). The WAL (if any) is invalidated by compaction — take a
+    checkpoint right after (as {!Db.vacuum} does). *)
 
 (** {1 Recovery} *)
 

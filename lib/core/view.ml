@@ -22,7 +22,7 @@ type staged = {
   mutable fresh_nodes : int list;
   mutable freed_nodes : int list;
   mutable live_delta : int;
-  touch : int -> bool -> unit;
+  touch : int -> unit;
 }
 
 (* A pinned MVCC snapshot, with what its reads need cached once per pin:
@@ -87,7 +87,7 @@ let staged_exn v what =
   | Some st -> st
   | None -> invalid_arg ("View." ^ what ^ ": only staged views are writable")
 
-let staged ?(touch = fun _ _ -> ()) ?seq b =
+let staged ?(touch = ignore) ?seq b =
   let st =
     { base_npages = Schema_up.npages b;
       cells = Hashtbl.create 64;
@@ -185,7 +185,7 @@ let read_cell v col pos =
       (* Stamp check and base read must land in the same seqlock window, or
          a racing commit could slip new data under the old stamp. *)
       stable v (fun () ->
-          st.touch (pos / p) false;
+          st.touch (pos / p);
           match Hashtbl.find_opt st.cells ((pos * 8) lor col_int col) with
           | Some x -> x
           | None -> Schema_up.get_cell v.b col pos)
@@ -201,7 +201,7 @@ let write_cell v col pos x =
     st.sp.(page).(col_int col).(pos mod p) <- x
   end
   else begin
-    st.touch (pos / p) true;
+    st.touch (pos / p);
     Hashtbl.replace st.cells ((pos * 8) lor col_int col) x
   end
 

@@ -15,9 +15,11 @@
 
     A staged view makes {e no} destructive change to base pages, so abort is
     "drop the view".  The [touch] callback fires before any base-page access
-    so the transaction layer can take incremental page locks; staged pages
-    and size deltas bypass it — that is precisely the paper's trick for not
-    locking the root.
+    so the transaction layer can check the page's commit stamps and record
+    it for commit-time validation; staged pages and size deltas bypass it —
+    the paper's trick for not locking the root: growing an ancestor touches
+    none of its pages, and a concurrent size delta on a page the writer
+    already touched does not fail its commit.
 
     A {e direct} view reads the base {!Schema_up.t} as it stands — a
     read-only view of a quiescent base. A {e snapshot} view reads a pinned
@@ -57,7 +59,7 @@ type staged = {
   mutable fresh_nodes : int list;  (** ids allocated from the shared allocator *)
   mutable freed_nodes : int list;  (** ids to release at commit *)
   mutable live_delta : int;
-  touch : int -> bool -> unit;  (** phys page, [true] = write intent *)
+  touch : int -> unit;  (** phys page, before any base read or write *)
 }
 
 type t
@@ -66,7 +68,7 @@ val direct : Schema_up.t -> t
 (** Read-only view of the base as it stands. Only sound while no commit is
     in flight. *)
 
-val staged : ?touch:(int -> bool -> unit) -> ?seq:int Atomic.t -> Schema_up.t -> t
+val staged : ?touch:(int -> unit) -> ?seq:int Atomic.t -> Schema_up.t -> t
 (** [seq], when given, is the MVCC store's seqlock: base-page reads (and
     their stamp checks) retry around commit critical sections instead of
     observing half-applied pages. *)
@@ -129,7 +131,7 @@ val free_node_id : t -> int -> unit
 
 val add_size_delta : t -> node:int -> int -> unit
 (** Commutative ancestor-size adjustment, accumulated until commit; own size
-    reads see it. Never touches page locks. *)
+    reads see it. Never touches a base page. *)
 
 val add_live : t -> int -> unit
 

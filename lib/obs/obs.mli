@@ -6,8 +6,8 @@
     [name]+[labels] returns the same instrument, so modules can declare their
     instruments at initialisation time and tests can re-resolve them by name.
     Naming convention: [subsystem.instrument] (e.g. ["txn.commits"],
-    ["lock.wait_time"]); labels qualify one instrument into a small family
-    (e.g. ["lock.acquisitions"] with [("scope", "page"); ("mode", "write")]).
+    ["txn.commit_latency"]); labels qualify one instrument into a small
+    family (e.g. ["server.requests"] with [("verb", "QUERY")]).
 
     All mutation paths are thread- and domain-safe: counters and gauges are
     single atomics, histogram buckets are atomic adds, and the few compound

@@ -1,5 +1,6 @@
 (* Transaction protocol tests (Figure 8): isolation, atomicity, commutative
-   size deltas, concurrent commits with page splices, deadlock handling. *)
+   size deltas, concurrent commits with page splices, first-committer-wins
+   validation at touch time and at commit. *)
 
 module Dom = Xml.Dom
 module P = Xml.Xml_parser
@@ -42,46 +43,39 @@ let node_pre v path =
   | [ E.Node pre ] -> pre
   | _ -> Alcotest.failf "expected one node for %s" path
 
-(* ----------------------------------------------------------- lock manager -- *)
+(* A barrier for [n] threads: each caller blocks until all have arrived. *)
+let barrier n =
+  let mu = Mutex.create () and cond = Condition.create () and arrived = ref 0 in
+  fun () ->
+    Mutex.lock mu;
+    incr arrived;
+    Condition.broadcast cond;
+    while !arrived < n do
+      Condition.wait cond mu
+    done;
+    Mutex.unlock mu
 
-let test_lock_basics () =
-  let lk = Core.Lock.create ~timeout_s:0.1 () in
-  Core.Lock.acquire_page lk ~owner:1 ~page:0 ~write:false;
-  Core.Lock.acquire_page lk ~owner:2 ~page:0 ~write:false;
-  Alcotest.(check bool) "shared readers" true
-    (Core.Lock.holds lk ~owner:1 ~page:0 = `Read
-    && Core.Lock.holds lk ~owner:2 ~page:0 = `Read);
-  (* writer blocked by two readers -> timeout *)
-  (match Core.Lock.acquire_page lk ~owner:3 ~page:0 ~write:true with
-  | () -> Alcotest.fail "expected deadlock timeout"
-  | exception Core.Lock.Would_deadlock { owner = 3; page = 0 } -> ());
-  Core.Lock.release_all lk ~owner:2;
-  (* sole reader upgrades *)
-  Core.Lock.acquire_page lk ~owner:1 ~page:0 ~write:true;
-  Alcotest.(check bool) "upgraded" true (Core.Lock.holds lk ~owner:1 ~page:0 = `Write);
-  (* re-entrant *)
-  Core.Lock.acquire_page lk ~owner:1 ~page:0 ~write:false;
-  Core.Lock.release_all lk ~owner:1;
-  Alcotest.(check bool) "released" true (Core.Lock.holds lk ~owner:1 ~page:0 = `None)
-
-let test_page_lock_released_unblocks () =
-  let lk = Core.Lock.create ~timeout_s:5.0 () in
-  Core.Lock.acquire_page lk ~owner:1 ~page:7 ~write:true;
-  let acquired = ref false in
-  let waiter =
-    Thread.create
-      (fun () ->
-        Core.Lock.acquire_page lk ~owner:2 ~page:7 ~write:true;
-        acquired := true)
-      ()
+(* Run every body on its own thread; fail on the first exception raised. *)
+let run_threads bodies =
+  let mu = Mutex.create () and errs = ref [] in
+  let guard f () =
+    try f ()
+    with e -> Mutex.protect mu (fun () -> errs := Printexc.to_string e :: !errs)
   in
-  Thread.delay 0.05;
-  Alcotest.(check bool) "still blocked" false !acquired;
-  Core.Lock.release_all lk ~owner:1;
-  Thread.join waiter;
-  Alcotest.(check bool) "unblocked by release" true !acquired;
-  Alcotest.(check (list int)) "waiter holds it" [ 7 ]
-    (Core.Lock.locked_pages lk ~owner:2)
+  List.iter Thread.join (List.map (fun f -> Thread.create (guard f) ()) bodies);
+  match !errs with [] -> () | e :: _ -> Alcotest.failf "thread failed: %s" e
+
+(* One writer thread per (target, fragment), each inserting its fragment as
+   the target's last child; all stage at once (retrying on conflict). *)
+let inserts_together m inserts =
+  let all_staging = barrier (List.length inserts) in
+  run_threads
+    (List.map
+       (fun (target, frag) () ->
+         with_retry m (fun v ->
+             all_staging ();
+             U.insert v (U.Last_child (node_pre v target)) (P.parse_fragment frag)))
+       inserts)
 
 (* -------------------------------------------------------------- isolation -- *)
 
@@ -187,48 +181,9 @@ let test_concurrent_disjoint_writers () =
   let m = site_mgr ~page_bits:2 ~fill:0.75 () in
   let base = Txn.store m in
   let root_size0 = Txn.read m (fun v -> View.size v (View.root_pre v)) in
-  let barrier = Mutex.create () in
-  let started = Condition.create () in
-  let n_started = ref 0 in
-  let wait_both () =
-    Mutex.lock barrier;
-    incr n_started;
-    Condition.broadcast started;
-    while !n_started < 2 do
-      Condition.wait started barrier
-    done;
-    Mutex.unlock barrier
-  in
-  let errors = Mutex.create () and errs = ref [] in
-  let run name f =
-    Thread.create
-      (fun () ->
-        try f ()
-        with e ->
-          Mutex.lock errors;
-          errs := (name, Printexc.to_string e) :: !errs;
-          Mutex.unlock errors)
-      ()
-  in
-  let t1 =
-    run "writer1" (fun () ->
-        with_retry m (fun v ->
-            wait_both ();
-            U.insert v (U.Last_child (node_pre v "/site/people/person[1]"))
-              (P.parse_fragment "<hobby>go</hobby>")))
-  in
-  let t2 =
-    run "writer2" (fun () ->
-        with_retry m (fun v ->
-            wait_both ();
-            U.insert v (U.Last_child (node_pre v "/site/items/item[2]"))
-              (P.parse_fragment "<stock>7</stock>")))
-  in
-  Thread.join t1;
-  Thread.join t2;
-  (match !errs with
-  | [] -> ()
-  | (n, e) :: _ -> Alcotest.failf "%s failed: %s" n e);
+  inserts_together m
+    [ ("/site/people/person[1]", "<hobby>go</hobby>");
+      ("/site/items/item[2]", "<stock>7</stock>") ];
   check_integrity base;
   Txn.read m (fun v ->
       Alcotest.(check int) "root size includes both deltas" (root_size0 + 4)
@@ -245,70 +200,137 @@ let test_concurrent_overflow_splices () =
       (P.parse "<r><a><a1/><a2/><a3/></a><b><b1/><b2/><b3/></b></r>")
   in
   let m = Txn.manager base in
-  let barrier = Mutex.create () and started = Condition.create () and n = ref 0 in
-  let wait_both () =
-    Mutex.lock barrier;
-    incr n;
-    Condition.broadcast started;
-    while !n < 2 do
-      Condition.wait started barrier
-    done;
-    Mutex.unlock barrier
-  in
-  let errs = ref [] in
-  let run name target frag =
-    Thread.create
-      (fun () ->
-        try
-          with_retry m (fun v ->
-              wait_both ();
-              U.insert v (U.Last_child (node_pre v target)) (P.parse_fragment frag))
-        with e -> errs := (name, Printexc.to_string e) :: !errs)
-      ()
-  in
-  let t1 = run "w1" "/r/a/a1" "<x1/><x2/><x3/><x4/><x5/><x6/>" in
-  let t2 = run "w2" "/r/b/b1" "<y1/><y2/><y3/><y4/><y5/><y6/>" in
-  Thread.join t1;
-  Thread.join t2;
-  (match !errs with
-  | [] -> ()
-  | (nm, e) :: _ -> Alcotest.failf "%s failed: %s" nm e);
+  inserts_together m
+    [ ("/r/a/a1", "<x1/><x2/><x3/><x4/><x5/><x6/>");
+      ("/r/b/b1", "<y1/><y2/><y3/><y4/><y5/><y6/>") ];
   check_integrity base;
   Txn.read m (fun v ->
       Alcotest.(check int) "all x present" 6 (List.length (E.parse_eval v "//a1/*"));
       Alcotest.(check int) "all y present" 6 (List.length (E.parse_eval v "//b1/*"));
       Alcotest.(check int) "root size" 20 (View.size v (View.root_pre v)))
 
-let test_conflicting_writers_deadlock_aborts () =
-  (* Re-resolve the live instruments by name (registration is idempotent) so
-     the deadlock below is visible as counter deltas, not just as control
-     flow. *)
-  let c_deadlock = Obs.counter "lock.would_deadlock" in
-  let c_rollback = Obs.counter "txn.rollbacks" in
-  let dl0 = Obs.value c_deadlock and rb0 = Obs.value c_rollback in
-  let base = Up.of_dom ~page_bits:3 ~fill:0.6 Testsupport.small_doc in
-  let m = Txn.manager base in
-  (* lower the lock timeout by rebuilding the manager *)
-  let m = if true then Txn.manager ~lock_timeout_s:0.15 (Txn.store m) else m in
+(* ------------------------------------------------ commit-time validation -- *)
+
+let serialize m = Txn.read m (fun v -> Xml.Xml_serialize.to_string (Ser.to_dom v))
+
+let expect_conflict what commit =
+  match commit () with
+  | () -> Alcotest.failf "%s: expected Aborted" what
+  | exception Txn.Aborted msg ->
+    if not (contains msg "snapshot conflict") then
+      Alcotest.failf "%s: unexpected abort %S" what msg
+
+let insert_note path v =
+  U.insert v (U.Last_child (node_pre v path)) (P.parse_fragment "<note/>")
+
+(* Stage [first] and [second] from one snapshot, commit them in that order:
+   the second committer must lose, and the store must equal the store
+   after [first] alone. *)
+let check_second_loses what first second =
+  let oracle = site_mgr () in
+  Txn.with_write oracle first;
+  let m = site_mgr () in
   let t1 = Txn.begin_write m in
-  let v1 = Txn.view t1 in
-  U.insert v1 (U.Last_child (node_pre v1 "/site/people/person[1]"))
-    (P.parse_fragment "<note/>");
-  (* second writer needs the same page -> must time out *)
+  first (Txn.view t1);
   let t2 = Txn.begin_write m in
-  let v2 = Txn.view t2 in
-  (match
-     U.insert v2 (U.Last_child (node_pre v2 "/site/people/person[2]"))
-       (P.parse_fragment "<note/>")
-   with
-  | () -> Alcotest.fail "expected lock conflict"
-  | exception Core.Lock.Would_deadlock _ -> Txn.abort t2);
+  second (Txn.view t2);
   Txn.commit t1;
-  check_integrity base;
+  expect_conflict what (fun () -> Txn.commit t2);
+  check_integrity (Txn.store m);
+  Alcotest.(check string) (what ^ ": store = winner alone") (serialize oracle)
+    (serialize m)
+
+let test_same_page_second_committer_aborts () =
+  let count name = Obs.value (Obs.counter name) in
+  let cf0 = count "txn.conflicts" and rb0 = count "txn.rollbacks" in
+  (* person[1]'s and person[2]'s insert points share a page (6 used slots
+     per page): the writers never wait on each other, the loser aborts *)
+  check_second_loses "same-page writers"
+    (insert_note "/site/people/person[1]")
+    (insert_note "/site/people/person[2]");
+  Alcotest.(check (pair int int)) "one conflict, one rollback" (cf0 + 1, rb0 + 1)
+    (count "txn.conflicts", count "txn.rollbacks")
+
+let test_delete_vs_insert_under () =
+  let target = "/site/items/item[1]" in
+  let delete v = U.delete v ~pre:(node_pre v target) in
+  let insert_under v =
+    U.insert v (U.Last_child (node_pre v target))
+      (P.parse_fragment "<stock>1</stock>")
+  in
+  check_second_loses "insert under a deleted node" delete insert_under;
+  check_second_loses "delete of a grown node" insert_under delete
+
+(* Rule (b) on its own: a transaction frees a pre-existing node id without
+   rewriting any page (the node-identity half of a delete), and a commit
+   inserts under that node meanwhile. Only the delta stamp on the node's page
+   records the insert, and freeing the id would orphan it. *)
+let test_freed_node_under_newer_delta () =
+  let m = site_mgr () in
+  let path = "/site/items/item[2]" in
+  let item =
+    Txn.read m (fun v -> Up.node_at (Txn.store m) ~pre:(node_pre v path))
+  in
+  let t = Txn.begin_write m in
+  View.free_node_id (Txn.view t) item;
+  Txn.with_write m (insert_note path);
+  let after_insert = serialize m in
+  expect_conflict "free after insert under the node" (fun () -> Txn.commit t);
+  check_integrity (Txn.store m);
+  Alcotest.(check string) "store unchanged by the loser" after_insert (serialize m)
+
+(* Two writers set the same attribute from one snapshot. Neither rewrites a
+   cell, so only the bulk stamp the first commit leaves on the owner's page
+   tells the second that the attribute rows it read are stale; committing
+   both would serialise a duplicate attribute. *)
+let test_attribute_race () =
+  let m = site_mgr () in
+  let stage value =
+    let t = Txn.begin_write m in
+    let v = Txn.view t in
+    U.set_attribute v ~pre:(node_pre v "/site/people/person[2]")
+      (Xml.Qname.make "flag") value;
+    t
+  in
+  let t1 = stage "one" in
+  let t2 = stage "two" in
+  Txn.commit t1;
+  expect_conflict "second set_attribute" (fun () -> Txn.commit t2);
+  check_integrity (Txn.store m);
   Txn.read m (fun v ->
-      Alcotest.(check int) "only t1's insert" 1 (List.length (E.parse_eval v "//note")));
-  Alcotest.(check int) "lock.would_deadlock ticked" (dl0 + 1) (Obs.value c_deadlock);
-  Alcotest.(check int) "aborted txn counted" (rb0 + 1) (Obs.value c_rollback)
+      Alcotest.(check (list string)) "one flag, the winner's" [ "one" ]
+        (List.map (E.item_string v)
+           (E.parse_eval v "/site/people/person[2]/@flag")))
+
+(* A vacuum relocates every tuple: a transaction staged before it must not
+   commit its stale positions, whether the vacuum grew the store (fill 0.3)
+   or shrank it (fill 1.0). *)
+let check_vacuum_aborts m stage fill =
+  let t = Txn.begin_write m in
+  stage (Txn.view t);
+  let before = serialize m in
+  Txn.vacuum ~fill m;
+  expect_conflict "commit across a vacuum" (fun () -> Txn.commit t);
+  check_integrity (Txn.store m);
+  Alcotest.(check string) "store unchanged" before (serialize m)
+
+let test_vacuum_before_commit fill () =
+  check_vacuum_aborts (site_mgr ()) (insert_note "/site/people") fill
+
+(* Rule (c) on its own: the transaction renames the last element, found
+   through its node id, so it touches only the last page; the shrinking
+   vacuum drops that page, and no page stamp can report the relocation. *)
+let test_vacuum_drops_touched_page () =
+  let m = site_mgr ~fill:0.5 () in
+  let last = "/site/items/item[2]/price" in
+  let node =
+    Txn.read m (fun v -> Up.node_at (Txn.store m) ~pre:(node_pre v last))
+  in
+  let rename v =
+    let pre = View.pre_of_pos v (View.node_pos_get v node) in
+    U.rename_element v ~pre (Xml.Qname.make "cost")
+  in
+  check_vacuum_aborts m rename 1.0
 
 let test_snapshot_conflict_detected () =
   (* First-committer-wins: T1 snapshots, T2 commits a change affecting a page
@@ -324,8 +346,8 @@ let test_snapshot_conflict_detected () =
   let t1 = Txn.begin_write m in
   let v1 = Txn.view t1 in
   Alcotest.(check int) "t1 reads page 0" 2 (View.level v1 c1);
-  (* T2 inserts under b (write-locks b's page only) and commits: the root
-     size delta stamps page 0 without ever locking it *)
+  (* T2 inserts under b (rewriting b's page only) and commits: the root
+     size delta stamps page 0 without T2 ever touching it *)
   Txn.with_write m (fun v ->
       U.insert v (U.Last_child (node_pre v "/root/b")) (P.parse_fragment "<q3/>"));
   (* T1 touches page 0 again: its snapshot is stale *)
@@ -340,6 +362,101 @@ let test_snapshot_conflict_detected () =
   Txn.read m (fun v ->
       Alcotest.(check int) "final root size" 12 (View.size v (View.root_pre v)))
 
+(* ------------------------------------------ two scripts, one snapshot -- *)
+
+(* Base pages whose cells a staged transaction rewrites. *)
+let pages_written t =
+  match View.staged_state (Txn.view t) with
+  | None -> []
+  | Some st ->
+    let p = View.page_size (Txn.view t) in
+    Hashtbl.fold (fun key _ acc -> ((key lsr 3) / p) :: acc) st.View.cells []
+
+let rec duplicate_attr (e : Dom.element) =
+  let names = List.map (fun (q, _) -> Xml.Qname.to_string q) e.attrs in
+  List.length (List.sort_uniq compare names) <> List.length names
+  || List.exists
+       (function Dom.Element c -> duplicate_attr c | _ -> false)
+       e.children
+
+(* Re-anchor a generated script's targets under [//], so that most commands
+   select something and the two scripts' write sets often meet. *)
+let anywhere_cmd : Core.Xupdate.command -> Core.Xupdate.command =
+  let open Xpath.Xpath_ast in
+  let anywhere p =
+    let any = { axis = Descendant_or_self; test = Kind_node; preds = [] } in
+    { absolute = true; steps = any :: p.steps }
+  in
+  function
+  | Remove p -> Remove (anywhere p)
+  | Insert_before (p, c) -> Insert_before (anywhere p, c)
+  | Insert_after (p, c) -> Insert_after (anywhere p, c)
+  | Append (p, k, c) -> Append (anywhere p, k, c)
+  | Update (p, s) -> Update (anywhere p, s)
+  | Rename (p, q) -> Rename (anywhere p, q)
+
+let stage m cmds =
+  let t = Txn.begin_write m in
+  match Core.Xupdate.apply (Txn.view t) cmds with
+  | _ -> Some t
+  | exception (Core.Xupdate.Apply_error _ | U.Update_error _) ->
+    Txn.abort t;
+    None
+
+(* Two random scripts staged from one snapshot, committed in order. The
+   store stays consistent and never holds a duplicate attribute; when both
+   scripts rewrote a common page, the second committer loses and the store
+   is exactly the DOM oracle's result of the first script alone. *)
+let check_two_scripts (page_bits, d, cmds1, cmds2) =
+  let m = Txn.manager (Up.of_dom ~page_bits ~fill:0.7 d) in
+  let t1 = stage m cmds1 in
+  let t2 = stage m cmds2 in
+  let shared =
+    match t1, t2 with
+    | Some a, Some b ->
+      let written_b = pages_written b in
+      List.exists (fun page -> List.mem page written_b) (pages_written a)
+    | _ -> false
+  in
+  Option.iter Txn.commit t1;
+  let second_aborted =
+    match Option.map Txn.commit t2 with
+    | _ -> false
+    | exception Txn.Aborted _ -> true
+  in
+  let got = Txn.read m Ser.to_dom in
+  (match Up.check_integrity (Txn.store m) with
+  | Ok () -> ()
+  | Error msg -> QCheck2.Test.fail_reportf "integrity: %s" msg);
+  if duplicate_attr got.Dom.root then
+    QCheck2.Test.fail_reportf "duplicate attribute: %s"
+      (Xml.Xml_serialize.to_string got);
+  if shared then begin
+    if not second_aborted then
+      QCheck2.Test.fail_reportf "both scripts rewrote a page, yet both committed";
+    let expected = fst (Testsupport.Oracle.apply d cmds1) in
+    if not (Dom.equal (Dom.normalize got) (Dom.normalize expected)) then
+      QCheck2.Test.fail_reportf
+        "store is not the first script alone\nstore:  %s\noracle: %s"
+        (Xml.Xml_serialize.to_string got)
+        (Xml.Xml_serialize.to_string expected)
+  end;
+  true
+
+let prop_two_scripts =
+  let open Testsupport.Gen in
+  QCheck2.Test.make ~name:"two scripts, one snapshot"
+    ~count:500
+    ~print:(fun (page_bits, d, c1, c2) ->
+      let show cmds = String.concat " ; " (List.map show_command cmds) in
+      Printf.sprintf "page_bits: %d\nfirst: %s\nsecond: %s\ndoc: %s" page_bits
+        (show c1) (show c2) (print_doc d))
+    (* small pages let disjoint scripts commit; large ones make most pairs
+       share a page *)
+    (let gen_script = QCheck2.Gen.map (List.map anywhere_cmd) gen_cmds in
+     QCheck2.Gen.(quad (int_range 2 5) gen_doc gen_script gen_script))
+    check_two_scripts
+
 (* --------------------------------------------------------- mixed stress -- *)
 
 let test_stress_concurrent_writers_and_readers () =
@@ -349,39 +466,24 @@ let test_stress_concurrent_writers_and_readers () =
   let children = List.init 4 (fun i -> Dom.element (Printf.sprintf "zone%d" i)) in
   let d = Dom.doc { Dom.name = Xml.Qname.make "r"; attrs = []; children } in
   let base = Up.of_dom ~page_bits:4 ~fill:0.5 d in
-  let m = Txn.manager ~lock_timeout_s:5.0 base in
-  let errs = ref [] in
-  let writer zone =
-    Thread.create
-      (fun () ->
-        try
-          for i = 1 to 10 do
-            with_retry m (fun v ->
-                let z = node_pre v (Printf.sprintf "/r/zone%d" zone) in
-                U.insert v (U.Last_child z)
-                  (P.parse_fragment (Printf.sprintf "<entry n='%d'/>" i)))
-          done
-        with e -> errs := Printexc.to_string e :: !errs)
-      ()
+  let m = Txn.manager base in
+  let writer zone () =
+    for i = 1 to 10 do
+      with_retry m (fun v ->
+          let z = node_pre v (Printf.sprintf "/r/zone%d" zone) in
+          U.insert v (U.Last_child z)
+            (P.parse_fragment (Printf.sprintf "<entry n='%d'/>" i)))
+    done
   in
   let reader () =
-    Thread.create
-      (fun () ->
-        try
-          for _ = 1 to 20 do
-            Txn.read m (fun v ->
-                (* document always well-formed from a reader's seat *)
-                let total = E.count v (Xpath.Xpath_parser.parse "//entry") in
-                if total < 0 then failwith "impossible")
-          done
-        with e -> errs := Printexc.to_string e :: !errs)
-      ()
+    for _ = 1 to 20 do
+      Txn.read m (fun v ->
+          (* document always well-formed from a reader's seat *)
+          let total = E.count v (Xpath.Xpath_parser.parse "//entry") in
+          if total < 0 then failwith "impossible")
+    done
   in
-  let ws = List.init 4 writer in
-  let rs = List.init 2 (fun _ -> reader ()) in
-  List.iter Thread.join ws;
-  List.iter Thread.join rs;
-  (match !errs with [] -> () | e :: _ -> Alcotest.failf "thread failed: %s" e);
+  run_threads (List.init 4 writer @ [ reader; reader ]);
   check_integrity base;
   Txn.read m (fun v ->
       Alcotest.(check int) "all 40 entries" 40
@@ -389,11 +491,7 @@ let test_stress_concurrent_writers_and_readers () =
 
 let () =
   Alcotest.run "txn"
-    [ ( "locks",
-        [ Alcotest.test_case "page lock basics" `Quick test_lock_basics;
-          Alcotest.test_case "release unblocks waiter" `Quick
-            test_page_lock_released_unblocks ] );
-      ( "acid",
+    [ ( "acid",
         [ Alcotest.test_case "uncommitted invisible" `Quick test_isolation_uncommitted_invisible;
           Alcotest.test_case "abort rolls back" `Quick test_abort_leaves_base_untouched;
           Alcotest.test_case "double commit guarded" `Quick test_commit_twice_and_use_after;
@@ -405,9 +503,22 @@ let () =
             test_concurrent_disjoint_writers;
           Alcotest.test_case "concurrent page splices renumber" `Quick
             test_concurrent_overflow_splices;
-          Alcotest.test_case "same-page conflict times out" `Quick
-            test_conflicting_writers_deadlock_aborts;
+          Alcotest.test_case "same-page writers: second aborts" `Quick
+            test_same_page_second_committer_aborts;
           Alcotest.test_case "snapshot conflict detected" `Quick
             test_snapshot_conflict_detected;
           Alcotest.test_case "stress: 4 writers + readers" `Quick
-            test_stress_concurrent_writers_and_readers ] ) ]
+            test_stress_concurrent_writers_and_readers;
+          Alcotest.test_case "delete vs insert-under" `Quick
+            test_delete_vs_insert_under;
+          Alcotest.test_case "freed node under newer delta" `Quick
+            test_freed_node_under_newer_delta;
+          Alcotest.test_case "same attribute, one snapshot" `Quick
+            test_attribute_race;
+          Alcotest.test_case "vacuum before commit (growing)" `Quick
+            (test_vacuum_before_commit 0.3);
+          Alcotest.test_case "vacuum before commit (shrinking)" `Quick
+            (test_vacuum_before_commit 1.0);
+          Alcotest.test_case "vacuum drops the touched page" `Quick
+            test_vacuum_drops_touched_page;
+          Testsupport.qcheck_case prop_two_scripts ] ) ]
