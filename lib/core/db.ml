@@ -74,7 +74,6 @@ let capture f =
   | exception Update.Update_error msg -> Error (Error.Apply msg)
   | exception Txn.Aborted msg -> Error (Error.Aborted msg)
   | exception Column.Persist.Dec.Corrupt msg -> Error (Error.Corrupt msg)
-  | exception Failure msg -> Error (Error.Corrupt msg)
   | exception Sys_error msg -> Error (Error.Io msg)
 
 (* ----------------------------------------------------------- query cache -- *)
@@ -262,7 +261,8 @@ let open_recovered ?wal_path ?schema ?cache ~checkpoint () =
       (fun () ->
         match Column.Persist.read_frame ic with
         | Some p -> p
-        | None -> failwith ("corrupt checkpoint: " ^ checkpoint))
+        | None ->
+          raise (Column.Persist.Dec.Corrupt ("no intact frame in " ^ checkpoint)))
   in
   let dec = Column.Persist.Dec.of_string payload in
   let corrupt fmt =

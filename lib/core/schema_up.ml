@@ -109,45 +109,64 @@ let column t = function
   | Cname -> t.name
   | Cnode -> t.node
 
+let cols = [| Csize; Clevel; Ckind; Cname; Cnode |]
+
+let col_index = function
+  | Csize -> 0
+  | Clevel -> 1
+  | Ckind -> 2
+  | Cname -> 3
+  | Cnode -> 4
+
+let col_of_index i = cols.(i)
+
 let get_cell t c pos = Varray.get (column t c) pos
 
 let column_data t c = Varray.unsafe_data (column t c)
 
 let set_cell t c pos v = Varray.set (column t c) pos v
 
-(* Fresh pages come up all-unused: level NULL, free runs covering the page. *)
-let blank_page t phys =
-  let p = page_size t in
-  let base = phys * p in
-  Varray.ensure_length t.size (base + p) 0;
-  Varray.ensure_length t.level (base + p) 0;
-  Varray.ensure_length t.kind (base + p) 0;
-  Varray.ensure_length t.name (base + p) 0;
-  Varray.ensure_length t.node (base + p) 0;
-  for off = 0 to p - 1 do
-    Varray.set t.level (base + off) Varray.null;
-    Varray.set t.size (base + off) (p - 1 - off);
-    Varray.set t.kind (base + off) (Kind.to_int Kind.Text);
-    Varray.set t.name (base + off) 0;
-    Varray.set t.node (base + off) Varray.null
-  done
-
-let grow_pages t ~count =
-  let fresh = List.init count (fun _ -> Pagemap.append_page t.map) in
-  List.iter (blank_page t) fresh;
-  fresh
-
-let recompute_free_runs t ~phys_page =
-  let p = page_size t in
-  let base = phys_page * p in
+(* Free-run lengths of the page at [base] of [level]/[size]: an unused slot's
+   size counts the unused slots directly following it within the page. *)
+let free_runs ~level ~size ~base p =
   let following = ref 0 in
   for off = p - 1 downto 0 do
-    if Varray.get t.level (base + off) = Varray.null then begin
-      Varray.set t.size (base + off) !following;
+    if level.(base + off) = Varray.null then begin
+      size.(base + off) <- !following;
       incr following
     end
     else following := 0
   done
+
+let recompute_free_runs page =
+  free_runs ~level:page.(col_index Clevel) ~size:page.(col_index Csize) ~base:0
+    (Array.length page.(0))
+
+let recompute_page_runs t phys =
+  let p = page_size t in
+  free_runs ~level:(column_data t Clevel) ~size:(column_data t Csize)
+    ~base:(phys * p) p
+
+(* Fresh pages come up all-unused: level NULL, free runs covering the page. *)
+let blank_page p =
+  let page =
+    Array.map (Array.make p)
+      [| 0; Varray.null; Kind.to_int Kind.Text; 0; Varray.null |]
+  in
+  recompute_free_runs page;
+  page
+
+let grow_pages t ~count =
+  let p = page_size t in
+  let blank = blank_page p in
+  List.init count (fun _ ->
+      let phys = Pagemap.append_page t.map in
+      Array.iteri
+        (fun ci c ->
+          Varray.ensure_length (column t c) ((phys + 1) * p) 0;
+          Array.blit blank.(ci) 0 (column_data t c) (phys * p) p)
+        cols;
+      phys)
 
 type stamp = Bulk | Delta
 
@@ -171,16 +190,11 @@ let used_in_page t ~phys_page =
   done;
   !used
 
-(* MVCC pre-image: copy one physical page of all five columns, in [col]
-   declaration order (size, level, kind, name, node). Commits call this for
-   every page they are about to overwrite, so a pinned snapshot can keep
-   serving the page's old content after the base store has moved on. *)
+(* MVCC pre-image and staging copy: one physical page of all five columns,
+   in [col] declaration order (size, level, kind, name, node). *)
 let capture_page t phys =
   let p = page_size t in
-  let base = phys * p in
-  Array.map
-    (fun col -> Array.init p (fun off -> Varray.get col (base + off)))
-    [| t.size; t.level; t.kind; t.name; t.node |]
+  Array.map (fun c -> Array.sub (column_data t c) (phys * p) p) cols
 
 (* Append-only high-water marks recorded in version descriptors: a snapshot
    pinned at commit [k] may only see node ids / attribute rows / pool entries
@@ -428,8 +442,7 @@ let of_dom ?(page_bits = default_page_bits) ?(fill = 0.8) d =
   let items = Shred.sequence d in
   let n = Array.length items in
   let pages = (n + used_per_page - 1) / used_per_page in
-  let fresh = grow_pages t ~count:(max pages 1) in
-  List.iter (fun _ -> ()) fresh;
+  ignore (grow_pages t ~count:(max pages 1));
   (* Node ids are identical to pos at shredding time (paper §3.1); slack
      slots register their ids as recyclable. *)
   Varray.ensure_length t.node_pos (capacity t) Varray.null;
@@ -465,7 +478,7 @@ let of_dom ?(page_bits = default_page_bits) ?(fill = 0.8) d =
         Varray.set t.kind pos (Kind.to_int Kind.Pi);
         Varray.set t.name pos (push_pi t ~target ~data)))
     items;
-  Hashtbl.iter (fun page () -> recompute_free_runs t ~phys_page:page) touched;
+  Hashtbl.iter (fun page () -> recompute_page_runs t page) touched;
   (* Slack node ids (pos slots left unused) are recyclable from the start. *)
   for pos = capacity t - 1 downto 0 do
     if Varray.get t.level pos = Varray.null then
@@ -510,9 +523,7 @@ let compact ?(fill = 0.8) t =
   List.iter (fun c -> Varray.truncate c 0) cols;
   Varray.truncate t.bulk_stamps 0;
   Varray.truncate t.delta_stamps 0;
-  for _ = 1 to pages do
-    blank_page t (Pagemap.append_page t.map)
-  done;
+  ignore (grow_pages t ~count:pages);
   for j = 0 to live - 1 do
     let page = j / used_per_page in
     let off = j mod used_per_page in
@@ -525,7 +536,7 @@ let compact ?(fill = 0.8) t =
     Varray.set t.node_pos onode.(j) pos
   done;
   for page = 0 to pages - 1 do
-    recompute_free_runs t ~phys_page:page
+    recompute_page_runs t page
   done;
   (* Re-pool every node id that no longer maps to a live slot. *)
   let live_ids = Hashtbl.create live in

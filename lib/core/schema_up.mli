@@ -25,6 +25,13 @@ type t
 type col = Csize | Clevel | Ckind | Cname | Cnode
 (** The five materialised columns of the node table. *)
 
+val col_index : col -> int
+(** A column's index in page images ({!capture_page}, {!blank_page}) and in
+    WAL cell triples: its position in {!col}'s declaration order. *)
+
+val col_of_index : int -> col
+(** Inverse of {!col_index}; [Invalid_argument] outside [0 .. 4]. *)
+
 val default_page_bits : int
 (** 12 — 4096 tuples per logical page (the paper uses the 64 KiB VM-mapping
     granularity; tests shrink it to stress overflow paths). *)
@@ -103,11 +110,20 @@ val stamp_page : t -> stamp -> int -> int -> unit
     the commit critical section, {e before} the page's data changes. *)
 
 val capture_page : t -> int -> int array array
-(** [capture_page t phys] copies one physical page of all five columns, in
-    {!col} declaration order ([size; level; kind; name; node]), each of
-    length [page_size]. The commit path calls this for every page it is
-    about to overwrite so pinned MVCC snapshots can keep reading the
-    pre-image (see {!Version}). *)
+(** [capture_page t phys] copies one physical page of all five columns — a
+    {e page image}, columns indexed by {!col_index}, each of length
+    [page_size]. A staged transaction takes this copy on its first write to
+    a base page; a commit takes it for every page it is about to overwrite,
+    so pinned MVCC snapshots can keep reading the pre-image (see
+    {!Version}). *)
+
+val blank_page : int -> int array array
+(** [blank_page page_size]: the image of a fresh page — every slot unused,
+    free runs covering the page. *)
+
+val recompute_free_runs : int array array -> unit
+(** Rewrite the free-run lengths (the [size] of unused slots) of a page
+    image from its [level] column. *)
 
 val pool_hwms : t -> int array
 (** Append-only high-water marks

@@ -140,14 +140,6 @@ let abort t =
     (* The base was never written; just return allocated node ids. *)
     List.iter (Schema_up.free_node_id t.m.base) st.View.fresh_nodes)
 
-let col_of_int = function
-  | 0 -> Schema_up.Csize
-  | 1 -> Schema_up.Clevel
-  | 2 -> Schema_up.Ckind
-  | 3 -> Schema_up.Cname
-  | 4 -> Schema_up.Cnode
-  | n -> invalid_arg (Printf.sprintf "Txn: bad column index %d" n)
-
 (* Redo one commit record onto the base store — used both by live commits
    (under the commit mutex) and by recovery. [lsn] orders page stamps by
    commit (txn ids are begin-ordered, which is not the same thing). *)
@@ -176,12 +168,12 @@ let apply_wal_record ?lsn b (r : Wal.record) =
       let base_pos = phys * p in
       Array.iteri
         (fun ci col ->
-          let c = col_of_int ci in
+          let c = Schema_up.col_of_index ci in
           Array.iteri (fun off v -> Schema_up.set_cell b c (base_pos + off) v) col)
         arrays)
     fresh r.Wal.pages;
   List.iter
-    (fun (pos, ci, v) -> Schema_up.set_cell b (col_of_int ci) pos v)
+    (fun (pos, ci, v) -> Schema_up.set_cell b (Schema_up.col_of_index ci) pos v)
     r.Wal.cells;
   (* Failpoint: half the commit is applied (pools, fresh pages, cell
      writes) but the pageOffset/node-pos/attribute tables are still old —
@@ -242,21 +234,12 @@ let build_record t (st : View.staged) =
   let renum_pos pos = if pos >= st.View.base_npages * p then pos + (shift * p) else pos in
   (* Ancestor sizes are updated as commutative deltas that touch no page, and
      commit-time validation ignores newer delta stamps on touched pages, so
-     a size value this transaction copied while moving a tuple within its
-     pages may be stale: a concurrent commit's delta can have landed on the
-     base since. A committed size cell of a pre-existing live node must
+     a size value in a private page may be stale — copied before a
+     concurrent commit's delta landed on the base, or carried along while
+     moving a tuple. A committed size cell of a pre-existing live node must
      therefore be the node's CURRENT base size — our own change to it
      travels separately in [size_deltas]. Free-run lengths (unused slots)
      and brand-new nodes keep their staged values. *)
-  let read_staged col pos =
-    match Hashtbl.find_opt st.View.cells ((pos * 8) lor View.col_index col) with
-    | Some v -> v
-    | None ->
-      if pos < st.View.base_npages * p then Schema_up.get_cell b col pos
-      else
-        let page = (pos / p) - st.View.base_npages in
-        st.View.sp.(page).(View.col_index col).(pos mod p)
-  in
   let current_size_of_node ~staged_level ~staged_node ~staged_size =
     if staged_level = Column.Varray.null then staged_size (* free-run length *)
     else if staged_node < 0 || staged_node >= Schema_up.node_ids b then staged_size
@@ -264,6 +247,21 @@ let build_record t (st : View.staged) =
       let base_pos = Schema_up.node_pos_get b staged_node in
       if base_pos = Column.Varray.null then staged_size (* new node *)
       else Schema_up.get_cell b Schema_up.Csize base_pos
+  in
+  let size_i = Schema_up.col_index Schema_up.Csize in
+  let committed page =
+    let level = page.(Schema_up.col_index Schema_up.Clevel)
+    and node = page.(Schema_up.col_index Schema_up.Cnode) in
+    Array.mapi
+      (fun ci col ->
+        if ci <> size_i then col
+        else
+          Array.mapi
+            (fun off staged_size ->
+              current_size_of_node ~staged_level:level.(off)
+                ~staged_node:node.(off) ~staged_size)
+            col)
+      page
   in
   (* Final logical page order: replay our splices onto the current order. *)
   let order = ref (Array.to_list (Pagemap.to_array (Schema_up.pagemap b))) in
@@ -280,36 +278,30 @@ let build_record t (st : View.staged) =
       in
       order := insert_after !order)
     (List.rev st.View.splices);
+  (* Appended pages travel whole; a copied base page only as the cells that
+     differ from the current base. *)
+  let pages =
+    List.init st.View.fresh_pages (fun i ->
+        committed (Hashtbl.find st.View.pages (st.View.base_npages + i)))
+  in
   let cells =
     Hashtbl.fold
-      (fun key v acc ->
-        let pos = key lsr 3 and col = key land 7 in
-        let v =
-          if col = View.col_index Schema_up.Csize then
-            current_size_of_node
-              ~staged_level:(read_staged Schema_up.Clevel pos)
-              ~staged_node:(read_staged Schema_up.Cnode pos)
-              ~staged_size:v
-          else v
-        in
-        (pos, col, v) :: acc)
-      st.View.cells []
-  in
-  let pages =
-    List.init st.View.sp_len (fun i ->
-        let page = st.View.sp.(i) in
-        let size_col = Array.copy page.(View.col_index Schema_up.Csize) in
-        Array.iteri
-          (fun off v ->
-            size_col.(off) <-
-              current_size_of_node
-                ~staged_level:page.(View.col_index Schema_up.Clevel).(off)
-                ~staged_node:page.(View.col_index Schema_up.Cnode).(off)
-                ~staged_size:v)
-          size_col;
-        Array.mapi
-          (fun ci col -> if ci = View.col_index Schema_up.Csize then size_col else col)
-          page)
+      (fun phys page acc ->
+        if phys >= st.View.base_npages then acc
+        else
+          let page = committed page in
+          let acc = ref acc in
+          Array.iteri
+            (fun ci col ->
+              let cur = Schema_up.column_data b (Schema_up.col_of_index ci) in
+              Array.iteri
+                (fun off v ->
+                  let pos = (phys * p) + off in
+                  if v <> cur.(pos) then acc := (pos, ci, v) :: !acc)
+                col)
+            page;
+          !acc)
+      st.View.pages []
   in
   let node_pos =
     Hashtbl.fold

@@ -6,8 +6,9 @@
       evaluates against that immutable snapshot — {e no} lock is held
       during evaluation, so long scans never delay commits and commit
       bursts never starve readers.
-    - A write transaction stages everything in a {!View.t} (copy-on-write
-      differential lists, privately staged pages, a private pageOffset) and
+    - A write transaction stages everything in a {!View.t} (private
+      copy-on-write copies of the pages it changes, privately appended
+      pages, a private pageOffset) and
       takes {e no} lock: it records the base pages it touches and raises
       {!Conflict} as soon as one carries a commit stamp newer than its
       snapshot. Ancestor size changes travel as commutative deltas and touch
@@ -15,8 +16,9 @@
     - Commit: optional validation, then the lane's commit mutex, under which
       the touched pages are validated again ({!commit_group}), one WAL
       frame, a short seqlock critical section that captures pre-images for
-      pinned snapshots and carries the differential lists through to the
-      base, install the new pageOffset table and version descriptor.
+      pinned snapshots and applies the cells in which each copied page
+      differs from the base, install the new pageOffset table and version
+      descriptor.
     - Abort: drop the staged view, return fresh node ids to the allocator;
       the base was never touched.
 

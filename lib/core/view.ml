@@ -8,9 +8,8 @@ type splice = { anchor : anchor; pages : int list }
 
 type staged = {
   base_npages : int;
-  cells : (int, int) Hashtbl.t;
-  mutable sp : int array array array;
-  mutable sp_len : int;
+  pages : (int, int array array) Hashtbl.t;
+  mutable fresh_pages : int;
   mutable pmap : Pagemap.t;
   mutable splices : splice list;
   node_pos_w : (int, int) Hashtbl.t;
@@ -23,6 +22,8 @@ type staged = {
   mutable freed_nodes : int list;
   mutable live_delta : int;
   touch : int -> unit;
+  seq : int Atomic.t;
+  base_attr_len : int;
 }
 
 (* A pinned MVCC snapshot, with what its reads need cached once per pin:
@@ -41,13 +42,9 @@ type snap = {
   node_a : int array;
 }
 
-type t = {
-  b : Schema_up.t;
-  st : staged option;
-  snap : snap option; (* pinned MVCC snapshot (read-only) *)
-  seq : int Atomic.t option; (* seqlock guarding base reads against commits *)
-  base_attr_len : int; (* attr-table snapshot boundary for staged reads *)
-}
+type flavour = Direct | Snapshot of snap | Staged of staged
+
+type t = { b : Schema_up.t; fl : flavour }
 
 let m_overtaken =
   Obs.counter
@@ -56,7 +53,7 @@ let m_overtaken =
        version chain)"
     "mvcc.overtaken_reads"
 
-let direct b = { b; st = None; snap = None; seq = None; base_attr_len = 0 }
+let direct b = { b; fl = Direct }
 
 let snapshot vs =
   let b = Version.base vs in
@@ -72,27 +69,25 @@ let snapshot vs =
       name_a = col Cname;
       node_a = col Cnode }
   in
-  { b; st = None; snap = Some s; seq = None; base_attr_len = 0 }
+  { b; fl = Snapshot s }
 
 (* Base reads of staged views must not observe a commit's half-applied
-   state; [stable] retries them through the store seqlock. Direct views skip
-   it — they read a quiescent base. *)
-let stable v f =
-  match v.seq with Some sq -> Version.stable_seq sq f | None -> f ()
+   state; [stable] retries them through the store seqlock. *)
+let stable st f = Version.stable_seq st.seq f
 
 (* The one write path: every mutation lands in a transaction's staged
    state. Direct and snapshot views are read-only. *)
 let staged_exn v what =
-  match v.st with
-  | Some st -> st
-  | None -> invalid_arg ("View." ^ what ^ ": only staged views are writable")
+  match v.fl with
+  | Staged st -> st
+  | Direct | Snapshot _ ->
+    invalid_arg ("View." ^ what ^ ": only staged views are writable")
 
-let staged ?(touch = ignore) ?seq b =
+let staged ?(touch = ignore) ?(seq = Atomic.make 0) b =
   let st =
     { base_npages = Schema_up.npages b;
-      cells = Hashtbl.create 64;
-      sp = [||];
-      sp_len = 0;
+      pages = Hashtbl.create 16;
+      fresh_pages = 0;
       pmap = Pagemap.copy (Schema_up.pagemap b);
       splices = [];
       node_pos_w = Hashtbl.create 16;
@@ -104,17 +99,22 @@ let staged ?(touch = ignore) ?seq b =
       fresh_nodes = [];
       freed_nodes = [];
       live_delta = 0;
-      touch }
+      touch;
+      seq;
+      (* The attr table length is snapshotted so pseudo row ids for staged
+         adds never clash with rows appended by transactions that commit
+         later. *)
+      base_attr_len = Schema_up.attr_table_len b }
   in
-  (* The attr table length is snapshotted so pseudo row ids for staged adds
-     never clash with rows appended by transactions that commit later. *)
-  { b; st = Some st; snap = None; seq; base_attr_len = Schema_up.attr_table_len b }
+  { b; fl = Staged st }
 
 let base v = v.b
 
-let staged_state v = v.st
+let staged_state v =
+  match v.fl with Staged st -> Some st | Direct | Snapshot _ -> None
 
-let snapshot_version v = Option.map (fun s -> s.vs) v.snap
+let snapshot_version v =
+  match v.fl with Snapshot s -> Some s.vs | Direct | Staged _ -> None
 
 (* ------------------------------------------------------------- geometry -- *)
 
@@ -123,21 +123,12 @@ let page_bits v = Schema_up.page_bits v.b
 let page_size v = Schema_up.page_size v.b
 
 let npages v =
-  match v.snap, v.st with
-  | Some s, _ -> Version.npages s.vs
-  | None, None -> Schema_up.npages v.b
-  | None, Some st -> st.base_npages + st.sp_len
+  match v.fl with
+  | Snapshot s -> Version.npages s.vs
+  | Direct -> Schema_up.npages v.b
+  | Staged st -> st.base_npages + st.fresh_pages
 
 let capacity v = npages v lsl page_bits v
-
-let col_int : Schema_up.col -> int = function
-  | Csize -> 0
-  | Clevel -> 1
-  | Ckind -> 2
-  | Cname -> 3
-  | Cnode -> 4
-
-let col_index = col_int
 
 (* ----------------------------------------------------------- cell access -- *)
 
@@ -157,7 +148,7 @@ let overtaken_cell v s col pos =
   Obs.inc m_overtaken;
   Version.stable s.vs (fun () ->
       match Version.find_page s.vs (pos lsr s.bits) with
-      | Some arrays -> arrays.(col_int col).(pos land s.mask)
+      | Some arrays -> arrays.(Schema_up.col_index col).(pos land s.mask)
       | None -> Schema_up.get_cell v.b col pos)
 
 (* The fast path: while no commit has begun since the pinned version was
@@ -168,64 +159,63 @@ let[@inline] snap_cell v s a col pos =
   let x = a.(pos) in
   if Version.is_current s.vs then x else overtaken_cell v s col pos
 
+(* Staged pages missing from [st.pages] are base pages, unchanged by the
+   transaction; only pages that existed when the view began qualify. *)
+let check_base st phys what =
+  if phys >= st.base_npages then
+    invalid_arg (Printf.sprintf "View.%s: page %d beyond staged pages" what phys)
+
 let read_cell v col pos =
-  match v.snap, v.st with
-  | Some s, _ -> snap_cell v s (snap_col s col) col pos
-  | None, None -> Schema_up.get_cell v.b col pos
-  | None, Some st ->
-    let p = page_size v in
-    let base_cap = st.base_npages * p in
-    if pos >= base_cap then begin
-      let page = (pos / p) - st.base_npages in
-      if page >= st.sp_len then
-        invalid_arg (Printf.sprintf "View.read_cell: pos %d beyond staged pages" pos);
-      st.sp.(page).(col_int col).(pos mod p)
-    end
-    else
+  match v.fl with
+  | Snapshot s -> snap_cell v s (snap_col s col) col pos
+  | Direct -> Schema_up.get_cell v.b col pos
+  | Staged st -> (
+    let phys = pos lsr page_bits v in
+    match Hashtbl.find_opt st.pages phys with
+    | Some page -> page.(Schema_up.col_index col).(pos land (page_size v - 1))
+    | None ->
+      check_base st phys "read_cell";
       (* Stamp check and base read must land in the same seqlock window, or
          a racing commit could slip new data under the old stamp. *)
-      stable v (fun () ->
-          st.touch (pos / p);
-          match Hashtbl.find_opt st.cells ((pos * 8) lor col_int col) with
-          | Some x -> x
-          | None -> Schema_up.get_cell v.b col pos)
+      stable st (fun () ->
+          st.touch phys;
+          Schema_up.get_cell v.b col pos))
 
+(* Copy-on-write: the first write that changes a base page copies the page,
+   in the seqlock window of its stamp check; every later read and write of
+   the page uses the copy. *)
 let write_cell v col pos x =
   let st = staged_exn v "write_cell" in
-  let p = page_size v in
-  let base_cap = st.base_npages * p in
-  if pos >= base_cap then begin
-    let page = (pos / p) - st.base_npages in
-    if page >= st.sp_len then
-      invalid_arg (Printf.sprintf "View.write_cell: pos %d beyond staged pages" pos);
-    st.sp.(page).(col_int col).(pos mod p) <- x
-  end
-  else begin
-    st.touch (pos / p);
-    Hashtbl.replace st.cells ((pos * 8) lor col_int col) x
-  end
+  let phys = pos lsr page_bits v in
+  let write page = page.(Schema_up.col_index col).(pos land (page_size v - 1)) <- x in
+  match Hashtbl.find_opt st.pages phys with
+  | Some page -> write page
+  | None -> (
+    check_base st phys "write_cell";
+    match
+      stable st (fun () ->
+          st.touch phys;
+          if Schema_up.get_cell v.b col pos = x then None
+          else Some (Schema_up.capture_page v.b phys))
+    with
+    | None -> () (* rewrites the current value: nothing to copy *)
+    | Some page ->
+      Hashtbl.replace st.pages phys page;
+      write page)
 
 let pos_of_pre v pre =
-  match v.snap, v.st with
-  | Some s, _ -> snap_pos s pre
-  | None, None -> Schema_up.pos_of_pre v.b pre
-  | None, Some st -> Pagemap.pre_to_pos st.pmap pre
+  match v.fl with
+  | Snapshot s -> snap_pos s pre
+  | Direct -> Schema_up.pos_of_pre v.b pre
+  | Staged st -> Pagemap.pre_to_pos st.pmap pre
 
 let pre_of_pos v pos =
-  match v.snap, v.st with
-  | Some s, _ -> Pagemap.pos_to_pre (Version.pmap s.vs) pos
-  | None, None -> Schema_up.pre_of_pos v.b pos
-  | None, Some st -> Pagemap.pos_to_pre st.pmap pos
+  match v.fl with
+  | Snapshot s -> Pagemap.pos_to_pre (Version.pmap s.vs) pos
+  | Direct -> Schema_up.pre_of_pos v.b pos
+  | Staged st -> Pagemap.pos_to_pre st.pmap pos
 
-(* A freshly staged page: all slots unused, free runs covering the page. *)
-let blank_arrays p =
-  let size = Array.init p (fun off -> p - 1 - off) in
-  let level = Array.make p Varray.null in
-  let kind = Array.make p (Kind.to_int Kind.Text) in
-  let name = Array.make p 0 in
-  let node = Array.make p Varray.null in
-  [| size; level; kind; name; node |]
-
+(* Fresh pages join the private page table under their provisional ids. *)
 let splice_pages v ~at_logical ~count =
   let st = staged_exn v "splice_pages" in
   let anchor =
@@ -233,41 +223,28 @@ let splice_pages v ~at_logical ~count =
     else After_phys (Pagemap.phys_of_logical st.pmap (at_logical - 1))
   in
   let fresh = Pagemap.splice st.pmap ~at:at_logical ~count in
-  let p = page_size v in
-  let needed = st.sp_len + count in
-  if needed > Array.length st.sp then begin
-    let sp' = Array.make (max 4 (2 * needed)) [||] in
-    Array.blit st.sp 0 sp' 0 st.sp_len;
-    st.sp <- sp'
-  end;
   List.iter
     (fun phys ->
-      assert (phys = st.base_npages + st.sp_len);
-      st.sp.(st.sp_len) <- blank_arrays p;
-      st.sp_len <- st.sp_len + 1)
+      assert (phys = st.base_npages + st.fresh_pages);
+      Hashtbl.replace st.pages phys (Schema_up.blank_page (page_size v));
+      st.fresh_pages <- st.fresh_pages + 1)
     fresh;
   st.splices <- { anchor; pages = fresh } :: st.splices;
   fresh
 
+(* A base page without a private copy is unchanged, so its free runs are
+   already right. *)
 let recompute_free_runs v ~phys_page =
-  ignore (staged_exn v "recompute_free_runs");
-  let p = page_size v in
-  let base = phys_page * p in
-  let following = ref 0 in
-  for off = p - 1 downto 0 do
-    if read_cell v Clevel (base + off) = Varray.null then begin
-      if read_cell v Csize (base + off) <> !following then
-        write_cell v Csize (base + off) !following;
-      incr following
-    end
-    else following := 0
-  done
+  let st = staged_exn v "recompute_free_runs" in
+  match Hashtbl.find_opt st.pages phys_page with
+  | Some page -> Schema_up.recompute_free_runs page
+  | None -> check_base st phys_page "recompute_free_runs"
 
 (* ---------------------------------------------------------- node identity -- *)
 
 let node_pos_get v id =
-  match v.snap, v.st with
-  | Some s, _ ->
+  match v.fl with
+  | Snapshot s ->
     if id >= Version.node_hwm s.vs then Varray.null
     else
       let pos = Schema_up.node_pos_get v.b id in
@@ -276,12 +253,12 @@ let node_pos_get v id =
         Obs.inc m_overtaken;
         Version.stable s.vs (fun () -> Version.node_pos s.vs id)
       end
-  | None, None -> Schema_up.node_pos_get v.b id
-  | None, Some st -> (
+  | Direct -> Schema_up.node_pos_get v.b id
+  | Staged st -> (
     match Hashtbl.find_opt st.node_pos_w id with
     | Some pos -> pos
     | None ->
-      stable v (fun () ->
+      stable st (fun () ->
           if id < Schema_up.node_ids v.b then Schema_up.node_pos_get v.b id
           else Varray.null))
 
@@ -362,26 +339,26 @@ let attr_add v ~node ~qn ~prop =
 (* Live attribute rows of a node through the view: (row-id, qn, prop).
    Staged adds get pseudo ids past the snapshot boundary. *)
 let attr_entries v node =
-  match v.snap, v.st with
-  | Some s, _ ->
+  match v.fl with
+  | Snapshot s ->
     let rows = Version.base_attr_entries s.vs node in
     if Version.is_current s.vs then rows
     else begin
       Obs.inc m_overtaken;
       Version.stable s.vs (fun () -> Version.attr_entries s.vs node)
     end
-  | None, None ->
+  | Direct ->
     List.map
       (fun row ->
         let _, qn, prop = Schema_up.attr_row v.b row in
         (row, qn, prop))
       (Schema_up.attr_rows_of_node v.b node)
-  | None, Some st ->
+  | Staged st ->
     let from_base =
-      stable v (fun () ->
+      stable st (fun () ->
           List.filter_map
             (fun row ->
-              if row >= v.base_attr_len || List.mem row st.attr_dels then None
+              if row >= st.base_attr_len || List.mem row st.attr_dels then None
               else
                 let _, qn, prop = Schema_up.attr_row v.b row in
                 Some (row, qn, prop))
@@ -390,13 +367,13 @@ let attr_entries v node =
     let from_staged = ref [] in
     for i = st.attr_adds_len - 1 downto 0 do
       let n, qn, prop = st.attr_adds.(i) in
-      if n = node then from_staged := (v.base_attr_len + i, qn, prop) :: !from_staged
+      if n = node then from_staged := (st.base_attr_len + i, qn, prop) :: !from_staged
     done;
     from_base @ !from_staged
 
-let attr_remove_row v st row =
-  if row >= v.base_attr_len then begin
-    let i = row - v.base_attr_len in
+let attr_remove_row st row =
+  if row >= st.base_attr_len then begin
+    let i = row - st.base_attr_len in
     let _, qn, prop = st.attr_adds.(i) in
     st.attr_adds.(i) <- (Varray.null, qn, prop)
   end
@@ -404,14 +381,14 @@ let attr_remove_row v st row =
 
 let attr_remove_node v ~node =
   let st = staged_exn v "attr_remove_node" in
-  List.iter (fun (row, _, _) -> attr_remove_row v st row) (attr_entries v node)
+  List.iter (fun (row, _, _) -> attr_remove_row st row) (attr_entries v node)
 
 let attr_remove_named v ~node ~qn =
   let st = staged_exn v "attr_remove_named" in
   match List.find_opt (fun (_, q, _) -> q = qn) (attr_entries v node) with
   | None -> false
   | Some (row, _, _) ->
-    attr_remove_row v st row;
+    attr_remove_row st row;
     true
 
 (* -------------------------------------------------- the storage signature -- *)
@@ -419,16 +396,16 @@ let attr_remove_named v ~node ~qn =
 let extent = capacity
 
 let node_count v =
-  match v.snap, v.st with
-  | Some s, _ -> Version.live s.vs
-  | None, None -> Schema_up.node_count v.b
-  | None, Some st -> Schema_up.node_count v.b + st.live_delta
+  match v.fl with
+  | Snapshot s -> Version.live s.vs
+  | Direct -> Schema_up.node_count v.b
+  | Staged st -> Schema_up.node_count v.b + st.live_delta
 
 (* A cell by pre: snapshots read the cached arrays directly. *)
 let[@inline] cell v col pre =
-  match v.snap with
-  | Some s -> snap_cell v s (snap_col s col) col (snap_pos s pre)
-  | None -> read_cell v col (pos_of_pre v pre)
+  match v.fl with
+  | Snapshot s -> snap_cell v s (snap_col s col) col (snap_pos s pre)
+  | Direct | Staged _ -> read_cell v col (pos_of_pre v pre)
 
 let is_used v pre = cell v Clevel pre <> Varray.null
 
@@ -454,9 +431,9 @@ let next_used_cells v pre =
    makes it read, [p] strictly grows, so the loop ends; a hop a commit
    overtook is then redone read by read. *)
 let next_used v pre =
-  match v.snap with
-  | None -> next_used_cells v pre
-  | Some s ->
+  match v.fl with
+  | Direct | Staged _ -> next_used_cells v pre
+  | Snapshot s ->
     let stop = Version.npages s.vs lsl s.bits in
     let p = ref pre in
     while
@@ -496,9 +473,9 @@ let prev_used v pre =
   if !pre < 0 then -1 else !pre
 
 let size v pre =
-  match v.st with
-  | None -> cell v Csize pre
-  | Some st ->
+  match v.fl with
+  | Direct | Snapshot _ -> cell v Csize pre
+  | Staged st ->
     let pos = pos_of_pre v pre in
     let s = read_cell v Csize pos in
     if Hashtbl.length st.size_deltas = 0 || read_cell v Clevel pos = Varray.null

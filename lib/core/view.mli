@@ -4,22 +4,25 @@
     evaluation are written once, against a {!t}.
 
     A {e staged} view is a transaction's private world (Figure 8) and the
-    only writable flavour. Cell writes to existing pages go into a
-    differential list (the base is read-through, copy-on-write style); new
-    pages are staged privately and referenced only from the view's private
-    pageOffset table; ancestor [size] changes are kept as {e commutative
-    deltas}; attribute and node/pos changes are differential, and freed node
-    ids return to the allocator only at commit; dictionary/pool appends pass
-    through to the base (append-only, invisible until referenced) but are
-    logged for the WAL.
+    only writable flavour. It works on private copy-on-write copies of the
+    pages it modifies (§3.2): the first write that changes a base page
+    copies the page's five columns, and every later read and write of that
+    page uses the copy; pages it appends are staged privately too and
+    referenced only from the view's private pageOffset table. At commit,
+    each copied page is diffed against the current base and only the cells
+    that differ are logged and applied. Ancestor [size] changes are kept as
+    {e commutative deltas}; attribute and node/pos changes are differential,
+    and freed node ids return to the allocator only at commit;
+    dictionary/pool appends pass through to the base (append-only,
+    invisible until referenced) but are logged for the WAL.
 
     A staged view makes {e no} destructive change to base pages, so abort is
-    "drop the view".  The [touch] callback fires before any base-page access
-    so the transaction layer can check the page's commit stamps and record
-    it for commit-time validation; staged pages and size deltas bypass it —
-    the paper's trick for not locking the root: growing an ancestor touches
-    none of its pages, and a concurrent size delta on a page the writer
-    already touched does not fail its commit.
+    "drop the view".  The [touch] callback fires before any read of a base
+    page and before the copy, so the transaction layer can check the page's
+    commit stamps and record it for commit-time validation; private pages
+    and size deltas bypass it — the paper's trick for not locking the root:
+    growing an ancestor touches none of its pages, and a concurrent size
+    delta on a page the writer already copied does not fail its commit.
 
     A {e direct} view reads the base {!Schema_up.t} as it stands — a
     read-only view of a quiescent base. A {e snapshot} view reads a pinned
@@ -45,9 +48,11 @@ type splice = { anchor : anchor; pages : int list (* provisional phys ids *) }
 
 type staged = {
   base_npages : int;  (** base page count at view creation *)
-  cells : (int, int) Hashtbl.t;  (** key [(pos * 8) lor col] -> new value *)
-  mutable sp : int array array array;  (** staged pages, [|size;level;kind;name;node|] each *)
-  mutable sp_len : int;
+  pages : (int, int array array) Hashtbl.t;
+      (** private pages by physical id, as {!Schema_up.capture_page}
+          images: copies of changed base pages, and appended pages under
+          their provisional ids [base_npages ..] *)
+  mutable fresh_pages : int;  (** appended pages *)
   mutable pmap : Column.Pagemap.t;  (** private pageOffset (base snapshot + own splices) *)
   mutable splices : splice list;  (** reverse order; replayed at commit *)
   node_pos_w : (int, int) Hashtbl.t;
@@ -59,7 +64,9 @@ type staged = {
   mutable fresh_nodes : int list;  (** ids allocated from the shared allocator *)
   mutable freed_nodes : int list;  (** ids to release at commit *)
   mutable live_delta : int;
-  touch : int -> unit;  (** phys page, before any base read or write *)
+  touch : int -> unit;  (** phys page, before any base read or copy *)
+  seq : int Atomic.t;  (** the store seqlock base reads retry through *)
+  base_attr_len : int;  (** attr-table length at view creation *)
 }
 
 type t
@@ -69,8 +76,8 @@ val direct : Schema_up.t -> t
     in flight. *)
 
 val staged : ?touch:(int -> unit) -> ?seq:int Atomic.t -> Schema_up.t -> t
-(** [seq], when given, is the MVCC store's seqlock: base-page reads (and
-    their stamp checks) retry around commit critical sections instead of
+(** [seq], when given, is the MVCC store's seqlock: base-page reads, copies
+    and their stamp checks retry around commit critical sections instead of
     observing half-applied pages. *)
 
 val snapshot : Version.t -> t
@@ -103,10 +110,6 @@ val npages : t -> int
 
 val capacity : t -> int
 
-val col_index : Schema_up.col -> int
-(** The column's index in staged-cell keys ([key = pos*8 lor index]) and in
-    staged page arrays. *)
-
 val read_cell : t -> Schema_up.col -> int -> int
 
 val write_cell : t -> Schema_up.col -> int -> int -> unit
@@ -116,10 +119,11 @@ val pos_of_pre : t -> int -> int
 val pre_of_pos : t -> int -> int
 
 val splice_pages : t -> at_logical:int -> count:int -> int list
-(** Fresh all-unused pages spliced into logical order (staged privately on a
-    staged view). Returns (provisional) physical ids. *)
+(** Fresh all-unused private pages spliced into logical order. Returns
+    their provisional physical ids. *)
 
 val recompute_free_runs : t -> phys_page:int -> unit
+(** Restore the free runs of a page the transaction changed. *)
 
 val node_pos_get : t -> int -> int
 

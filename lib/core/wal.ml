@@ -200,8 +200,6 @@ let rotate t =
   Fault.hit "wal.rotate.after";
   Obs.inc m_rotations
 
-let sync_path t = t.path
-
 let replay path f =
   if not (Sys.file_exists path) then 0
   else begin

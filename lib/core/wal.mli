@@ -5,7 +5,7 @@
     transaction commit, it consists of a single I/O".  A record is a
     self-contained {e redo} description of the commit:
 
-    - the differential cell list for existing pages,
+    - the cells of existing pages that the commit changes,
     - the full contents of the freshly appended pages,
     - the new logical page order (the paper's "shifts introduced in the
       pageOffset table"),
@@ -51,8 +51,6 @@ val rotate : t -> unit
     once a checkpoint covering every logged commit is durable, and with
     appends excluded — {!Db.checkpoint}[ ~truncate_wal:true] wraps both
     conditions. *)
-
-val sync_path : t -> string
 
 val replay : string -> (record -> unit) -> int
 (** Feed every intact record of a WAL file, in order, to the callback —

@@ -285,7 +285,8 @@ let test_write_multi_atomic () =
     (Db.get_exn (Db.query_count db "/doc/both"));
   Alcotest.(check int) "other updated" 1
     (Db.get_exn (Db.query_count ~doc:"other" db "/doc/both"));
-  (* failure in one member aborts the whole group *)
+  (* failure in one member aborts the whole group; a client exception is
+     not a store error, so it escapes as itself *)
   (match
      Db.write_multi db [ Db.default_doc; "other" ] (fun doc ->
          (match Db.Session.update (doc Db.default_doc) (upd_append "<poison/>") with
@@ -293,8 +294,8 @@ let test_write_multi_atomic () =
          | Error e -> Alcotest.failf "first update: %s" (Db.Error.to_string e));
          failwith "boom")
    with
-  | Error (Db.Error.Corrupt "boom") -> ()
-  | _ -> Alcotest.fail "expected the group to abort");
+  | exception Failure m -> Alcotest.(check string) "escaped" "boom" m
+  | _ -> Alcotest.fail "expected Failure \"boom\" to escape");
   Alcotest.(check int) "no partial commit" 0
     (Db.get_exn (Db.query_count db "/doc/poison"));
   (* an unknown name is refused before any work *)
@@ -368,6 +369,15 @@ let test_legacy_checkpoint_rejected () =
       | Ok _ -> Alcotest.fail "legacy checkpoint must not load"
       | Error e -> Alcotest.failf "unexpected: %s" (Db.Error.to_string e))
 
+let test_empty_checkpoint_corrupt () =
+  with_temp_dir (fun dir ->
+      let ck = Filename.concat dir "empty.ck" in
+      close_out (open_out_bin ck);
+      match Db.open_recovered ~checkpoint:ck () with
+      | Error (Db.Error.Corrupt _) -> ()
+      | Ok _ -> Alcotest.fail "an empty checkpoint must not load"
+      | Error e -> Alcotest.failf "unexpected: %s" (Db.Error.to_string e))
+
 let test_drop_purges_cache () =
   let db = Db.empty ~cache:Db.default_cache () in
   create_xml db Db.default_doc "<doc/>";
@@ -405,5 +415,7 @@ let () =
             test_catalog_checkpoint_recover;
           Alcotest.test_case "legacy checkpoint rejected" `Quick
             test_legacy_checkpoint_rejected;
+          Alcotest.test_case "empty checkpoint is corrupt" `Quick
+            test_empty_checkpoint_corrupt;
           Alcotest.test_case "drop purges cached results" `Quick
             test_drop_purges_cache ] ) ]

@@ -362,15 +362,71 @@ let test_snapshot_conflict_detected () =
   Txn.read m (fun v ->
       Alcotest.(check int) "final root size" 12 (View.size v (View.root_pre v)))
 
+(* A transaction copies each base page it changes; a size delta a
+   concurrent commit lands on that page after the copy must survive the
+   commit of the copy. A renames c1 (copying page 0), B inserts under b
+   (rewriting page 1 only; the root's size delta lands on page 0), then A
+   commits: the root keeps B's insert. *)
+let test_copied_page_keeps_concurrent_delta () =
+  let base =
+    Up.of_dom ~page_bits:3 ~fill:1.0
+      (P.parse "<root><a><c1/><c2/><c3/><c4/><c5/><c6/></a><b><q1/><q2/></b></root>")
+  in
+  let m = Txn.manager base in
+  (* resolved outside A, whose reads must stay on page 0 *)
+  let c1 = Txn.read m (fun v -> node_pre v "/root/a/c1") in
+  let a = Txn.begin_write m in
+  U.rename_element (Txn.view a) ~pre:c1 (Xml.Qname.make "d1");
+  Txn.with_write m (fun v ->
+      U.insert v (U.Last_child (node_pre v "/root/b")) (P.parse_fragment "<q3/>"));
+  Txn.commit a;
+  check_integrity base;
+  Txn.read m (fun v ->
+      Alcotest.(check int) "root size keeps the delta" 11
+        (View.size v (View.root_pre v));
+      Alcotest.(check int) "rename committed" 1
+        (List.length (E.parse_eval v "/root/a/d1")))
+
+(* The WAL carries only cells a commit changes: rewriting a cell's current
+   value, or changing it and changing it back, logs nothing. *)
+let test_unchanged_cells_not_logged () =
+  let path = Filename.temp_file "txn" ".wal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let wal = Core.Wal.open_log path in
+      let base = Up.of_dom ~page_bits:3 (P.parse "<root><a/><b/></root>") in
+      let m = Txn.manager ~wal base in
+      let name_pos v = View.pos_of_pre v (node_pre v "/root/a") in
+      Txn.with_write m (fun v ->
+          let pos = name_pos v in
+          View.write_cell v Up.Cname pos (View.read_cell v Up.Cname pos));
+      Txn.with_write m (fun v ->
+          let pos = name_pos v in
+          let x = View.read_cell v Up.Cname pos in
+          View.write_cell v Up.Cname pos (x + 1);
+          View.write_cell v Up.Cname pos x);
+      Txn.with_write m (fun v ->
+          U.rename_element v ~pre:(node_pre v "/root/a") (Xml.Qname.make "c"));
+      Core.Wal.close wal;
+      let logged = ref [] in
+      ignore
+        (Core.Wal.replay path (fun r ->
+             logged := List.length r.Core.Wal.cells :: !logged));
+      Alcotest.(check (list int)) "cells logged per commit" [ 0; 0; 1 ]
+        (List.rev !logged))
+
 (* ------------------------------------------ two scripts, one snapshot -- *)
 
-(* Base pages whose cells a staged transaction rewrites. *)
+(* Base pages a staged transaction rewrites: those it holds private copies
+   of (its appended pages are numbered past the base). *)
 let pages_written t =
   match View.staged_state (Txn.view t) with
   | None -> []
   | Some st ->
-    let p = View.page_size (Txn.view t) in
-    Hashtbl.fold (fun key _ acc -> ((key lsr 3) / p) :: acc) st.View.cells []
+    Hashtbl.fold
+      (fun phys _ acc -> if phys < st.View.base_npages then phys :: acc else acc)
+      st.View.pages []
 
 let rec duplicate_attr (e : Dom.element) =
   let names = List.map (fun (q, _) -> Xml.Qname.to_string q) e.attrs in
@@ -521,4 +577,8 @@ let () =
             (test_vacuum_before_commit 1.0);
           Alcotest.test_case "vacuum drops the touched page" `Quick
             test_vacuum_drops_touched_page;
+          Alcotest.test_case "copied page keeps a concurrent delta" `Quick
+            test_copied_page_keeps_concurrent_delta;
+          Alcotest.test_case "unchanged cells are not logged" `Quick
+            test_unchanged_cells_not_logged;
           Testsupport.qcheck_case prop_two_scripts ] ) ]
