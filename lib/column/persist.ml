@@ -5,10 +5,8 @@ module Enc = struct
 
   let create () = Buffer.create 256
 
-  let int b x =
-    for i = 0 to 7 do
-      Buffer.add_char b (Char.chr ((x asr (8 * i)) land 0xff))
-    done
+  (* 8 bytes little-endian, sign-extended to 64 bits. *)
+  let int b x = Buffer.add_int64_le b (Int64.of_int x)
 
   let string b s =
     int b (String.length s);
@@ -42,14 +40,12 @@ module Dec = struct
     if d.off + n > String.length d.data then
       raise (Corrupt (Printf.sprintf "truncated payload at offset %d" d.off))
 
+  (* The top bit of the 64 is dropped, as in [Int64.to_int]. *)
   let int d =
     need d 8;
-    let x = ref 0 in
-    for i = 7 downto 0 do
-      x := (!x lsl 8) lor Char.code d.data.[d.off + i]
-    done;
+    let x = Int64.to_int (String.get_int64_le d.data d.off) in
     d.off <- d.off + 8;
-    !x
+    x
 
   let len_checked d what n =
     if n < 0 || n > String.length d.data - d.off then
@@ -90,13 +86,21 @@ module Dec = struct
   let at_end d = d.off = String.length d.data
 end
 
+(* zlib's deferred modulo: reduce once per 5,552 bytes, the longest run
+   whose sums cannot pass 2^32 (far inside an OCaml int). *)
 let adler32 s =
-  let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod 65521;
-      b := (!b + !a) mod 65521)
-    s;
+  let n = String.length s in
+  let a = ref 1 and b = ref 0 and i = ref 0 in
+  while !i < n do
+    let stop = min n (!i + 5552) in
+    for j = !i to stop - 1 do
+      a := !a + Char.code (String.unsafe_get s j);
+      b := !b + !a
+    done;
+    a := !a mod 65521;
+    b := !b mod 65521;
+    i := stop
+  done;
   (!b lsl 16) lor !a
 
 (* Failpoint: the frame write is where torn-write crashes are injected.

@@ -140,6 +140,18 @@ let abort t =
     (* The base was never written; just return allocated node ids. *)
     List.iter (Schema_up.free_node_id t.m.base) st.View.fresh_nodes)
 
+(* [f] once per page of a record's cells. [build_record] logs each page's
+   cells together; cells of one page apart in a hand-made record cost a
+   repeated call, which both callers treat as a no-op. *)
+let iter_cell_pages p cells f =
+  ignore
+    (List.fold_left
+       (fun last (pos, _, _) ->
+         let page = pos / p in
+         if page <> last then f page;
+         page)
+       (-1) cells)
+
 (* Redo one commit record onto the base store — used both by live commits
    (under the commit mutex) and by recovery. [lsn] orders page stamps by
    commit (txn ids are begin-ordered, which is not the same thing). *)
@@ -162,7 +174,7 @@ let apply_wal_record ?lsn b (r : Wal.record) =
   let bump_pos pos = bump_page (pos / p) in
   let fresh = Schema_up.grow_pages b ~count:(List.length r.Wal.pages) in
   List.iter bump_page fresh;
-  List.iter (fun (pos, _, _) -> bump_pos pos) r.Wal.cells;
+  iter_cell_pages p r.Wal.cells bump_page;
   List.iter2
     (fun phys arrays ->
       let base_pos = phys * p in
@@ -342,7 +354,7 @@ let build_record t (st : View.staged) =
 let capture_for_snapshot m (r : Wal.record) =
   let vs = m.versions in
   let p = Schema_up.page_size m.base in
-  List.iter (fun (pos, _, _) -> Version.capture_page vs (pos / p)) r.Wal.cells;
+  iter_cell_pages p r.Wal.cells (Version.capture_page vs);
   List.iter
     (fun (node, _) ->
       if node < Schema_up.node_ids m.base then begin

@@ -39,151 +39,146 @@ let m_overflow_pages =
   Obs.counter ~help:"fresh pages appended by overflowing inserts"
     "schema_up.overflow_pages"
 
+let m_compactions =
+  Obs.counter ~help:"inserts that compacted their page" "schema_up.page_compactions"
+
 let reset_costs () =
   costs.moved_tuples <- 0;
   costs.new_pages <- 0;
   costs.blanked_tuples <- 0
 
-(* A materialised tuple, page-rewrite currency. [node = null] marks a tuple
-   that still needs a fresh node id (a new node). *)
-type tuple = { tsize : int; tlevel : int; tkind : int; tname : int; tnode : int }
+(* Page images and runs share one layout: five columns indexed by
+   [Schema_up.col_index]. *)
+let c_level = Schema_up.col_index Clevel
 
-let read_tuple v pos =
-  { tsize = View.read_cell v Csize pos;
-    tlevel = View.read_cell v Clevel pos;
-    tkind = View.read_cell v Ckind pos;
-    tname = View.read_cell v Cname pos;
-    tnode = View.read_cell v Cnode pos }
+let c_node = Schema_up.col_index Cnode
 
-let write_tuple v pos t =
-  View.write_cell v Csize pos t.tsize;
-  View.write_cell v Clevel pos t.tlevel;
-  View.write_cell v Ckind pos t.tkind;
-  View.write_cell v Cname pos t.tname;
-  View.write_cell v Cnode pos t.tnode;
-  View.node_pos_set v t.tnode pos
+let blank page off =
+  page.(c_level).(off) <- Varray.null;
+  page.(c_node).(off) <- Varray.null
 
-let blank_slot v pos =
-  View.write_cell v Clevel pos Varray.null;
-  View.write_cell v Cnode pos Varray.null
+(* Tuples to place, in document order, with each tuple's current position
+   ([null] for a new node). *)
+type run = { cols : int array array; from : int array }
 
 (* Prepare the new tuples of a forest: allocate node ids, intern names, push
-   pool values, register attributes. Returns tuples in document order. *)
+   pool values, register attributes. *)
 let prepare_forest v ~parent_level nodes =
-  let items = Shred.sequence_forest nodes in
-  Array.map
-    (fun { Shred.size; level; payload } ->
-      let node = View.fresh_node_id v in
-      let kind = Shred.kind_of_payload payload in
-      let name =
-        match payload with
-        | Shred.El (q, attrs) ->
-          let qid = View.intern_qn v q in
-          List.iter
-            (fun (aq, av) ->
-              View.attr_add v ~node ~qn:(View.intern_qn v aq)
-                ~prop:(View.intern_prop v av))
-            attrs;
-          qid
-        | Shred.Tx s -> View.push_text v s
-        | Shred.Cm s -> View.push_comment v s
-        | Shred.Pr (target, data) -> View.push_pi v ~target ~data
-      in
-      { tsize = size;
-        tlevel = parent_level + 1 + level;
-        tkind = Kind.to_int kind;
-        tname = name;
-        tnode = node })
-    items
+  let tuples =
+    Array.map
+      (fun { Shred.size; level; payload } ->
+        let node = View.fresh_node_id v in
+        let name =
+          match payload with
+          | Shred.El (q, attrs) ->
+            let qid = View.intern_qn v q in
+            List.iter
+              (fun (aq, av) ->
+                View.attr_add v ~node ~qn:(View.intern_qn v aq)
+                  ~prop:(View.intern_prop v av))
+              attrs;
+            qid
+          | Shred.Tx s -> View.push_text v s
+          | Shred.Cm s -> View.push_comment v s
+          | Shred.Pr (target, data) -> View.push_pi v ~target ~data
+        in
+        (* in [Schema_up.col] order *)
+        [| size; parent_level + 1 + level;
+           Kind.to_int (Shred.kind_of_payload payload); name; node |])
+      (Shred.sequence_forest nodes)
+  in
+  { cols = Array.init 5 (fun c -> Array.map (fun t -> t.(c)) tuples);
+    from = Array.make (Array.length tuples) Varray.null }
 
-(* Rewrite one physical page: place [layout] (at most a full page) from
-   offset 0, blank the rest, restore free runs, fix node/pos. *)
-let rewrite_page v ~phys layout =
-  let p = View.page_size v in
-  let base = phys * p in
-  if List.length layout > p then invalid_arg "Update.rewrite_page: overfull";
-  List.iteri
-    (fun off (tup, is_new) ->
-      let pos = base + off in
-      if (not is_new) && View.node_pos_get v tup.tnode <> pos then
-        costs.moved_tuples <- costs.moved_tuples + 1;
-      write_tuple v pos tup)
-    layout;
-  let used = List.length layout in
-  for off = used to p - 1 do
-    let pos = base + off in
-    if View.read_cell v Clevel pos <> Varray.null then blank_slot v pos
-  done;
-  View.recompute_free_runs v ~phys_page:phys
+(* The used tuples at offsets [lo, hi) of the page image at [base]. *)
+let used_run page ~base lo hi =
+  let level = page.(c_level) in
+  let offs =
+    Array.of_seq
+      (Seq.filter (fun off -> level.(off) <> Varray.null) (Seq.init (hi - lo) (( + ) lo)))
+  in
+  { cols = Array.map (fun col -> Array.map (Array.get col) offs) page;
+    from = Array.map (( + ) base) offs }
 
-(* Collect the used tuples of one physical page in offset order, split around
-   the view offset of [prev] (inclusive on the left). *)
-let page_split v ~phys ~prev_off =
-  let p = View.page_size v in
-  let base = phys * p in
-  let before = ref [] and after = ref [] in
-  for off = p - 1 downto 0 do
-    let pos = base + off in
-    if View.read_cell v Clevel pos <> Varray.null then
-      if off <= prev_off then before := (read_tuple v pos, false) :: !before
-      else after := (read_tuple v pos, false) :: !after
-  done;
-  (!before, !after)
+let cat a b =
+  { cols = Array.map2 Array.append a.cols b.cols; from = Array.append a.from b.from }
 
-let rec take_drop n = function
-  | rest when n = 0 -> ([], rest)
-  | [] -> ([], [])
-  | x :: rest ->
-    let a, b = take_drop (n - 1) rest in
-    (x :: a, b)
+(* Write tuples [i, i + len) of [r] into private page [phys] from offset
+   [off]; node/pos changes only for the tuples that land somewhere new. *)
+let put v ~phys ~off r i len =
+  let page = View.private_page v phys in
+  Array.iteri (fun c col -> Array.blit col i page.(c) off len) r.cols;
+  let base = phys lsl View.page_bits v in
+  for k = 0 to len - 1 do
+    let pos = base + off + k and from = r.from.(i + k) in
+    if pos <> from then begin
+      View.node_pos_set v r.cols.(c_node).(i + k) pos;
+      if from <> Varray.null then costs.moved_tuples <- costs.moved_tuples + 1
+    end
+  done
 
-(* The Figure 7 insert: place [news] (document-order tuples) directly after
-   the used view position [prev]. *)
+(* The Figure 7 insert: place [news] directly after the used view position
+   [prev]. *)
 let insert_after_prev v ~prev news =
-  let p = View.page_size v in
-  let bits = View.page_bits v in
+  let p = View.page_size v and bits = View.page_bits v in
   let prev_pos = View.pos_of_pre v prev in
-  let phys = prev_pos lsr bits in
-  let prev_off = prev_pos land (p - 1) in
-  let before, after = page_split v ~phys ~prev_off in
-  let m = Array.length news in
-  let news = Array.to_list (Array.map (fun t -> (t, true)) news) in
-  let free = p - List.length before - List.length after in
-  if m <= free then
-    (* Figure 7a: within-page insert; only this page's tuples move. *)
-    rewrite_page v ~phys (before @ news @ after)
-  else begin
-    (* Figure 7b: fill the page, move the overflow (remaining new tuples and
-       the page tail) onto freshly appended pages spliced in logically. *)
-    let seq = news @ after in
-    let head, rest = take_drop (p - List.length before) seq in
-    let k = (List.length rest + p - 1) / p in
-    let logical = prev lsr bits in
-    let fresh = View.splice_pages v ~at_logical:(logical + 1) ~count:k in
+  let phys = prev_pos lsr bits and prev_off = prev_pos land (p - 1) in
+  let base = phys lsl bits in
+  let page = View.private_page v phys in
+  let level = page.(c_level) in
+  let m = Array.length news.from in
+  (* The end [e] of the shortest window [(prev_off, e]] with [m] free slots. *)
+  let rec window_end off free =
+    if off >= p then None
+    else
+      let free = if level.(off) = Varray.null then free + 1 else free in
+      if free = m then Some off else window_end (off + 1) free
+  in
+  (match window_end (prev_off + 1) 0 with
+  | Some e ->
+    (* Figure 7a: the new tuples, then the window's used tuples, fill the
+       window; tuples before the point and after the window stay put. *)
+    put v ~phys ~off:(prev_off + 1)
+      (cat news (used_run page ~base (prev_off + 1) (e + 1)))
+      0 (e - prev_off)
+  | None when Array.fold_left (fun n l -> if l = Varray.null then n + 1 else n) 0 level >= m ->
+    (* Room only before the point: compact the page around the new tuples. *)
+    let r =
+      cat
+        (cat (used_run page ~base 0 (prev_off + 1)) news)
+        (used_run page ~base (prev_off + 1) p)
+    in
+    let n = Array.length r.from in
+    put v ~phys ~off:0 r 0 n;
+    for off = n to p - 1 do
+      blank page off
+    done;
+    Obs.inc m_compactions
+  | None ->
+    (* Figure 7b: fill the page tail; the remaining new tuples and the old
+       tail go to freshly appended pages spliced in logically. *)
+    let r = cat news (used_run page ~base (prev_off + 1) p) in
+    let tail = p - 1 - prev_off in
+    put v ~phys ~off:(prev_off + 1) r 0 tail;
+    let n = Array.length r.from in
+    let k = (n - tail + p - 1) / p in
+    let fresh = View.splice_pages v ~at_logical:((prev lsr bits) + 1) ~count:k in
     costs.new_pages <- costs.new_pages + k;
     Obs.inc m_overflows;
     Obs.add m_overflow_pages k;
-    rewrite_page v ~phys (before @ head);
-    let rec fill pages rest =
-      match pages, rest with
-      | _, [] -> ()
-      | [], _ :: _ -> assert false
-      | pg :: pages', rest ->
-        let chunk, rest' = take_drop p rest in
-        rewrite_page v ~phys:pg chunk;
-        fill pages' rest'
-    in
-    fill fresh rest
-  end
+    List.iteri
+      (fun j pg ->
+        let i = tail + (j * p) in
+        put v ~phys:pg ~off:0 r i (min p (n - i));
+        Schema_up.recompute_free_runs (View.private_page v pg))
+      fresh);
+  Schema_up.recompute_free_runs page
+
+let node_id_at v pre = View.read_cell v Cnode (View.pos_of_pre v pre)
 
 (* Ancestor chain as node ids, computed before any slot moves (one top-down
    descend; see Staircase.ancestors). *)
-let ancestor_nodes v pre =
-  List.map
-    (fun a -> View.read_cell v Cnode (View.pos_of_pre v a))
-    (Sj.ancestors v [ pre ])
-
-let node_id_at v pre = View.read_cell v Cnode (View.pos_of_pre v pre)
+let ancestor_nodes v pre = List.map (node_id_at v) (Sj.ancestors v [ pre ])
 
 let require_element v pre what =
   if View.kind v pre <> Kind.Element then
@@ -229,7 +224,7 @@ let insert ?size_chain v point nodes =
     in
     let news = prepare_forest v ~parent_level:(View.level v parent) nodes in
     insert_after_prev v ~prev news;
-    let m = Array.length news in
+    let m = Array.length news.from in
     Obs.inc m_inserts;
     Obs.add m_inserted_tuples m;
     List.iter (fun node -> View.add_size_delta v ~node m) ancestors;
@@ -245,16 +240,18 @@ let delete v ~pre =
   let positions = List.map (View.pos_of_pre v) !subtree in
   let touched = Hashtbl.create 8 in
   let bits = View.page_bits v in
+  let mask = View.page_size v - 1 in
   List.iter
     (fun pos ->
-      let node = View.read_cell v Cnode pos in
+      let page = View.private_page v (pos lsr bits) in
+      let node = page.(c_node).(pos land mask) in
       View.attr_remove_node v ~node;
       View.free_node_id v node;
-      blank_slot v pos;
+      blank page (pos land mask);
       costs.blanked_tuples <- costs.blanked_tuples + 1;
-      Hashtbl.replace touched (pos lsr bits) ())
+      Hashtbl.replace touched (pos lsr bits) page)
     positions;
-  Hashtbl.iter (fun phys () -> View.recompute_free_runs v ~phys_page:phys) touched;
+  Hashtbl.iter (fun _ page -> Schema_up.recompute_free_runs page) touched;
   let m = List.length positions in
   Obs.inc m_deletes;
   Obs.add m_deleted_tuples m;

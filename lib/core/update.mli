@@ -3,15 +3,20 @@
     All operations work on a transaction's staged {!View.t}; direct and
     snapshot views are read-only and reject them.
 
-    Insert placement follows the paper:
-    - if the inserted subtree fits the free slots of the logical page
-      containing the insert point, tuples after the insert point move
-      {e within} the page (their node/pos entries are fixed up) — no other
-      page is touched (Figure 7a);
-    - otherwise the page's tail and the remaining new tuples go to freshly
-      {e appended} pages, spliced into logical order through the pageOffset
-      table; every following pre number shifts automatically because pre is
-      a virtual column — zero physical cost (Figure 7b).
+    Insert placement follows the paper, on the transaction's private copy
+    of the page holding the insert point:
+    - if enough free slots follow the insert point in that page, the new
+      tuples fill the shortest window after the point that holds as many
+      free slots; only the used tuples inside that window move, and only
+      they (and the new nodes) get node/pos entries. No other page, and no
+      tuple before the point or after the window, is touched (Figure 7a);
+    - if the page has enough free slots but not after the point, the page
+      is compacted around the new tuples (still no new page);
+    - otherwise the new tuples and the page's old tail fill the page's tail
+      slots, and the rest goes to freshly {e appended} pages, spliced into
+      logical order through the pageOffset table; every following pre
+      number shifts automatically because pre is a virtual column — zero
+      physical cost (Figure 7b).
 
     Deletes never shift anything: the subtree's slots become unused (level
     NULL), extending the page-local free runs; the node ids are freed and the
@@ -66,7 +71,7 @@ val remove_attribute : View.t -> pre:int -> Xml.Qname.t -> bool
 (** {1 Statistics} *)
 
 type cost = {
-  mutable moved_tuples : int;  (** existing tuples rewritten in their page *)
+  mutable moved_tuples : int;  (** existing tuples whose position changed *)
   mutable new_pages : int;  (** pages appended+spliced by overflow inserts *)
   mutable blanked_tuples : int;  (** tuples turned unused by deletes *)
 }

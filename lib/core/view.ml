@@ -183,25 +183,38 @@ let read_cell v col pos =
 
 (* Copy-on-write: the first write that changes a base page copies the page,
    in the seqlock window of its stamp check; every later read and write of
-   the page uses the copy. *)
+   the page uses the copy. [unchanged] decides, in the same window, that the
+   write would change nothing and needs no copy. *)
+let copy_base v st phys ~unchanged =
+  check_base st phys "private_page";
+  match
+    stable st (fun () ->
+        st.touch phys;
+        if unchanged () then None else Some (Schema_up.capture_page v.b phys))
+  with
+  | None -> None
+  | Some page ->
+    Hashtbl.replace st.pages phys page;
+    Some page
+
+let private_page v phys =
+  let st = staged_exn v "private_page" in
+  match Hashtbl.find_opt st.pages phys with
+  | Some page -> page
+  | None -> Option.get (copy_base v st phys ~unchanged:(fun () -> false))
+
 let write_cell v col pos x =
   let st = staged_exn v "write_cell" in
   let phys = pos lsr page_bits v in
-  let write page = page.(Schema_up.col_index col).(pos land (page_size v - 1)) <- x in
+  let ci = Schema_up.col_index col and off = pos land (page_size v - 1) in
   match Hashtbl.find_opt st.pages phys with
-  | Some page -> write page
+  | Some page -> page.(ci).(off) <- x
   | None -> (
-    check_base st phys "write_cell";
     match
-      stable st (fun () ->
-          st.touch phys;
-          if Schema_up.get_cell v.b col pos = x then None
-          else Some (Schema_up.capture_page v.b phys))
+      copy_base v st phys ~unchanged:(fun () -> Schema_up.get_cell v.b col pos = x)
     with
     | None -> () (* rewrites the current value: nothing to copy *)
-    | Some page ->
-      Hashtbl.replace st.pages phys page;
-      write page)
+    | Some page -> page.(ci).(off) <- x)
 
 let pos_of_pre v pre =
   match v.fl with
@@ -231,14 +244,6 @@ let splice_pages v ~at_logical ~count =
     fresh;
   st.splices <- { anchor; pages = fresh } :: st.splices;
   fresh
-
-(* A base page without a private copy is unchanged, so its free runs are
-   already right. *)
-let recompute_free_runs v ~phys_page =
-  let st = staged_exn v "recompute_free_runs" in
-  match Hashtbl.find_opt st.pages phys_page with
-  | Some page -> Schema_up.recompute_free_runs page
-  | None -> check_base st phys_page "recompute_free_runs"
 
 (* ---------------------------------------------------------- node identity -- *)
 

@@ -113,6 +113,15 @@ val capacity : t -> int
 val read_cell : t -> Schema_up.col -> int -> int
 
 val write_cell : t -> Schema_up.col -> int -> int -> unit
+(** Writing a cell's current value copies nothing. *)
+
+val private_page : t -> int -> int array array
+(** [private_page v phys]: the transaction's private image of physical page
+    [phys] (columns indexed by {!Schema_up.col_index}), copied from the base
+    on first use under the same stamp check as {!write_cell}'s copy. The
+    caller writes it in place, and must restore its free runs
+    ({!Schema_up.recompute_free_runs}) and the node/pos entries of tuples
+    it moves. *)
 
 val pos_of_pre : t -> int -> int
 
@@ -121,9 +130,6 @@ val pre_of_pos : t -> int -> int
 val splice_pages : t -> at_logical:int -> count:int -> int list
 (** Fresh all-unused private pages spliced into logical order. Returns
     their provisional physical ids. *)
-
-val recompute_free_runs : t -> phys_page:int -> unit
-(** Restore the free runs of a page the transaction changed. *)
 
 val node_pos_get : t -> int -> int
 

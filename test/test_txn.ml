@@ -416,6 +416,65 @@ let test_unchanged_cells_not_logged () =
       Alcotest.(check (list int)) "cells logged per commit" [ 0; 0; 1 ]
         (List.rev !logged))
 
+(* Figure 7a: an insert fills the nearest free slots after its point. Only
+   the used tuples between the point and that hole move, and the commit
+   logs node/pos for the new nodes and those movers alone. *)
+let test_window_insert_moves_only_the_window () =
+  let path = Filename.temp_file "txn" ".wal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let wal = Core.Wal.open_log path in
+      let kids = String.concat "" (List.init 15 (Printf.sprintf "<a%d/>")) in
+      let base = Up.of_dom ~page_bits:4 ~fill:1.0 (P.parse ("<r>" ^ kids ^ "</r>")) in
+      Alcotest.(check int) "one full page" 1 (Up.npages base);
+      let m = Txn.manager ~wal base in
+      (* a hole before the point (a1) and a two-slot hole five used slots
+         after it (a10, a11) *)
+      Txn.with_write m (fun v ->
+          List.iter
+            (fun n -> U.delete v ~pre:(node_pre v ("/r/" ^ n)))
+            [ "a1"; "a10"; "a11" ]);
+      let d = View.direct base in
+      let node_of i = Up.node_at base ~pre:(node_pre d (Printf.sprintf "/r/a%d" i)) in
+      let kept = [ 0; 2; 3; 4; 5; 6; 7; 8; 9; 12; 13; 14 ] in
+      let pos_before = List.map (fun i -> (i, Up.node_pos_get base (node_of i))) kept in
+      U.reset_costs ();
+      Txn.with_write m (fun v ->
+          U.insert v (U.After (node_pre v "/r/a4")) (P.parse_fragment "<n1/><n2/>"));
+      Core.Wal.close wal;
+      check_integrity base;
+      Alcotest.(check int) "no new page" 1 (Up.npages base);
+      Alcotest.(check int) "only a5..a9 moved" 5 U.costs.U.moved_tuples;
+      List.iter
+        (fun (i, pos) ->
+          let shift = if i >= 5 && i <= 9 then 2 else 0 in
+          Alcotest.(check int)
+            (Printf.sprintf "a%d position" i)
+            (pos + shift)
+            (Up.node_pos_get base (node_of i)))
+        pos_before;
+      Alcotest.(check (list string)) "document order"
+        [ "a0"; "a2"; "a3"; "a4"; "n1"; "n2"; "a5"; "a6"; "a7"; "a8"; "a9";
+          "a12"; "a13"; "a14" ]
+        (List.map
+           (fun pre -> Xml.Qname.to_string (View.qname d pre))
+           (List.filter_map
+              (function E.Node pre -> Some pre | _ -> None)
+              (E.parse_eval d "/r/*")));
+      let last = ref None in
+      ignore (Core.Wal.replay path (fun r -> last := Some r));
+      let logged =
+        List.sort compare (List.map fst (Option.get !last).Core.Wal.node_pos)
+      in
+      let expected =
+        List.sort compare
+          (List.map (fun n -> Up.node_at base ~pre:(node_pre d ("/r/" ^ n)))
+             [ "n1"; "n2"; "a5"; "a6"; "a7"; "a8"; "a9" ])
+      in
+      Alcotest.(check (list int)) "node/pos logged for new nodes and movers"
+        expected logged)
+
 (* ------------------------------------------ two scripts, one snapshot -- *)
 
 (* Base pages a staged transaction rewrites: those it holds private copies
@@ -581,4 +640,6 @@ let () =
             test_copied_page_keeps_concurrent_delta;
           Alcotest.test_case "unchanged cells are not logged" `Quick
             test_unchanged_cells_not_logged;
+          Alcotest.test_case "window insert moves only the window" `Quick
+            test_window_insert_moves_only_the_window;
           Testsupport.qcheck_case prop_two_scripts ] ) ]

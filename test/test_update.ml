@@ -298,25 +298,44 @@ let apply_both v dom op =
       Dom.remove_at dom path
     end
 
+(* How many inserts took each Figure 7 case: a window after the point (7a),
+   free slots only before it (page compaction), overflow (7b). *)
+let window_inserts = ref 0 and compactions = ref 0 and overflows = ref 0
+
+let counter name = Obs.value (Obs.counter name)
+
+(* One op in its own commit; the store must pass the integrity check
+   (node/pos agreeing with the plane included) after every commit. *)
+let commit_op m t dom op =
+  let i0 = counter "schema_up.inserts"
+  and c0 = counter "schema_up.page_compactions"
+  and o0 = counter "schema_up.page_overflows" in
+  let dom = Txn.with_write m (fun w -> apply_both w dom op) in
+  (match Up.check_integrity t with
+  | Ok () -> ()
+  | Error msg -> QCheck2.Test.fail_reportf "integrity: %s" msg);
+  let c = counter "schema_up.page_compactions" - c0
+  and o = counter "schema_up.page_overflows" - o0 in
+  compactions := !compactions + c;
+  overflows := !overflows + o;
+  window_inserts := !window_inserts + (counter "schema_up.inserts" - i0 - c - o);
+  dom
+
 let prop_update_mirror =
   QCheck2.Test.make
     ~name:"random update sequences match the DOM oracle (one commit per op)"
-    ~count:150
+    ~count:200
     QCheck2.Gen.(
-      triple Testsupport.gen_doc (list_size (int_range 1 15) gen_op)
-        (oneofl [ (1, 1.0); (2, 0.6); (3, 0.8); (4, 1.0) ]))
+      triple Testsupport.gen_doc (list_size (int_range 1 20) gen_op)
+        (pair (int_range 1 5) (oneofl [ 0.6; 0.8; 1.0 ])))
     (fun (d, ops, (bits, fill)) ->
       let t = Up.of_dom ~page_bits:bits ~fill d in
       let m = Txn.manager t in
       let v = View.direct t in
-      let dom = ref d in
-      List.iter (fun op -> dom := Txn.with_write m (fun w -> apply_both w !dom op)) ops;
-      (match Up.check_integrity t with
-      | Ok () -> ()
-      | Error m -> QCheck2.Test.fail_report m);
-      if not (Dom.equal !dom (Ser.to_dom v)) then
+      let dom = List.fold_left (commit_op m t) d ops in
+      if not (Dom.equal dom (Ser.to_dom v)) then
         QCheck2.Test.fail_reportf "mismatch:\noracle: %s\nstore:  %s"
-          (Xml.Xml_serialize.to_string !dom)
+          (Xml.Xml_serialize.to_string dom)
           (Xml.Xml_serialize.to_string (Ser.to_dom v))
       else begin
         (* compaction must preserve the document and all invariants *)
@@ -324,12 +343,25 @@ let prop_update_mirror =
         (match Up.check_integrity t with
         | Ok () -> ()
         | Error m -> QCheck2.Test.fail_reportf "integrity after compact: %s" m);
-        if not (Dom.equal !dom (Ser.to_dom v)) then
+        if not (Dom.equal dom (Ser.to_dom v)) then
           QCheck2.Test.fail_report "document changed by compact"
         else if not (Column.Pagemap.is_identity (Up.pagemap t)) then
           QCheck2.Test.fail_report "compact did not restore identity order"
         else true
       end)
+
+(* The property, then a check that its inserts took every Figure 7 case. *)
+let update_mirror_case =
+  let name, speed, run = Testsupport.qcheck_case prop_update_mirror in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      List.iter
+        (fun (what, n) -> Alcotest.(check bool) (what ^ " covered") true (!n > 0))
+        [ ("hole after the point (7a)", window_inserts);
+          ("free slots only before the point", compactions);
+          ("overflow (7b)", overflows) ] )
 
 (* Deep repeated inserts at the same point: the degenerate case for
    variable-length labelling schemes; here it must stay healthy. *)
@@ -388,4 +420,4 @@ let () =
         [ Alcotest.test_case "subtree" `Quick test_delete_subtree;
           Alcotest.test_case "freed slots reused" `Quick test_delete_then_insert_reuses_slots ] );
       ("values", [ Alcotest.test_case "text and attributes" `Quick test_value_updates ]);
-      ("property", [ Testsupport.qcheck_case prop_update_mirror ]) ]
+      ("property", [ update_mirror_case ]) ]

@@ -26,7 +26,7 @@ let test_direct_read_only () =
   let ops =
     [ ("write_cell", fun () -> View.write_cell v Up.Cname 3 99);
       ("splice_pages", fun () -> ignore (View.splice_pages v ~at_logical:0 ~count:1));
-      ("recompute_free_runs", fun () -> View.recompute_free_runs v ~phys_page:0);
+      ("private_page", fun () -> ignore (View.private_page v 0));
       ("node_pos_set", fun () -> View.node_pos_set v node 0);
       ("fresh_node_id", fun () -> ignore (View.fresh_node_id v));
       ("free_node_id", fun () -> View.free_node_id v node);

@@ -130,6 +130,67 @@ let test_group_frame_is_atomic () =
       Alcotest.(check int) "only the intact frame" 1 n2;
       Alcotest.(check (list int)) "no half-group" [ 42 ] (List.rev !seen2))
 
+(* The codec's byte-by-byte definitions, kept as the reference the word-wide
+   kernels must match: the same bytes, the same checksums. *)
+let ref_int b x =
+  for i = 0 to 7 do
+    Buffer.add_char b (Char.chr ((x asr (8 * i)) land 0xff))
+  done
+
+let ref_dec_int s off =
+  let x = ref 0 in
+  for i = 7 downto 0 do
+    x := (!x lsl 8) lor Char.code s.[off + i]
+  done;
+  !x
+
+let ref_adler32 s =
+  let a = ref 1 and b = ref 0 in
+  String.iter
+    (fun c ->
+      a := (!a + Char.code c) mod 65521;
+      b := (!b + !a) mod 65521)
+    s;
+  (!b lsl 16) lor !a
+
+let new_int x =
+  let e = Column.Persist.Enc.create () in
+  Column.Persist.Enc.int e x;
+  Column.Persist.Enc.contents e
+
+let ref_bytes x =
+  let b = Buffer.create 8 in
+  ref_int b x;
+  Buffer.contents b
+
+let prop_codec_matches_reference =
+  let open QCheck2.Gen in
+  let special = oneofl [ min_int; max_int; -1; 0; 1; Column.Varray.null ] in
+  QCheck2.Test.make ~name:"codec kernels = byte-by-byte reference" ~count:500
+    (pair (oneof [ special; int ]) (string_size (int_bound 12_000)))
+    (fun (x, s) ->
+      let bytes = new_int x in
+      String.equal bytes (ref_bytes x)
+      && Column.Persist.Dec.int (Column.Persist.Dec.of_string bytes) = x
+      && ref_dec_int bytes 0 = x
+      && Column.Persist.adler32 s = ref_adler32 s)
+
+(* A frame whose header the reference encoder wrote replays. *)
+let test_reference_frame_replays () =
+  with_temp (fun dir ->
+      let wal_path = Filename.concat dir "old.wal" in
+      let payload = Wal.encode_group [ sample_record ] in
+      let frame = Buffer.create 64 in
+      List.iter (ref_int frame)
+        [ 0xB0DECA; String.length payload; ref_adler32 payload ];
+      Buffer.add_string frame payload;
+      Out_channel.with_open_bin wal_path (fun oc ->
+          Out_channel.output_string oc (Buffer.contents frame));
+      let seen = ref [] in
+      Alcotest.(check int) "one record" 1
+        (Wal.replay wal_path (fun r -> seen := r :: !seen));
+      Alcotest.(check bool) "record intact" true (!seen = [ sample_record ]))
+
 (* --------------------------------------------------------------- replay -- *)
 
 (* Replay [wal_path] onto [store] as document 0 — the sole document of a
@@ -267,7 +328,10 @@ let () =
           Alcotest.test_case "group roundtrip" `Quick test_group_roundtrip;
           Alcotest.test_case "group frame is atomic" `Quick
             test_group_frame_is_atomic;
-          Testsupport.qcheck_case prop_record_roundtrip ] );
+          Testsupport.qcheck_case prop_record_roundtrip;
+          Testsupport.qcheck_case prop_codec_matches_reference;
+          Alcotest.test_case "reference-encoded frame replays" `Quick
+            test_reference_frame_replays ] );
       ( "recovery",
         [ Alcotest.test_case "replay reproduces document" `Quick
             test_wal_replay_reproduces_document;
