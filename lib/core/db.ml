@@ -20,7 +20,12 @@ type t = {
   mutable next_doc_id : int;
 }
 
-and cache_t = item_list Qcache.t
+and cache_t = cached Qcache.t
+
+(* One immutable value per (document, query, epoch): the items, and the
+   QUERY response body rendered from them once a QUERY has asked for it.
+   The epoch pins a committed version, so neither can go stale. *)
+and cached = { items : item_list; body : string option }
 
 and item_list = Engine.Make(View).item list
 
@@ -85,9 +90,10 @@ let cache_config ?(entries = 256) ?(bytes = 16 * 1024 * 1024) ?(plans = 128) () 
 
 let default_cache = cache_config ()
 
-(* Approximate resident bytes of a result list, for the cache's byte bound:
-   boxed list cells + per-item payload (attribute strings dominate). *)
-let result_size items =
+(* Approximate resident bytes of a cached result, for the cache's byte
+   bound: boxed list cells + per-item payload (attribute strings dominate),
+   plus the exact length of the rendered body once there is one. *)
+let result_size { items; body } =
   List.fold_left
     (fun acc it ->
       acc
@@ -95,10 +101,15 @@ let result_size items =
         | E.Node _ -> 32
         | E.Attribute { value; _ } -> 96 + String.length value)
     16 items
+  + match body with Some b -> String.length b | None -> 0
 
 let mk_cache cfg =
   Qcache.create ~max_entries:cfg.entries ~max_bytes:cfg.bytes
     ~max_plans:cfg.plans ~size:result_size ()
+
+let m_renders =
+  Obs.counter ~help:"QUERY response bodies serialized (a cached body is not)"
+    "db.renders"
 
 (* [XQDB_CACHE] overrides the per-store choice process-wide: [force] turns
    caching on (default config) for stores created without one — the CI test
@@ -355,11 +366,32 @@ module Session = struct
 
   let cached s = s.cache <> None
 
+  let serialize_item s = function
+    | E.Node pre -> Ser.subtree_to_string s.v pre
+    | E.Attribute { qn; value; _ } ->
+      Printf.sprintf "%s=\"%s\"" (Xml.Qname.to_string qn) value
+
+  (* Body of a QUERY response: result count, then one serialized item per
+     line (subtrees are not indented, so each is one line; attributes
+     render as name="value"). *)
+  let render_items s items =
+    Obs.inc m_renders;
+    let b = Buffer.create 256 in
+    Buffer.add_string b (string_of_int (List.length items));
+    List.iter
+      (fun item ->
+        Buffer.add_char b '\n';
+        Buffer.add_string b (serialize_item s item))
+      items;
+    Buffer.contents b
+
   (* The one read pipeline: a "db.query" span around "xpath.parse" and
      "engine.eval". On a cached session the pair runs inside the result
      tier's single-flight (parsing through the plan tier), so a hit has
-     neither child. Returns the finished "db.query" span with the items. *)
-  let eval ?prof s src =
+     neither child; with [~render] a miss also renders the body there, so
+     the entry is stored with it. Returns the finished "db.query" span with
+     the cached value. *)
+  let eval ?prof ~render s src =
     let compute () =
       let path =
         Obs.Span.with_ "xpath.parse" (fun () ->
@@ -367,8 +399,11 @@ module Session = struct
             | None -> Xpath.Xpath_parser.parse src
             | Some (c, _) -> Qcache.plan c src Xpath.Xpath_parser.parse)
       in
-      Obs.Span.with_ "engine.eval" (fun () ->
-          E.eval_items s.v ?par:s.par ?prof path)
+      let items =
+        Obs.Span.with_ "engine.eval" (fun () ->
+            E.eval_items s.v ?par:s.par ?prof path)
+      in
+      { items; body = (if render then Some (render_items s items) else None) }
     in
     Obs.Span.timed "db.query" (fun () ->
         match s.cache with
@@ -380,9 +415,9 @@ module Session = struct
      tree: parse time is the "xpath.parse" child, evaluation (or, on a hit,
      the cache probe) the rest. The slow-query log is fed unconditionally —
      [note] self-gates on its threshold. *)
-  let profiled s src =
+  let profiled ~render s src =
     let prof = Profile.collector () in
-    let items, span = eval ~prof s src in
+    let r, span = eval ~prof ~render s src in
     let parse_s =
       match
         List.find_opt (fun (c : Obs.Span.t) -> c.name = "xpath.parse")
@@ -397,7 +432,7 @@ module Session = struct
         parse_s;
         eval_s = span.dur -. parse_s;
         total_s = span.dur;
-        items = List.length items;
+        items = List.length r.items;
         domains = (match s.par with Some p -> Par.domains p | None -> 1);
         cache =
           Option.map
@@ -407,18 +442,42 @@ module Session = struct
         trace = Some span }
     in
     Profile.Slowlog.note p;
-    (items, p)
+    (r, p)
 
   (* with the slow-query log armed, every query runs profiled so crossing
      the threshold captures a full profile, not just a duration *)
-  let items s src =
+  let run ~render s src =
     match Profile.Slowlog.threshold () with
-    | None -> fst (eval s src)
-    | Some _ -> fst (profiled s src)
+    | None -> fst (eval ~render s src)
+    | Some _ -> fst (profiled ~render s src)
+
+  let items s src = (run ~render:false s src).items
 
   let query s src = capture (fun () -> items s src)
 
-  let query_profiled s src = capture (fun () -> profiled s src)
+  let profiled_items s src =
+    let r, p = profiled ~render:false s src in
+    (r.items, p)
+
+  let query_profiled s src = capture (fun () -> profiled_items s src)
+
+  (* A cached session renders on a miss, inside the single-flight, and
+     stores the body with the items; a hit serves the stored body. An entry
+     that [query], [count] or EXPLAIN filled first has no body: render it
+     once and upgrade the entry. An uncached session renders every time. *)
+  let render s src =
+    capture (fun () ->
+        let r = run ~render:(cached s) s src in
+        match r.body with
+        | Some body -> body
+        | None ->
+          let body = render_items s r.items in
+          Option.iter
+            (fun (c, epoch) ->
+              Qcache.replace ~doc:s.doc c ~query:src ~epoch ~old:r
+                { r with body = Some body })
+            s.cache;
+          body)
 
   let count s src = capture (fun () -> List.length (items s src))
 
@@ -427,11 +486,6 @@ module Session = struct
   let strings s src = capture (fun () -> List.map (item_string s) (items s src))
 
   let serialize ?indent s = Ser.to_string ?indent s.v
-
-  let serialize_item s = function
-    | E.Node pre -> Ser.subtree_to_string s.v pre
-    | E.Attribute { qn; value; _ } ->
-      Printf.sprintf "%s=\"%s\"" (Xml.Qname.to_string qn) value
 
   let update s src =
     if not s.writable then
@@ -483,7 +537,7 @@ let write_multi t names f =
 let query ?par ?doc t src = read_txn ?par ?doc t (fun s -> Session.items s src)
 
 let query_profiled ?par ?doc t src =
-  read_txn ?par ?doc t (fun s -> Session.profiled s src)
+  read_txn ?par ?doc t (fun s -> Session.profiled_items s src)
 
 let query_strings ?par ?doc t src =
   read_txn ?par ?doc t (fun s ->

@@ -206,6 +206,16 @@ module Session : sig
   (** One result item as the CLI and the server print it: a node as its
       serialised subtree, an attribute as [name="value"]. *)
 
+  val render : t -> string -> (string, Error.t) result
+  (** The body of a server [QUERY] response: the result count, then one
+      {!serialize_item} line per item. On a cached read session the body
+      is cached with the result: a miss renders once and stores both, a hit
+      returns the stored body without evaluating or rendering, and a hit on
+      an entry that {!query}, {!count} or a profiled query filled renders
+      once and upgrades the entry. The body's length is charged to the
+      cache's byte bound. Each body actually serialized counts in the
+      [db.renders] instrument. *)
+
   val update : t -> string -> (int, Error.t) result
   (** Apply an XUpdate document inside this {e write} session; returns the
       number of affected targets. [Invalid_argument] (raised, not

@@ -72,17 +72,21 @@ let lru_find l k =
     push_front l n;
     Some n.value
 
+(* Returns the size of the entry [k] had before, if any. *)
 let lru_add l k v ~size =
-  (match Hashtbl.find_opt l.tbl k with
-  | Some old ->
-    unlink l old;
-    Hashtbl.remove l.tbl k;
-    l.bytes <- l.bytes - old.size
-  | None -> ());
+  let replaced =
+    match Hashtbl.find_opt l.tbl k with
+    | Some old ->
+      unlink l old;
+      l.bytes <- l.bytes - old.size;
+      Some old.size
+    | None -> None
+  in
   let n = { key = k; value = v; size; prev = None; next = None } in
   Hashtbl.replace l.tbl k n;
   push_front l n;
-  l.bytes <- l.bytes + size
+  l.bytes <- l.bytes + size;
+  replaced
 
 (* Evict least-recently-used entries until both bounds hold; returns
    (evicted count, bytes freed). *)
@@ -186,7 +190,7 @@ let plan c src parse =
     let p = parse src in
     locked c (fun () ->
         c.plan_misses <- c.plan_misses + 1;
-        lru_add c.plans src p ~size:0;
+        ignore (lru_add c.plans src p ~size:0);
         let (_ : int * int) =
           lru_trim c.plans ~max_entries:c.max_plans ~max_bytes:max_int
         in
@@ -207,18 +211,23 @@ let find ?(doc = "") c ~query ~epoch =
   (match r with Some _ -> Obs.inc m_hits | None -> ());
   r
 
-(* Insert under the lock, trimming to both bounds; oversized values are not
-   stored at all (they would immediately evict the whole cache for nothing). *)
-let insert_locked c key v =
-  let sz = c.size v in
+(* Insert (or overwrite) under the lock, trimming to both bounds; oversized
+   values are not stored at all (they would immediately evict the whole
+   cache for nothing). The new entry is the most recent and fits on its own,
+   so trimming never evicts it. *)
+let insert_locked (c : _ t) key v ~size:sz =
   if sz <= c.max_bytes then begin
-    lru_add c.results key v ~size:sz;
+    let old_bytes, added =
+      match lru_add c.results key v ~size:sz with
+      | Some old -> (old, 0)
+      | None -> (0, 1)
+    in
     let evicted, freed =
       lru_trim c.results ~max_entries:c.max_entries ~max_bytes:c.max_bytes
     in
     c.evictions <- c.evictions + evicted;
     if evicted > 0 then Obs.add m_evictions evicted;
-    publish_delta ~bytes:(sz - freed) ~entries:(1 - evicted)
+    publish_delta ~bytes:(sz - old_bytes - freed) ~entries:(added - evicted)
   end
 
 let with_result ?(doc = "") c ~query ~epoch compute =
@@ -259,13 +268,27 @@ let with_result ?(doc = "") c ~query ~epoch compute =
         in
         Mutex.lock c.mu;
         Hashtbl.remove c.inflight key;
-        insert_locked c key v;
+        insert_locked c key v ~size:(c.size v);
         Condition.broadcast c.cond;
         Mutex.unlock c.mu;
         v
       end
   in
   acquire false
+
+(* Compare-and-swap on physical identity: only the value the caller read
+   may be upgraded. An entry that was evicted, purged by [remove_doc] or
+   overwritten meanwhile stays as it is, so a reader still pinned on a
+   dropped document's snapshot cannot plant its value under a successor's
+   key. *)
+let replace ?(doc = "") (c : _ t) ~query ~epoch ~old v =
+  let key = (doc, query, epoch) in
+  let sz = c.size v in
+  locked c (fun () ->
+      match Hashtbl.find_opt c.results.tbl key with
+      | Some n when n.value == old && sz <= c.max_bytes ->
+        insert_locked c key v ~size:sz
+      | Some _ | None -> ())
 
 (* --------------------------------------------------------------- plumbing -- *)
 

@@ -82,6 +82,16 @@ val with_result :
     caller, nothing is cached, and one blocked waiter retries the
     compute. *)
 
+val replace :
+  ?doc:string -> 'v t -> query:string -> epoch:int -> old:'v -> 'v -> unit
+(** [replace c ~doc ~query ~epoch ~old v] upgrades a resident entry in
+    place: if the value stored under (doc, query, epoch) is still
+    physically [old], it becomes [v], its byte charge becomes [size v] and
+    it turns most recent; entries past either bound are then evicted, least
+    recent first. Nothing changes when the entry is gone (evicted, purged
+    or overwritten) or when [size v] exceeds [max_bytes] — the caller keeps
+    [v] but the cache keeps [old]. *)
+
 val remove_doc : _ t -> string -> unit
 (** Purge every result entry belonging to one document (plans survive —
     they depend only on query text). Required when a document is dropped:

@@ -3,8 +3,15 @@ module Make (S : Storage_intf.S) = struct
 
   (* Hop from a used node towards its next sibling: [pre + size + 1] skips at
      least the node's own descendants (undershoot lands on a descendant of a
-     sibling-candidate, never past one). *)
-  let sibling_hop t pre = S.next_used t (pre + S.size t pre + 1)
+     sibling-candidate, never past one). Every scan that hops ends only
+     because the hop advances, so a negative size (a corrupt plane) raises
+     here instead of spinning forever on the same node. *)
+  let sibling_hop t pre =
+    let size = S.size t pre in
+    if size < 0 then
+      failwith
+        (Printf.sprintf "Staircase: node at pre %d has size %d" pre size);
+    S.next_used t (pre + size + 1)
 
   let subtree_end t ctx =
     let lvl = S.level t ctx in

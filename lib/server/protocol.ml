@@ -89,10 +89,14 @@ let parse_request payload =
   | "" -> Error "empty request"
   | v -> Error ("unknown verb: " ^ v)
 
-let render_response = function
-  | Ok "" -> "OK"
-  | Ok body -> "OK\n" ^ body
-  | Err { code; msg } -> Printf.sprintf "ERR %s\n%s" code msg
+(* A response payload as the pieces it is made of, so a frame can copy a
+   large body once, straight into its write buffer. *)
+let response_parts = function
+  | Ok "" -> [ "OK" ]
+  | Ok body -> [ "OK\n"; body ]
+  | Err { code; msg } -> [ "ERR "; code; "\n"; msg ]
+
+let render_response r = String.concat "" (response_parts r)
 
 let parse_response payload =
   let line, body = split_payload payload in
@@ -131,11 +135,26 @@ let write_all fd buf =
     off := !off + w
   done
 
-let write_frame fd payload =
-  (* One write: the header is tiny and coalescing avoids a
-     delayed-ACK/Nagle stall between header and payload. *)
-  let header = string_of_int (String.length payload) ^ "\n" in
-  write_all fd (Bytes.of_string (header ^ payload))
+(* One frame whose payload is the concatenation of [parts], built in one
+   buffer and sent with one write: the header is tiny and coalescing avoids
+   a delayed-ACK/Nagle stall between header and payload. Each part is
+   copied once. Returns the payload length. *)
+let write_parts fd parts =
+  let len = List.fold_left (fun n p -> n + String.length p) 0 parts in
+  let header = string_of_int len ^ "\n" in
+  let buf = Bytes.create (String.length header + len) in
+  ignore
+    (List.fold_left
+       (fun off p ->
+         Bytes.blit_string p 0 buf off (String.length p);
+         off + String.length p)
+       0 (header :: parts));
+  write_all fd buf;
+  len
+
+let write_frame fd payload = ignore (write_parts fd [ payload ])
+
+let write_response fd r = write_parts fd (response_parts r)
 
 (* Read exactly [n] bytes; [`Eof got] on premature close. A connection
    reset counts as EOF: a peer that aborts (or closes with data still
@@ -190,7 +209,8 @@ let read_frame ~max_bytes fd =
       else
         match read_exact fd len with
         | `Eof _ -> Error Closed_mid_frame
-        | `Bytes b -> Result.Ok (Bytes.to_string b)))
+        (* the buffer is fresh and nothing else holds it *)
+        | `Bytes b -> Result.Ok (Bytes.unsafe_to_string b)))
 
 (* ---------------------------------------------------------------- client -- *)
 

@@ -98,6 +98,10 @@ val write_frame : Unix.file_descr -> string -> unit
 (** Write one frame; raises [Unix.Unix_error] on a dead or (with
     [SO_SNDTIMEO] armed) persistently unwritable peer. *)
 
+val write_response : Unix.file_descr -> response -> int
+(** [write_frame fd (render_response r)], but the body is copied once,
+    straight into the frame buffer. Returns the payload length. *)
+
 val read_frame : max_bytes:int -> Unix.file_descr -> (string, read_error) result
 (** Read one frame. After [Too_large] or [Malformed] the caller must close
     the connection: frame boundaries are lost. *)

@@ -130,14 +130,14 @@ let unregister t c =
 (* Best-effort response write honouring the timeout watchdog: after the
    watchdog answered for us, the late result is discarded. Returns false
    when the connection is no longer usable. *)
-let send_response c payload =
+let send_response c resp =
   locked c.wmu (fun () ->
       c.deadline <- None;
       if c.timed_out || c.closed then false
       else
-        match Protocol.write_frame c.fd payload with
-        | () ->
-          Obs.add m_bytes_out (String.length payload);
+        match Protocol.write_response c.fd resp with
+        | n ->
+          Obs.add m_bytes_out n;
           true
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           (* SO_SNDTIMEO expired: the peer stopped draining its socket *)
@@ -174,19 +174,6 @@ let err_code : Db.Error.t -> string = function
 
 let err e = Protocol.Err { code = err_code e; msg = Db.Error.to_string e }
 
-(* Body of a QUERY response: result count, then one serialized item per
-   line-group (subtrees are themselves multi-line only when indented — they
-   are not — so one line each; attributes render as name="value"). *)
-let render_items s items =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (string_of_int (List.length items));
-  List.iter
-    (fun item ->
-      Buffer.add_char b '\n';
-      Buffer.add_string b (Db.Session.serialize_item s item))
-    items;
-  Buffer.contents b
-
 let cache_stats_text db =
   match Db.cache_stats db with
   | None -> "cache: disabled"
@@ -213,9 +200,7 @@ let exec t c (req : Protocol.request) : Protocol.response =
   | Protocol.Quit -> Protocol.Ok "bye"
   | Protocol.Metrics -> Protocol.Ok (Obs.render_prometheus (Obs.snapshot ()))
   | Protocol.Cache_stats -> Protocol.Ok (cache_stats_text t.db)
-  | Protocol.Query x ->
-    in_read t ~doc (fun s ->
-        Result.map (render_items s) (Db.Session.query s x))
+  | Protocol.Query x -> in_read t ~doc (fun s -> Db.Session.render s x)
   | Protocol.Count x ->
     in_read t ~doc (fun s -> Result.map string_of_int (Db.Session.count s x))
   | Protocol.Explain x -> (
@@ -255,7 +240,7 @@ let respond c (resp : Protocol.response) =
   (match resp with
   | Protocol.Err { code; _ } -> Obs.inc (m_errors code)
   | Protocol.Ok _ -> ());
-  send_response c (Protocol.render_response resp)
+  send_response c resp
 
 let handle_frame t c payload =
   Obs.add m_bytes_in (String.length payload);
@@ -347,8 +332,8 @@ let watchdog t =
                 c.timed_out <- true;
                 c.deadline <- None;
                 (try
-                   Protocol.write_frame c.fd
-                     (Protocol.render_response
+                   ignore
+                     (Protocol.write_response c.fd
                         (Protocol.Err
                            { code = "timeout"; msg = "request deadline exceeded" }))
                  with Unix.Unix_error _ -> ());
@@ -410,8 +395,8 @@ let drain t =
 let shed fd =
   Obs.inc m_shed;
   (try
-     Protocol.write_frame fd
-       (Protocol.render_response
+     ignore
+       (Protocol.write_response fd
           (Protocol.Err { code = "busy"; msg = "connection limit reached" }))
    with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()

@@ -1,14 +1,23 @@
 (* Core.Qcache + its Db wiring: epoch-keyed invalidation, LRU entry/byte
-   bounds, single-flight deduplication under domains, write-session bypass,
-   the EXPLAIN/PROFILE cache annotation, the XQDB_CACHE override, and the
+   bounds, in-place upgrades, single-flight deduplication under domains,
+   write-session bypass, rendered QUERY bodies and their byte charge, the
+   EXPLAIN/PROFILE cache annotation, the XQDB_CACHE override, and the
    [version.epoch_bump] failpoint proving the bump-before-unlock ordering the
-   cache's safety argument rests on. *)
+   cache's safety argument rests on.
+
+   CI also runs this suite under XQDB_CACHE=force and XQDB_CACHE=off. The
+   Db-wiring cases ask the store whether it got a cache ([live]) and check
+   the uncached behaviour when it did not. *)
 
 module Db = Core.Db
 module Qcache = Core.Qcache
 module Session = Core.Db.Session
 
 let sized () = Qcache.create ~size:String.length ()
+
+let live db = Db.cache_stats db <> None
+
+let renders () = Obs.value (Obs.counter "db.renders")
 
 (* ------------------------------------------------------- epoch keying -- *)
 
@@ -92,6 +101,41 @@ let test_byte_bound () =
   let st = Qcache.stats c in
   Alcotest.(check bool) "byte budget respected" true (st.Qcache.bytes <= 10)
 
+(* [replace] upgrades a resident entry and recharges its size; growing past
+   the byte bound evicts least-recent entries, never the upgraded one. *)
+let test_replace_upgrade () =
+  let c =
+    Qcache.create ~max_entries:100 ~max_bytes:100 ~size:String.length ()
+  in
+  let put q =
+    Qcache.with_result c ~query:q ~epoch:1 (fun () -> String.make 30 q.[0])
+  in
+  let a = put "a" and b = put "b" and cv = put "c" in
+  ignore (a, b);
+  Alcotest.(check int) "three 30-byte entries" 90 (Qcache.stats c).Qcache.bytes;
+  let bigger = String.make 50 'C' in
+  Qcache.replace c ~query:"c" ~epoch:1 ~old:cv bigger;
+  let st = Qcache.stats c in
+  Alcotest.(check (option string)) "upgraded value served" (Some bigger)
+    (Qcache.find c ~query:"c" ~epoch:1);
+  Alcotest.(check (option string)) "LRU entry evicted by the upgrade" None
+    (Qcache.find c ~query:"a" ~epoch:1);
+  Alcotest.(check int) "one eviction" 1 st.Qcache.evictions;
+  Alcotest.(check int) "bytes recharged" 80 st.Qcache.bytes;
+  Alcotest.(check int) "two entries" 2 st.Qcache.entries;
+  (* only the value the caller read is replaced *)
+  Qcache.replace c ~query:"c" ~epoch:1 ~old:cv (String.make 10 'x');
+  Alcotest.(check (option string)) "stale old: no change" (Some bigger)
+    (Qcache.find c ~query:"c" ~epoch:1);
+  Qcache.replace c ~query:"a" ~epoch:1 ~old:a "back";
+  Alcotest.(check (option string)) "a gone entry is not re-inserted" None
+    (Qcache.find c ~query:"a" ~epoch:1);
+  (* a value over the whole budget is not stored: the old one stays *)
+  Qcache.replace c ~query:"c" ~epoch:1 ~old:bigger (String.make 200 'z');
+  Alcotest.(check (option string)) "oversized upgrade refused" (Some bigger)
+    (Qcache.find c ~query:"c" ~epoch:1);
+  Alcotest.(check int) "bytes unchanged" 80 (Qcache.stats c).Qcache.bytes
+
 let test_clear_and_validation () =
   let c = Qcache.create ~size:String.length () in
   ignore (Qcache.with_result c ~query:"a" ~epoch:1 (fun () -> "v"));
@@ -171,17 +215,16 @@ let append_a =
 
 let test_db_roundtrip () =
   let db = Db.of_xml ~cache:(Db.cache_config ()) doc in
-  let s0 =
-    match Db.cache_stats db with
-    | Some s -> s
-    | None -> Alcotest.fail "cache-enabled store must report stats"
-  in
-  Alcotest.(check int) "fresh cache" 0 s0.Qcache.entries;
+  Option.iter
+    (fun s0 -> Alcotest.(check int) "fresh cache" 0 s0.Qcache.entries)
+    (Db.cache_stats db);
   let r1 = Db.get_exn (Db.query_strings db "/r/a/text()") in
   let r2 = Db.get_exn (Db.query_strings db "/r/a/text()") in
   Alcotest.(check (list string)) "repeat equals first" r1 r2;
-  let s1 = Option.get (Db.cache_stats db) in
-  Alcotest.(check bool) "repeat query hit" true (s1.Qcache.hits >= 1);
+  Option.iter
+    (fun s1 ->
+      Alcotest.(check bool) "repeat query hit" true (s1.Qcache.hits >= 1))
+    (Db.cache_stats db);
   (* a commit advances the epoch: same text re-evaluates and sees the write *)
   ignore (Db.get_exn (Db.update db append_a));
   Alcotest.(check (list string)) "post-commit query re-evaluated"
@@ -202,32 +245,108 @@ let test_write_session_bypass () =
   Alcotest.(check int) "committed afterwards" 3
     (Db.get_exn (Db.query_count db "/r/a"))
 
+let annotation db src =
+  let _, p = Db.get_exn (Db.query_profiled db src) in
+  Option.map Core.Profile.cache_name p.Core.Profile.cache
+
 let test_profile_annotation () =
   let db = Db.of_xml ~cache:(Db.cache_config ()) doc in
-  let _, p1 = Db.get_exn (Db.query_profiled db "/r/a") in
-  Alcotest.(check (option string)) "first run is a miss" (Some "miss")
-    (Option.map Core.Profile.cache_name p1.Core.Profile.cache);
+  let expect name = if live db then Some name else None in
+  Alcotest.(check (option string)) "first run is a miss" (expect "miss")
+    (annotation db "/r/a");
   let items, p2 = Db.get_exn (Db.query_profiled db "/r/a") in
-  Alcotest.(check (option string)) "second run is a hit" (Some "hit")
+  Alcotest.(check (option string)) "second run is a hit" (expect "hit")
     (Option.map Core.Profile.cache_name p2.Core.Profile.cache);
   Alcotest.(check int) "hit still carries the result" 2 (List.length items);
-  Alcotest.(check bool) "nothing evaluated on a hit" true
-    (p2.Core.Profile.steps = []);
-  let rendered = Core.Profile.render_explain p2 in
-  Alcotest.(check bool) "explain shows the hit" true
-    (let n = String.length rendered in
-     let needle = "cache: hit" and nn = 10 in
-     let rec go i = i + nn <= n && (String.sub rendered i nn = needle || go (i + 1)) in
-     go 0);
-  (* an uncached store never annotates *)
+  if live db then begin
+    Alcotest.(check bool) "nothing evaluated on a hit" true
+      (p2.Core.Profile.steps = []);
+    let rendered = Core.Profile.render_explain p2 in
+    Alcotest.(check bool) "explain shows the hit" true
+      (let n = String.length rendered in
+       let needle = "cache: hit" and nn = 10 in
+       let rec go i =
+         i + nn <= n && (String.sub rendered i nn = needle || go (i + 1))
+       in
+       go 0)
+  end;
+  (* a store without a cache never annotates *)
   let db' = Db.of_xml doc in
-  let _, p = Db.get_exn (Db.query_profiled db' "/r/a") in
-  Alcotest.(check bool) "no annotation without a cache" true
-    (p.Core.Profile.cache = None)
+  Alcotest.(check bool) "annotated iff the store has a cache" (live db')
+    (annotation db' "/r/a" <> None)
+
+(* ------------------------------------------------------ rendered bodies -- *)
+
+let render db src =
+  Db.get_exn (Db.get_exn (Db.read_txn db (fun s -> Session.render s src)))
+
+let body_of db src =
+  Db.get_exn
+    (Db.read_txn db (fun s ->
+         let items = Db.get_exn (Session.query s src) in
+         String.concat "\n"
+           (string_of_int (List.length items)
+           :: List.map (Session.serialize_item s) items)))
+
+(* A QUERY body is rendered once per (query, epoch): a miss stores it, a hit
+   serves it, and the entry is charged its length. *)
+let test_render_cached () =
+  let db = Db.of_xml ~cache:(Db.cache_config ()) doc in
+  let r0 = renders () in
+  let b1 = render db "/r/a" in
+  let b2 = render db "/r/a" in
+  Alcotest.(check string) "body: count line, then one line per item"
+    "2\n<a>one</a>\n<a>two</a>" b1;
+  Alcotest.(check string) "hit body identical" b1 b2;
+  Alcotest.(check int) "rendered once (every time without a cache)"
+    (if live db then 1 else 2) (renders () - r0);
+  Alcotest.(check (option string)) "EXPLAIN of a rendered entry is a hit"
+    (if live db then Some "hit" else None)
+    (annotation db "/r/a");
+  Alcotest.(check string) "query and render agree" (body_of db "/r/a") b1;
+  ignore (Db.get_exn (Db.update db append_a));
+  Alcotest.(check string) "a commit re-renders the new state"
+    "3\n<a>one</a>\n<a>two</a>\n<a>three</a>" (render db "/r/a")
+
+(* An entry filled by [query] has no body: the first render upgrades it, and
+   the upgrade charges exactly the body's length on top of the items. *)
+let test_render_upgrade_charge () =
+  let db = Db.of_xml ~cache:(Db.cache_config ()) doc in
+  ignore (Db.get_exn (Db.query db "//a"));
+  let bytes () =
+    Option.fold ~none:0 ~some:(fun s -> s.Qcache.bytes) (Db.cache_stats db)
+  in
+  let items_only = bytes () in
+  let r0 = renders () in
+  let body = render db "//a" in
+  Alcotest.(check int) "upgrade renders once" 1 (renders () - r0);
+  if live db then
+    Alcotest.(check int) "charge = item estimate + body length"
+      (items_only + String.length body) (bytes ());
+  let again = render db "//a" in
+  Alcotest.(check string) "upgraded body served" body again;
+  Alcotest.(check int) "no render after the upgrade"
+    (if live db then 1 else 2) (renders () - r0)
+
+(* A body that does not fit the byte bound is returned, never stored. *)
+let test_render_oversized () =
+  let doc = "<r><t>" ^ String.make 300 'x' ^ "</t></r>" in
+  let db = Db.of_xml ~cache:(Db.cache_config ~bytes:200 ()) doc in
+  ignore (Db.get_exn (Db.query db "/r"));
+  let resident () =
+    Option.map (fun s -> (s.Qcache.entries, s.Qcache.bytes)) (Db.cache_stats db)
+  in
+  let before = resident () in
+  let body = render db "/r" in
+  Alcotest.(check bool) "body larger than the bound" true
+    (String.length body > 200);
+  Alcotest.(check string) "oversized body returned" (body_of db "/r") body;
+  Alcotest.(check bool) "cache unchanged" true (before = resident ())
 
 let test_env_override () =
+  let saved = Option.value ~default:"" (Sys.getenv_opt "XQDB_CACHE") in
   Fun.protect
-    ~finally:(fun () -> Unix.putenv "XQDB_CACHE" "")
+    ~finally:(fun () -> Unix.putenv "XQDB_CACHE" saved)
     (fun () ->
       Unix.putenv "XQDB_CACHE" "off";
       let db = Db.of_xml ~cache:(Db.cache_config ()) doc in
@@ -240,12 +359,13 @@ let test_env_override () =
 
 let test_vacuum_drops_cache () =
   let db = Db.of_xml ~cache:(Db.cache_config ()) doc in
+  let entries () = Option.map (fun s -> s.Qcache.entries) (Db.cache_stats db) in
   ignore (Db.get_exn (Db.query_count db "/r/a"));
-  Alcotest.(check bool) "entry resident" true
-    ((Option.get (Db.cache_stats db)).Qcache.entries > 0);
+  Alcotest.(check bool) "entry resident" (live db)
+    (entries () <> None && entries () <> Some 0);
   Db.vacuum db;
-  Alcotest.(check int) "vacuum drops the cache" 0
-    ((Option.get (Db.cache_stats db)).Qcache.entries);
+  Alcotest.(check (option int)) "vacuum drops the cache"
+    (if live db then Some 0 else None) (entries ());
   Alcotest.(check int) "store intact" 2 (Db.get_exn (Db.query_count db "/r/a"))
 
 (* --------------------------------------------- epoch-bump ordering ------ *)
@@ -267,11 +387,17 @@ let test_epoch_bump_ordering () =
         Thread.create (fun () -> ignore (Db.get_exn (Db.update db append_a))) ()
       in
       Thread.delay 0.15;
-      (* the writer is asleep at the failpoint, inside the commit mutex *)
-      let cached = Db.get_exn (Db.query_count db "/r/a") in
-      let fresh =
-        Db.read db (fun v ->
-            List.length (Db.E.eval_items v (Xpath.Xpath_parser.parse "/r/a")))
+      (* the writer is asleep at the failpoint, inside the commit mutex; one
+         snapshot pinned now serves both reads. (Two pins would not do: an
+         evaluating read waits for the write section to close, so without a
+         cache the second pin would already see the commit.) *)
+      let cached, fresh =
+        Db.get_exn
+          (Db.read_txn db (fun s ->
+               ( Db.get_exn (Session.count s "/r/a"),
+                 List.length
+                   (Db.E.eval_items (Session.view s)
+                      (Xpath.Xpath_parser.parse "/r/a")) )))
       in
       Thread.join writer;
       Alcotest.(check int) "cached read pinned the old epoch" 2 cached;
@@ -287,6 +413,7 @@ let () =
       ( "bounds",
         [ Alcotest.test_case "entry LRU" `Quick test_entry_bound;
           Alcotest.test_case "byte budget" `Quick test_byte_bound;
+          Alcotest.test_case "in-place upgrade" `Quick test_replace_upgrade;
           Alcotest.test_case "clear + validation" `Quick
             test_clear_and_validation ] );
       ( "single-flight",
@@ -301,6 +428,11 @@ let () =
             test_write_session_bypass;
           Alcotest.test_case "profile annotation" `Quick
             test_profile_annotation;
+          Alcotest.test_case "rendered body cached" `Quick test_render_cached;
+          Alcotest.test_case "upgrade charges the body" `Quick
+            test_render_upgrade_charge;
+          Alcotest.test_case "oversized body not stored" `Quick
+            test_render_oversized;
           Alcotest.test_case "XQDB_CACHE override" `Quick test_env_override;
           Alcotest.test_case "vacuum drops cache" `Quick
             test_vacuum_drops_cache ] );

@@ -41,11 +41,19 @@ let append_update id =
     {|<xupdate:modifications><xupdate:append select="/site/people"><person id="%s"><name>%s</name></person></xupdate:append></xupdate:modifications>|}
     id id
 
+(* CI also runs this suite under XQDB_CACHE=off, which strips the result
+   cache from every store; cache-specific expectations follow it. *)
+let cache_off =
+  match Sys.getenv_opt "XQDB_CACHE" with
+  | Some v -> List.mem (String.lowercase_ascii (String.trim v)) [ "off"; "0" ]
+  | None -> false
+
 (* Start an in-process server on an ephemeral port, run [f port], always
    drain. [config] defaults keep timeouts long so unrelated tests never trip
-   the watchdog. *)
-let with_server ?(config = Server.default_config) ?xml f =
-  let db = Db.of_xml ~cache:Db.default_cache (Option.value ~default:doc_xml xml) in
+   the watchdog. The store is cached unless [~cache:None]. *)
+let with_server ?(config = Server.default_config)
+    ?(cache = Some Db.default_cache) ?xml f =
+  let db = Db.of_xml ?cache (Option.value ~default:doc_xml xml) in
   let srv = Server.start ~config db in
   Fun.protect
     ~finally:(fun () ->
@@ -159,7 +167,8 @@ let test_verbs_end_to_end () =
           Alcotest.(check bool) "prometheus text" true
             (contains m "server_requests" && contains m "server_connections");
           let cs = ok_body (P.request fd P.Cache_stats) in
-          Alcotest.(check bool) "cache stats" true (contains cs "entries");
+          Alcotest.(check bool) "cache stats" true
+            (contains cs (if cache_off then "cache: disabled" else "entries"));
           Alcotest.(check string) "quit" "bye" (ok_body (P.request fd P.Quit));
           (* server closes after QUIT *)
           match P.read_frame ~max_bytes:1024 fd with
@@ -500,6 +509,10 @@ let test_catalog_cache_isolation () =
      warm cache entries: per-document epochs, observed through CACHE *)
   with_server (fun port ->
       with_conn port (fun fd ->
+          if cache_off then
+            Alcotest.(check string) "no cache to isolate" "cache: disabled"
+              (ok_body (P.request fd P.Cache_stats))
+          else begin
           ignore (ok_body (P.request fd (P.Create { name = "beta"; body = shop_xml 4 })));
           ignore (ok_body (P.request fd (P.Doc "beta")));
           ignore (ok_body (P.request fd (P.Query "//item")));
@@ -518,7 +531,83 @@ let test_catalog_cache_isolation () =
           Alcotest.(check int) "no cache miss on the unwritten doc"
             m0 (cache_counter "misses" fd);
           Alcotest.(check bool) "still a hit after the other doc's commit" true
-            (cache_counter "hits" fd > h1)))
+            (cache_counter "hits" fd > h1)
+          end))
+
+(* ------------------------------------------------------ rendered bodies -- *)
+
+(* QUERY bodies the server serialized, from its own METRICS scrape *)
+let renders fd =
+  let text = ok_body (P.request fd P.Metrics) in
+  match
+    List.find_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ "db_renders"; n ] -> int_of_string_opt n
+        | _ -> None)
+      (String.split_on_char '\n' text)
+  with
+  | Some n -> n
+  | None -> Alcotest.fail "no db_renders in METRICS"
+
+(* A QUERY body is the same bytes whether it was rendered now (a miss),
+   served from the cache (a hit) or rendered by a server without a cache;
+   the hit serializes nothing, EXPLAIN still sees a hit, and a commit moves
+   the next QUERY to the new state. *)
+let test_query_body_rendered_once () =
+  let q = "//person" in
+  let uncached =
+    with_server ~cache:None (fun port ->
+        with_conn port (fun fd -> ok_body (P.request fd (P.Query q))))
+  in
+  with_server (fun port ->
+      with_conn port (fun fd ->
+          let miss = ok_body (P.request fd (P.Query q)) in
+          let r0 = renders fd in
+          let hit = ok_body (P.request fd (P.Query q)) in
+          Alcotest.(check string) "hit = miss, byte for byte" miss hit;
+          Alcotest.(check string) "cached = uncached server" uncached miss;
+          Alcotest.(check int) "a hit renders nothing"
+            (if cache_off then 1 else 0)
+            (renders fd - r0);
+          let ex = ok_body (P.request fd (P.Explain q)) in
+          Alcotest.(check bool) "EXPLAIN of a rendered entry is a hit" true
+            (contains ex (if cache_off then "query: " ^ q else "cache: hit"));
+          Alcotest.(check string) "update ack" "1"
+            (ok_body (P.request fd (P.Update (append_update "p2"))));
+          let after = ok_body (P.request fd (P.Query q)) in
+          Alcotest.(check bool) "the next QUERY shows the commit" true
+            (String.length after > 2
+            && String.sub after 0 2 = "3\n"
+            && contains after {|<person id="p2">|})))
+
+(* DROP + CREATE of the same name restarts the document's epochs: a body
+   cached for the old document must never answer for the new one, whether
+   the new entry is filled by QUERY or upgraded from a COUNT's. *)
+let test_drop_create_never_serves_old_body () =
+  with_server (fun port ->
+      with_conn port (fun fd ->
+          let incarnation n =
+            let create = P.Create { name = "beta"; body = shop_xml n } in
+            ignore (ok_body (P.request fd create));
+            ignore (ok_body (P.request fd (P.Doc "beta")))
+          in
+          incarnation 3;
+          let old_body = ok_body (P.request fd (P.Query "//item")) in
+          Alcotest.(check string) "old body, again" old_body
+            (ok_body (P.request fd (P.Query "//item")));
+          ignore (ok_body (P.request fd (P.Drop "beta")));
+          incarnation 5;
+          let fresh = ok_body (P.request fd (P.Query "//item")) in
+          Alcotest.(check bool) "new document's body" true
+            (String.sub fresh 0 2 = "5\n" && contains fresh {|<item n="4"/>|});
+          ignore (ok_body (P.request fd (P.Drop "beta")));
+          incarnation 3;
+          Alcotest.(check string) "count fills the entry" "3"
+            (ok_body (P.request fd (P.Count "//item")));
+          Alcotest.(check string) "upgraded entry renders the new document"
+            old_body
+            (ok_body (P.request fd (P.Query "//item")))))
 
 let test_catalog_concurrent_clients () =
   with_server (fun port ->
@@ -633,5 +722,10 @@ let () =
             test_catalog_cache_isolation;
           Alcotest.test_case "doc-scoped concurrent clients" `Quick
             test_catalog_concurrent_clients ] );
+      ( "rendered bodies",
+        [ Alcotest.test_case "one render, identical bytes" `Quick
+            test_query_body_rendered_once;
+          Alcotest.test_case "DROP + CREATE never serves an old body" `Quick
+            test_drop_create_never_serves_old_body ] );
       ( "concurrency",
         [ Alcotest.test_case "8 parallel clients" `Quick test_concurrent_clients ] ) ]

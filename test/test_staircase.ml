@@ -153,6 +153,31 @@ let prop_prune_covered =
       in
       sorted_subset && disjoint pruned && by_regions = Sj.descendants v ctxs)
 
+(* A node whose size is negative (an ancestor delta applied with the wrong
+   sign or count) makes [pre + size + 1] stand still; every hopping scan
+   must then raise, not spin. The corrupt plane is a read-only store with
+   one size cell overridden. *)
+module Corrupt = struct
+  include Core.Schema_ro
+
+  let size t pre = if pre = 1 then -1 else size t pre
+end
+
+module Sj_corrupt = Core.Staircase.Make (Corrupt)
+
+let test_negative_size_raises () =
+  let t = Core.Schema_ro.of_dom (Xml.Xml_parser.parse "<r><a/><b/></r>") in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Failure on a negative size" name
+    | exception Failure _ -> ()
+  in
+  raises "children" (fun () -> ignore (Sj_corrupt.children t [ 0 ]));
+  raises "subtree_end" (fun () -> ignore (Sj_corrupt.subtree_end t 0));
+  raises "following-sibling" (fun () ->
+      ignore (Sj_corrupt.following_siblings t [ 1 ]));
+  raises "parent" (fun () -> ignore (Sj_corrupt.parent_of t 2))
+
 let () =
   Alcotest.run "staircase"
     [ ( "slack",
@@ -160,7 +185,9 @@ let () =
             `Quick test_undershoot_after_delete;
           Alcotest.test_case "contexts adjacent to free runs" `Quick
             test_context_adjacent_to_free_run;
-          Alcotest.test_case "axes across empty pages" `Quick test_empty_pages
+          Alcotest.test_case "axes across empty pages" `Quick test_empty_pages;
+          Alcotest.test_case "negative size raises instead of looping" `Quick
+            test_negative_size_raises
         ] );
       ( "prune_covered",
         [ Alcotest.test_case "unit cases" `Quick test_prune_covered_units;
