@@ -722,7 +722,7 @@ let () =
             test_catalog_cache_isolation;
           Alcotest.test_case "doc-scoped concurrent clients" `Quick
             test_catalog_concurrent_clients ] );
-      ( "rendered bodies",
+      ( "bodies",
         [ Alcotest.test_case "one render, identical bytes" `Quick
             test_query_body_rendered_once;
           Alcotest.test_case "DROP + CREATE never serves an old body" `Quick
