@@ -369,7 +369,7 @@ let run_shift_cost ~sizes =
          insert is one committed transaction *)
       let up = Up.of_dom ~page_bits ~fill:0.9 d in
       let m = Txn.manager up in
-      let section_node = Up.node_at up ~pre:(mid_section_up (View.direct up)) in
+      let section_node = Up.node_at up ~pre:(Txn.read m mid_section_up) in
       U.reset_costs ();
       let (), t_paged =
         wall (fun () ->
@@ -413,7 +413,7 @@ let run_insert_cost () =
                   (List.init (m - 1) (fun i -> Printf.sprintf "<n%d/>" (i mod 5)))
               ^ "</blob>")
           in
-          let section_node = Up.node_at up ~pre:(mid_section_up (View.direct up)) in
+          let section_node = Up.node_at up ~pre:(Txn.read mgr mid_section_up) in
           let reps = 10 in
           U.reset_costs ();
           let (), t =
@@ -445,10 +445,11 @@ let run_insert_cost () =
      page. The store itself takes no page locks (writers are validated at
      commit), so this baseline brings its own: one mutex per physical page.
    - The paper's design needs no ancestor locks at all: size maintenance is
-     a commutative delta applied at commit, so the transaction touches pages
-     only inside a sub-millisecond window around its own insert, and think
-     times overlap freely. Occasional snapshot conflicts (a commit landing
-     inside that small window) abort-and-retry cheaply instead of waiting.
+     a commutative delta applied at commit, and the ancestor search reads
+     the transaction's snapshot, so its write set is the page of its own
+     insert and think times overlap freely. Occasional snapshot conflicts
+     (a commit rewriting that page) abort-and-retry cheaply instead of
+     waiting.
 
    (OCaml threads do not run OCaml code in parallel, so this measures
    exactly what the paper argues about: lock waiting, not CPU scaling.) *)
@@ -470,26 +471,20 @@ let run_concurrency ~ops_per_writer =
     let base = make_store writers in
     let m = Txn.manager base in
     let bits = Up.page_bits base in
-    (* one mutex per page; ancestors never move (inserts land after them),
-       so the pages they sit on exist from the start *)
-    let page_locks = Array.init (Up.npages base) (fun _ -> Mutex.create ()) in
-    (* clients hold node handles (immutable ids) for their target and its
-       ancestor chain, as real clients that navigated once do *)
+    (* one mutex per page, appended pages included: a zone's header can sit
+       on the page where the previous zone inserts, and that zone's overflows
+       move it to a fresh page; a one-node insert appends at most one *)
+    let page_locks =
+      Array.init (Up.npages base + (writers * ops_per_writer)) (fun _ -> Mutex.create ())
+    in
+    (* clients hold a node handle (immutable id) for their target, as real
+       clients that navigated once do *)
     let data_nodes =
       Array.init writers (fun i ->
           Txn.read m (fun v ->
               match E.parse_eval v (Printf.sprintf "/root/zone[@id='z%d']/data" i) with
               | [ E.Node pre ] -> Up.node_at base ~pre
               | _ -> failwith "zone not found"))
-    in
-    let chains =
-      Array.init writers (fun i ->
-          Txn.read m (fun v ->
-              let pre = Option.get (Up.pre_of_node base data_nodes.(i)) in
-              List.map
-                (fun a -> Up.node_at base ~pre:a)
-                (Sj.ancestors v [ pre ])
-              @ [ data_nodes.(i) ]))
     in
     let one_op i k =
       let t = Txn.begin_write m in
@@ -500,27 +495,27 @@ let run_concurrency ~ops_per_writer =
         let data = View.pre_of_pos v (View.node_pos_get v data_nodes.(i)) in
         let frag = Xml.Xml_parser.parse_fragment (Printf.sprintf "<r n='%d'/>" k) in
         if lock_ancestors then begin
-          (* the protocol the paper avoids: lock every ancestor's page up
-             front — root included — and hold them through the think time
-             and the commit. Acquired in a global order (ascending page),
-             deadlock-free. *)
+          (* the protocol the paper avoids: lock the page of the target and
+             of every ancestor up front — root included — and hold them
+             through the think time and the commit. Acquired in a global
+             order (ascending page), deadlock-free. *)
           let pages =
             List.sort_uniq compare
               (List.map
-                 (fun node -> View.node_pos_get v node lsr bits)
-                 chains.(i))
+                 (fun pre -> View.pos_of_pre v pre lsr bits)
+                 (data :: Sj.ancestors v [ data ]))
           in
           held := List.map (Array.get page_locks) pages;
           List.iter Mutex.lock !held;
           Thread.delay (work_ms /. 1000.0);
-          U.insert ~size_chain:chains.(i) v (U.Nth_child (data, 180)) frag
+          U.insert v (U.Nth_child (data, 180)) frag
         end
         else begin
-          (* delta mode: do the insert up front (touching only this zone's
-             pages, in a sub-millisecond window), then think — nothing this
-             transaction re-touches can conflict, and no ancestor is ever
-             locked *)
-          U.insert ~size_chain:chains.(i) v (U.Nth_child (data, 180)) frag;
+          (* delta mode: do the insert up front (copying only this zone's
+             page), then think — reads go to the snapshot, so a commit
+             meanwhile conflicts only if it rewrote that page, and no
+             ancestor is ever locked *)
+          U.insert v (U.Nth_child (data, 180)) frag;
           Thread.delay (work_ms /. 1000.0)
         end;
         Txn.commit t

@@ -3,10 +3,11 @@
    Every insert changes the size of ALL its ancestors — including the
    document root. A naive locking protocol would make the root a global
    write hotspot. The paper's fix: size maintenance travels as commutative
-   delta-increments, so transactions never touch the ancestors' pages.
-   Writers here take no lock at all: they stage privately and are validated
-   at commit (first-committer-wins on the pages they touched), retrying
-   when a concurrent commit got there first. This example runs several
+   delta-increments, so transactions never write the ancestors' pages.
+   Writers here take no lock at all: each reads its pinned snapshot, stages
+   its writes on private page copies and is validated at commit
+   (first-committer-wins on the pages it wrote), retrying when a concurrent
+   commit rewrote one of them first. This example runs several
    writer threads editing disjoint subtrees plus a reader thread, and shows
    (a) all writers commit without ever waiting on the root, (b) the root's
    size ends up exactly base + sum(deltas) regardless of commit order.

@@ -45,7 +45,7 @@ module Error : sig
             language. *)
     | Aborted of string
         (** Transaction rolled back: snapshot conflict (a concurrent commit
-            changed a page this transaction touched — writers take no lock
+            changed a page this transaction wrote — writers take no lock
             and are validated at commit) or schema-validation failure.
             Retrying is usually appropriate. *)
     | Apply of string  (** XUpdate targeted a nonexistent or invalid node. *)

@@ -181,31 +181,11 @@ let stamp_page t kind phys lsn =
   Varray.ensure_length a (phys + 1) 0;
   Varray.set a phys lsn
 
-let used_in_page t ~phys_page =
-  let p = page_size t in
-  let base = phys_page * p in
-  let used = ref 0 in
-  for off = 0 to p - 1 do
-    if Varray.get t.level (base + off) <> Varray.null then incr used
-  done;
-  !used
-
 (* MVCC pre-image and staging copy: one physical page of all five columns,
    in [col] declaration order (size, level, kind, name, node). *)
 let capture_page t phys =
   let p = page_size t in
   Array.map (fun c -> Array.sub (column_data t c) (phys * p) p) cols
-
-(* Append-only high-water marks recorded in version descriptors: a snapshot
-   pinned at commit [k] may only see node ids / attribute rows / pool entries
-   allocated before [k]; entries past the mark belong to later commits. *)
-let pool_hwms t =
-  [| Dict.cardinal t.qn;
-     Dict.cardinal t.props;
-     Strpool.length t.text_pool;
-     Strpool.length t.comment_pool;
-     Strpool.length t.pi_target_pool;
-     Strpool.length t.pi_data_pool |]
 
 (* --------------------------------------------------------- the pre view *)
 

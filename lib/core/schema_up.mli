@@ -88,16 +88,12 @@ val grow_pages : t -> count:int -> int list
     transaction uses to stage private pages that other transactions cannot
     see until its own pageOffset is installed. *)
 
-val used_in_page : t -> phys_page:int -> int
-(** Number of used slots in a physical page. *)
-
 type stamp =
   | Bulk  (** cell writes, fresh pages, attribute owners, vacuum *)
   | Delta  (** commutative ancestor-size deltas only *)
-(** Every physical page carries two commit stamps. Staging transactions
-    conflict when they touch a page with either stamp newer than their
-    snapshot. At commit a newer {!Bulk} stamp on a touched page fails
-    validation, but a newer {!Delta} stamp only does under a node the
+(** Every physical page carries two commit stamps. A newer {!Bulk} stamp on
+    a page in a transaction's write set fails it, at its first write to the
+    page or at commit; a newer {!Delta} stamp only does under a node the
     committer frees: elsewhere a size delta commutes with the committer's
     own writes (see {!Txn.commit_group}). *)
 
@@ -125,11 +121,6 @@ val recompute_free_runs : int array array -> unit
 (** Rewrite the free-run lengths (the [size] of unused slots) of a page
     image from its [level] column. *)
 
-val pool_hwms : t -> int array
-(** Append-only high-water marks
-    [qn; props; text; comment; pi_target; pi_data] recorded in version
-    descriptors: entries past the mark were allocated by later commits and
-    are invisible to a snapshot pinned before them. *)
 
 (** {1 Node identity (node/pos table)} *)
 

@@ -1,7 +1,7 @@
 open Column
 
 (* The commit lane shared by every document of a catalog: one commit mutex
-   serialising commit application, begin-snapshots, vacuum and checkpoint —
+   serialising commit application, vacuum and checkpoint —
    the paper's short "install the new pageOffset" critical section — and one
    WAL all documents append to. Readers NEVER take the mutex: they pin a
    version. A single-document store simply owns a private lane. *)
@@ -34,23 +34,14 @@ let last_committed m = m.last_commit
 
 let store m = m.base
 
-let wal m = m.lane.wal_log
-
-let lane m = m.lane
-
-let doc_id m = m.doc_id
-
-let versions m = m.versions
 
 let exclusively lane f =
   Mutex.lock lane.commit_mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock lane.commit_mu) f
 
-let with_commit_mu m f = exclusively m.lane f
-
 exception Aborted of string
 
-exception Conflict of { page : int; stamp : int; snapshot : int }
+exception Conflict = View.Conflict
 
 let m_begins = Obs.counter ~help:"write transactions started" "txn.begins"
 
@@ -85,44 +76,28 @@ type state = Active | Committed | Rolled_back
 type t = {
   m : manager;
   txn_id : int;
+  vs : Version.t; (* the pinned snapshot the view reads *)
   v : View.t;
-  snapshot : int; (* last commit LSN visible to this transaction *)
-  touched : (int, unit) Hashtbl.t; (* base pages read or written *)
   mutable state : state;
 }
 
 let view t = t.v
 
+(* A writer pins the newest version: its epoch is the snapshot LSN, and its
+   staged view reads that version under its private pages. *)
 let begin_write m =
   Obs.inc m_begins;
   Mutex.lock m.id_mu;
   let txn_id = m.next_txn in
   m.next_txn <- txn_id + 1;
   Mutex.unlock m.id_mu;
-  let touched = Hashtbl.create 16 in
-  (* The pageOffset snapshot must be consistent with the snapshot LSN: take
-     both under the commit mutex, excluding mid-flight commits. *)
-  with_commit_mu m (fun () ->
-      let snapshot = m.last_commit in
-      (* Touch-time validation: touching a base page that a later commit
-         has modified — bulk change OR a commutative size delta — would mix
-         that commit's data with this transaction's frozen pageOffset
-         snapshot, so it conflicts instead. The page joins the touched set
-         that commit-time validation rechecks. *)
-      let touch page =
-        Hashtbl.replace touched page ();
-        let stamp =
-          max
-            (Schema_up.page_stamp m.base Bulk page)
-            (Schema_up.page_stamp m.base Delta page)
-        in
-        if stamp > snapshot then begin
-          Obs.inc m_conflicts;
-          raise (Conflict { page; stamp; snapshot })
-        end
-      in
-      let v = View.staged ~touch ~seq:(Version.seq m.versions) m.base in
-      { m; txn_id; v; snapshot; touched; state = Active })
+  let vs = Version.hold m.versions in
+  { m; txn_id; vs; v = View.staged vs; state = Active }
+
+(* Every way a transaction ends drops its pin. *)
+let finish t state =
+  t.state <- state;
+  Version.release t.m.versions t.vs
 
 let check_active t what =
   match t.state with
@@ -133,7 +108,7 @@ let check_active t what =
 let abort t =
   check_active t "Txn.abort";
   Obs.inc m_rollbacks;
-  t.state <- Rolled_back;
+  finish t Rolled_back;
   (match View.staged_state t.v with
   | None -> ()
   | Some st ->
@@ -244,14 +219,15 @@ let build_record t (st : View.staged) =
   let shift = cur_np - st.View.base_npages in
   let renum_page pg = if pg >= st.View.base_npages then pg + shift else pg in
   let renum_pos pos = if pos >= st.View.base_npages * p then pos + (shift * p) else pos in
-  (* Ancestor sizes are updated as commutative deltas that touch no page, and
-     commit-time validation ignores newer delta stamps on touched pages, so
-     a size value in a private page may be stale — copied before a
-     concurrent commit's delta landed on the base, or carried along while
-     moving a tuple. A committed size cell of a pre-existing live node must
-     therefore be the node's CURRENT base size — our own change to it
-     travels separately in [size_deltas]. Free-run lengths (unused slots)
-     and brand-new nodes keep their staged values. *)
+  (* Ancestor sizes are updated as commutative deltas that copy no page, and
+     neither the copy nor commit-time validation refuses a page for a newer
+     delta stamp, so a size value in a private page may be stale — a
+     concurrent commit's delta landed on the base after the snapshot, or
+     the value was carried along while moving a tuple. A committed size
+     cell of a pre-existing live node must therefore be the node's CURRENT
+     base size — our own change to it travels separately in
+     [size_deltas]. Free-run lengths (unused slots) and brand-new nodes
+     keep their staged values. *)
   let current_size_of_node ~staged_level ~staged_node ~staged_size =
     if staged_level = Column.Varray.null then staged_size (* free-run length *)
     else if staged_node < 0 || staged_node >= Schema_up.node_ids b then staged_size
@@ -368,37 +344,50 @@ let capture_for_snapshot m (r : Wal.record) =
 
 let conflict_on page = Printf.sprintf "snapshot conflict on page %d" page
 
+let vacuumed_at lsn = Printf.sprintf "snapshot conflict: store vacuumed at LSN %d" lsn
+
 (* Commit-time validation (first-committer-wins), run under the commit
    mutex. Staging is private and takes no lock, so this is what keeps two
    writers off each other's work. A transaction fails when
-   (a) a page it touched carries a bulk stamp newer than its snapshot — a
-       later commit rewrote cells or attributes it read or wrote;
+   (a) a page of its write set ({!View.write_set}) carries a bulk stamp newer
+       than its snapshot — a later commit rewrote cells or attributes of a
+       page it copied or whose attributes it changed;
    (b) a pre-existing node it frees sits on a page with a newer delta stamp —
        a later commit inserted under that node, and freeing it would orphan
        the insert; other newer deltas commute with this transaction's writes
        ([build_record] re-reads the current sizes);
-   (c) its snapshot predates the last vacuum, which relocated every tuple. *)
+   (c) its snapshot predates the last vacuum, which relocated every tuple;
+   (d) a snapshot node it grows or shrinks through a size delta was freed by
+       a later commit — [apply_wal_record] would skip the delta, and the
+       nodes it accounts for would be orphans. *)
 let stale t (st : View.staged) =
   let b = t.m.base in
-  let newer kind page = Schema_up.page_stamp b kind page > t.snapshot in
-  let freed_page node =
-    let pos = Schema_up.node_pos_get b node in
-    if pos = Varray.null then None else Some (pos / Schema_up.page_size b)
+  let snapshot = Version.epoch t.vs in
+  let newer kind page = Schema_up.page_stamp b kind page > snapshot in
+  let base_pos node =
+    if node < Schema_up.node_ids b then Schema_up.node_pos_get b node else Varray.null
   in
-  if t.snapshot < t.m.last_vacuum then
-    Some
-      (Printf.sprintf "snapshot conflict: store vacuumed at LSN %d"
-         t.m.last_vacuum)
+  let p = Schema_up.page_size b in
+  let freed_under_delta node =
+    let pos = base_pos node in
+    if pos <> Varray.null && newer Delta (pos / p) then Some (conflict_on (pos / p))
+    else None
+  in
+  let freed_since node _ found =
+    if found = None
+       && (not (Hashtbl.mem st.View.node_pos_w node))
+       && base_pos node = Varray.null
+    then Some (Printf.sprintf "snapshot conflict: node %d freed by a newer commit" node)
+    else found
+  in
+  if snapshot < t.m.last_vacuum then Some (vacuumed_at t.m.last_vacuum)
   else
-    match Seq.find (newer Bulk) (Hashtbl.to_seq_keys t.touched) with
+    match List.find_opt (newer Bulk) (View.write_set t.v) with
     | Some page -> Some (conflict_on page)
-    | None ->
-      List.find_map
-        (fun node ->
-          match freed_page node with
-          | Some page when newer Delta page -> Some (conflict_on page)
-          | _ -> None)
-        st.View.freed_nodes
+    | None -> (
+      match List.find_map freed_under_delta st.View.freed_nodes with
+      | Some _ as conflict -> conflict
+      | None -> Hashtbl.fold freed_since st.View.size_deltas None)
 
 (* The commit proper, under the commit mutex once every member validated:
    one WAL frame, then each document's apply. *)
@@ -484,7 +473,7 @@ let commit_group ts =
     | Ok () ->
       List.iter
         (fun (t, _, _) ->
-          t.state <- Committed;
+          finish t Committed;
           Obs.inc m_commits)
         staged;
       Obs.observe m_commit_latency (Obs.monotonic () -. t0m)
@@ -497,7 +486,7 @@ let commit_group ts =
       List.iter
         (fun (t, _, _) ->
           if t.state = Active then begin
-            t.state <- Rolled_back;
+            finish t Rolled_back;
             Obs.inc m_rollbacks
           end)
         staged;
@@ -515,7 +504,9 @@ let with_write_group members f =
     List.iter (fun (t, _) -> if t.state = Active then abort t) ts;
     raise
       (match e with
-      | Conflict { page; _ } -> Aborted (conflict_on page)
+      | Conflict { page; stamp; _ } ->
+        Obs.inc m_conflicts;
+        Aborted (if page < 0 then vacuumed_at stamp else conflict_on page)
       | e -> e)
 
 let with_write m ?validate f =
@@ -524,11 +515,12 @@ let with_write m ?validate f =
 (* Compaction relocates tuples physically, which no pre-image overlay can
    describe, so vacuum waits for reader quiescence: commits are excluded by
    the commit mutex, new pins block on the version store, and every pinned
-   snapshot must unpin before compaction starts. Stamping all pages at a
-   fresh LSN aborts any concurrently staged transaction (its whole snapshot
-   is invalid). *)
+   snapshot must unpin before compaction starts. A staged transaction's pin
+   is not waited for: its version is marked vacuumed, so its next overtaken
+   read conflicts, and rule (c) refuses its commit. Stamping all pages at a
+   fresh LSN makes its next page copy conflict too. *)
 let vacuum ?fill m =
-  with_commit_mu m (fun () ->
+  exclusively m.lane (fun () ->
       Version.quiesce m.versions (fun () ->
           Schema_up.compact ?fill m.base;
           let lsn = m.last_commit + 1 in

@@ -6,21 +6,22 @@
       evaluates against that immutable snapshot — {e no} lock is held
       during evaluation, so long scans never delay commits and commit
       bursts never starve readers.
-    - A write transaction stages everything in a {!View.t} (private
-      copy-on-write copies of the pages it changes, privately appended
-      pages, a private pageOffset) and
-      takes {e no} lock: it records the base pages it touches and raises
-      {!Conflict} as soon as one carries a commit stamp newer than its
-      snapshot. Ancestor size changes travel as commutative deltas and touch
-      no page, so the root is never a bottleneck.
+    - A write transaction pins a version too, and stages everything in a
+      {!View.t} over it: private copy-on-write copies of the pages it
+      changes, privately appended pages, a private pageOffset. It takes
+      {e no} lock, and reads every page it has not written from its
+      snapshot, so reads never conflict. Its first write to a base page
+      raises {!Conflict} when a newer commit rewrote the page. Ancestor size
+      changes travel as commutative deltas and copy no page, so the root is
+      never a bottleneck.
     - Commit: optional validation, then the lane's commit mutex, under which
-      the touched pages are validated again ({!commit_group}), one WAL
-      frame, a short seqlock critical section that captures pre-images for
-      pinned snapshots and applies the cells in which each copied page
-      differs from the base, install the new pageOffset table and version
+      the write set is validated ({!commit_group}), one WAL frame, a short
+      seqlock critical section that captures pre-images for pinned
+      snapshots and applies the cells in which each copied page differs
+      from the base, install the new pageOffset table and version
       descriptor.
-    - Abort: drop the staged view, return fresh node ids to the allocator;
-      the base was never touched.
+    - Abort: drop the staged view and the pin, return fresh node ids to the
+      allocator; the base was never touched.
 
     {!recover_docs} rebuilds stores from a checkpoint plus the intact WAL
     prefix. *)
@@ -56,16 +57,6 @@ val last_committed : manager -> int
 
 val store : manager -> Schema_up.t
 
-val wal : manager -> Wal.t option
-
-val lane : manager -> shared
-(** The commit lane this manager commits through. *)
-
-val doc_id : manager -> int
-
-val versions : manager -> Version.store
-(** The MVCC version chain ([mvcc.*] metrics, pin/unpin bookkeeping). *)
-
 val exclusively : shared -> (unit -> 'a) -> 'a
 (** Run [f] with the lane's commit mutex held — excludes commits to {e
     every} document on the lane at once, for maintenance that must observe
@@ -78,12 +69,13 @@ exception Aborted of string
     failure, or an exception in the body of {!with_write}). *)
 
 exception Conflict of { page : int; stamp : int; snapshot : int }
-(** Touch-time validation failed: the transaction touched a base page
-    modified by a commit newer than its snapshot ("first-committer-wins").
-    Either stamp counts here ({!Schema_up.stamp}), size deltas included — the
-    losing transaction retries instead of ever waiting on an ancestor lock.
-    {!with_write} converts this to {!Aborted}; explicit transactions should
-    abort and retry. *)
+(** {!View.Conflict}: the transaction's first write to base page [page]
+    found a {!Schema_up.Bulk} stamp newer than its snapshot
+    ("first-committer-wins"), or ([page = -1]) a read found the store
+    vacuumed since. A newer size delta on the page does not conflict. The
+    losing transaction retries instead of ever waiting on a lock.
+    {!with_write} converts this to {!Aborted} and counts it in
+    [txn.conflicts]; explicit transactions should abort and retry. *)
 
 (** {1 Read-only transactions} *)
 
@@ -98,6 +90,8 @@ val read : manager -> (View.t -> 'a) -> 'a
 type t
 
 val begin_write : manager -> t
+(** Pin the newest version ({!Version.hold}) — its epoch is the snapshot —
+    and stage over it. Takes no lock; {!commit} or {!abort} unpins. *)
 
 val view : t -> View.t
 (** The staged view — pass it to {!Update} and to in-transaction queries
@@ -114,11 +108,12 @@ val commit_group : (t * (View.t -> (unit, string) result) option) list -> unit
 (** Commit several transactions — at most one per document, all on the same
     commit lane — {e atomically}: all validations run first (one failure
     aborts every member and raises {!Aborted}). Then, under the commit
-    mutex, every member's snapshot is validated: it fails when a page it
-    touched carries a {!Schema_up.Bulk} stamp newer than its snapshot, when
-    a pre-existing node it frees sits on a page with a newer
-    {!Schema_up.Delta} stamp (a concurrent insert under that node), or when
-    the store was vacuumed since. A failure aborts every member and raises
+    mutex, every member's snapshot is validated: it fails when (a) a page of
+    its write set ({!View.write_set}) carries a {!Schema_up.Bulk} stamp
+    newer than its snapshot, (b) a pre-existing node it frees sits on a page
+    with a newer {!Schema_up.Delta} stamp (a concurrent insert under that
+    node), (c) the store was vacuumed since, or (d) a node it adds a size
+    delta to was freed since. A failure aborts every member and raises
     [Aborted "snapshot conflict …"]. Otherwise one WAL frame carries every
     document's record, then each document applies under its own MVCC
     critical section. Recovery replays the frame all-or-nothing, so a crash
@@ -144,12 +139,12 @@ val vacuum : ?fill:float -> manager -> unit
 (** Compact the store (see {!Schema_up.compact}). Commits are excluded by
     the commit mutex and the call {e blocks until every pinned snapshot
     unpins} (compaction physically relocates tuples, which no pre-image
-    overlay can describe); every physical page is then stamped with a fresh
-    LSN so in-flight transactions conflict-and-retry rather than observe
-    moved tuples, and any transaction whose snapshot predates the vacuum
-    fails commit-time validation. Do not call while holding a pin
-    (self-deadlock). The WAL (if any) is invalidated by compaction — take a
-    checkpoint right after (as {!Db.vacuum} does). *)
+    overlay can describe). Staged transactions are not waited for: a read or
+    first write of theirs that the vacuum overtook raises {!Conflict}, and
+    any transaction whose snapshot predates the vacuum fails commit-time
+    validation. Do not call while holding a read pin (self-deadlock). The
+    WAL (if any) is invalidated by compaction — take a checkpoint right
+    after (as {!Db.vacuum} does). *)
 
 (** {1 Recovery} *)
 

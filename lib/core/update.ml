@@ -212,16 +212,12 @@ let resolve_point v = function
     | None -> fail "insert-after: target is the root"
     | Some parent -> (parent, View.prev_used v (Sj.subtree_end v s - 1)))
 
-let insert ?size_chain v point nodes =
+let insert v point nodes =
   if nodes = [] then ()
   else begin
     let parent, prev = resolve_point v point in
     assert (prev >= 0);
-    let ancestors =
-      match size_chain with
-      | Some chain -> chain
-      | None -> ancestor_nodes v parent @ [ node_id_at v parent ]
-    in
+    let ancestors = ancestor_nodes v parent @ [ node_id_at v parent ] in
     let news = prepare_forest v ~parent_level:(View.level v parent) nodes in
     insert_after_prev v ~prev news;
     let m = Array.length news.from in

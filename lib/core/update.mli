@@ -1,7 +1,7 @@
 (** Structural and value updates on the updateable schema (paper Figure 7).
 
-    All operations work on a transaction's staged {!View.t}; direct and
-    snapshot views are read-only and reject them.
+    All operations work on a transaction's staged {!View.t}; snapshot views
+    are read-only and reject them.
 
     Insert placement follows the paper, on the transaction's private copy
     of the page holding the insert point:
@@ -35,19 +35,12 @@ type insert_point =
 
 exception Update_error of string
 
-val insert :
-  ?size_chain:int list -> View.t -> insert_point -> Xml.Dom.node list -> unit
+val insert : View.t -> insert_point -> Xml.Dom.node list -> unit
 (** Insert a forest at the given point. Raises {!Update_error} when the
     point is invalid (e.g. [Before] the root, children under a non-element,
-    [Nth_child] out of range).
-
-    [size_chain] optionally names the nodes whose [size] grows — the parent
-    and all its ancestors, as immutable node ids. Callers that navigated to
-    the target already know this chain (the XUpdate evaluator, clients
-    holding node handles); supplying it skips the ancestor search, whose
-    sibling hops otherwise read pages of preceding subtrees — which matters
-    to concurrent writers (see the concurrency bench). When omitted, the
-    chain is computed with a top-down staircase descend. *)
+    [Nth_child] out of range). The ancestors whose [size] grows are found
+    with a top-down staircase descend; its reads go to the transaction's
+    snapshot, so they add nothing to its write set. *)
 
 val delete : View.t -> pre:int -> unit
 (** Delete the subtree rooted at [pre]. Deleting the root raises

@@ -30,10 +30,10 @@ type t = {
   live : int;
   node_hwm : int;  (* node-id allocator extent as of [epoch] *)
   attr_hwm : int;  (* attribute-table length as of [epoch] *)
-  pool_hwms : int array;
   seq : int Atomic.t;  (* the store-wide seqlock, shared by every version *)
   stable_seq : int;  (* what [seq] holds once this version is fully installed *)
   mutable refs : int;
+  mutable vacuumed : int;  (* LSN of a vacuum that dropped this version, 0 if none *)
   mutable pages : int array array IMap.t;  (* phys page -> column pre-images *)
   mutable node_pos : int IMap.t;  (* node id -> pre-image pos *)
   mutable attr_rows : (int * int * int) IMap.t;  (* row -> (owner, qn, prop) *)
@@ -86,10 +86,10 @@ let descriptor ~epoch ~seq base =
     live = Schema_up.node_count base;
     node_hwm = Schema_up.node_ids base;
     attr_hwm = Schema_up.attr_table_len base;
-    pool_hwms = Schema_up.pool_hwms base;
     seq;
     stable_seq = (Atomic.get seq + 1) land lnot 1;
     refs = 0;
+    vacuumed = 0;
     pages = IMap.empty;
     node_pos = IMap.empty;
     attr_rows = IMap.empty;
@@ -124,13 +124,7 @@ let node_hwm v = v.node_hwm
 
 let attr_hwm v = v.attr_hwm
 
-let pool_hwms v = v.pool_hwms
-
-let seq s = s.seq0
-
-let versions s = s.nversions
-
-let pinned s = s.pinned_total
+let vacuumed v = v.vacuumed
 
 (* ------------------------------------------------------------ pin/unpin -- *)
 
@@ -138,10 +132,14 @@ let locked s f =
   Mutex.lock s.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock s.mu) f
 
+let hold_locked s =
+  let v = s.newest in
+  v.refs <- v.refs + 1;
+  v
+
 let pin s =
   locked s (fun () ->
-      let v = s.newest in
-      v.refs <- v.refs + 1;
+      let v = hold_locked s in
       s.pinned_total <- s.pinned_total + 1;
       Obs.inc m_pins;
       Obs.set m_pinned (float_of_int s.pinned_total);
@@ -172,6 +170,15 @@ let unpin s v =
       reclaim_locked s;
       if s.pinned_total = 0 then Condition.broadcast s.quiescent)
 
+(* A writer's pin holds back reclamation but not [quiesce]: a vacuum marks
+   the writer's version instead, and its reads conflict. *)
+let hold s = locked s (fun () -> hold_locked s)
+
+let release s v =
+  locked s (fun () ->
+      v.refs <- v.refs - 1;
+      reclaim_locked s)
+
 (* ------------------------------------------------------------- seqlock -- *)
 
 (* Spinning for a full write section is wrong on a loaded (or single-CPU)
@@ -197,8 +204,6 @@ let rec stable_aux sq f spins =
       backoff spins;
       stable_aux sq f (spins + 1)
     end
-
-let stable_seq sq f = stable_aux sq f 0
 
 let stable v f = stable_aux v.seq f 0
 
@@ -331,10 +336,11 @@ let attr_entries v node =
 
 (* Block until no snapshot is pinned, then run [f] with new pins excluded
    (the store mutex is held throughout) and the seqlock held odd so staged
-   transactions' base reads retry instead of observing a half-compacted
-   store. [f] returns the epoch of the rebuilt store; the chain is reset to
-   a single fresh descriptor at that epoch — the old overlays describe
-   physical positions that compaction just invalidated. *)
+   transactions' reads retry instead of observing a half-compacted store.
+   [f] returns the epoch of the rebuilt store; the chain is reset to a single
+   fresh descriptor at that epoch — the old overlays describe physical
+   positions that compaction just invalidated, so every old version, a
+   writer's included, is marked vacuumed. *)
 let quiesce s f =
   Mutex.lock s.mu;
   Fun.protect
@@ -348,6 +354,13 @@ let quiesce s f =
         ~finally:(fun () -> Atomic.incr s.seq0)
         (fun () ->
           let epoch = f () in
+          let rec mark = function
+            | None -> ()
+            | Some w ->
+              w.vacuumed <- epoch;
+              mark w.next
+          in
+          mark (Some s.oldest);
           let v = descriptor ~epoch ~seq:s.seq0 s.sbase in
           s.newest <- v;
           s.oldest <- v;

@@ -51,11 +51,9 @@ val node_hwm : t -> int
 
 val attr_hwm : t -> int
 
-val pool_hwms : t -> int array
-
-val versions : store -> int
-
-val pinned : store -> int
+val vacuumed : t -> int
+(** The LSN of the vacuum that dropped this version from the chain, or 0.
+    Only a writer's version ({!hold}) can be vacuumed while in use. *)
 
 (** {1 Pinning} *)
 
@@ -66,19 +64,25 @@ val pin : store -> t
 val unpin : store -> t -> unit
 (** Drop one pin and reclaim any now-unreachable chain prefix. *)
 
-(** {1 Seqlock} *)
+val hold : store -> t
+(** A write transaction's pin of the newest version: it holds back
+    reclamation like {!pin}, but {!quiesce} does not wait for it (a vacuum
+    may run on the writer's own thread). A vacuum marks the version instead
+    ({!vacuumed}). *)
 
-val seq : store -> int Atomic.t
+val release : store -> t -> unit
+(** Drop a {!hold}. *)
+
+(** {1 Seqlock} *)
 
 val stable : t -> (unit -> 'a) -> 'a
 (** [stable v f] runs [f] until it executes entirely outside a commit
     critical section, so [f]'s base-store reads are never torn. [f] must be
-    pure reads (it may retry) and must not itself wait on commit
-    progress. *)
-
-val stable_seq : int Atomic.t -> (unit -> 'a) -> 'a
-(** Same, from the raw sequence counter — used by staged views that read
-    base cells while other transactions commit. *)
+    pure reads (it may retry) and must not itself wait on commit progress.
+    A read that overlaps a commit's write section waits it out, so its
+    latency is bounded by that section's ([mvcc.commit_cs_latency], the
+    [mvcc.commit_cs_ms] of the load benchmark). Snapshot readers and
+    staged writers share this path for every read a commit overtook. *)
 
 val is_current : t -> bool
 (** [true] while no commit or vacuum has begun since the version was

@@ -21,10 +21,10 @@ type staged = {
   mutable fresh_nodes : int list;
   mutable freed_nodes : int list;
   mutable live_delta : int;
-  touch : int -> unit;
-  seq : int Atomic.t;
   base_attr_len : int;
 }
+
+exception Conflict of { page : int; stamp : int; snapshot : int }
 
 (* A pinned MVCC snapshot, with what its reads need cached once per pin:
    the frozen pageOffset's l2p array (as immutable as the version) and the
@@ -42,7 +42,8 @@ type snap = {
   node_a : int array;
 }
 
-type flavour = Direct | Snapshot of snap | Staged of staged
+(* A staged view reads its pinned snapshot under its private pages. *)
+type flavour = Snapshot of snap | Staged of snap * staged
 
 type t = { b : Schema_up.t; fl : flavour }
 
@@ -53,42 +54,36 @@ let m_overtaken =
        version chain)"
     "mvcc.overtaken_reads"
 
-let direct b = { b; fl = Direct }
-
-let snapshot vs =
+let snap vs =
   let b = Version.base vs in
   let col c = Schema_up.column_data b c in
-  let s =
-    { vs;
-      bits = Schema_up.page_bits b;
-      mask = Schema_up.page_size b - 1;
-      l2p = Pagemap.unsafe_l2p (Version.pmap vs);
-      size_a = col Csize;
-      level_a = col Clevel;
-      kind_a = col Ckind;
-      name_a = col Cname;
-      node_a = col Cnode }
-  in
-  { b; fl = Snapshot s }
+  { vs;
+    bits = Schema_up.page_bits b;
+    mask = Schema_up.page_size b - 1;
+    l2p = Pagemap.unsafe_l2p (Version.pmap vs);
+    size_a = col Csize;
+    level_a = col Clevel;
+    kind_a = col Ckind;
+    name_a = col Cname;
+    node_a = col Cnode }
 
-(* Base reads of staged views must not observe a commit's half-applied
-   state; [stable] retries them through the store seqlock. *)
-let stable st f = Version.stable_seq st.seq f
+let snapshot vs = { b = Version.base vs; fl = Snapshot (snap vs) }
 
 (* The one write path: every mutation lands in a transaction's staged
-   state. Direct and snapshot views are read-only. *)
-let staged_exn v what =
+   state. Snapshot views are read-only. *)
+let writable v what =
   match v.fl with
-  | Staged st -> st
-  | Direct | Snapshot _ ->
-    invalid_arg ("View." ^ what ^ ": only staged views are writable")
+  | Staged (s, st) -> (s, st)
+  | Snapshot _ -> invalid_arg ("View." ^ what ^ ": only staged views are writable")
 
-let staged ?(touch = ignore) ?(seq = Atomic.make 0) b =
+let staged_exn v what = snd (writable v what)
+
+let staged vs =
   let st =
-    { base_npages = Schema_up.npages b;
+    { base_npages = Version.npages vs;
       pages = Hashtbl.create 16;
       fresh_pages = 0;
-      pmap = Pagemap.copy (Schema_up.pagemap b);
+      pmap = Pagemap.copy (Version.pmap vs);
       splices = [];
       node_pos_w = Hashtbl.create 16;
       size_deltas = Hashtbl.create 8;
@@ -99,22 +94,17 @@ let staged ?(touch = ignore) ?(seq = Atomic.make 0) b =
       fresh_nodes = [];
       freed_nodes = [];
       live_delta = 0;
-      touch;
-      seq;
-      (* The attr table length is snapshotted so pseudo row ids for staged
-         adds never clash with rows appended by transactions that commit
-         later. *)
-      base_attr_len = Schema_up.attr_table_len b }
+      (* Pseudo row ids for staged adds start past every row the snapshot
+         can see. *)
+      base_attr_len = Version.attr_hwm vs }
   in
-  { b; fl = Staged st }
-
-let base v = v.b
+  { b = Version.base vs; fl = Staged (snap vs, st) }
 
 let staged_state v =
-  match v.fl with Staged st -> Some st | Direct | Snapshot _ -> None
+  match v.fl with Staged (_, st) -> Some st | Snapshot _ -> None
 
 let snapshot_version v =
-  match v.fl with Snapshot s -> Some s.vs | Direct | Staged _ -> None
+  match v.fl with Snapshot s -> Some s.vs | Staged _ -> None
 
 (* ------------------------------------------------------------- geometry -- *)
 
@@ -125,8 +115,7 @@ let page_size v = Schema_up.page_size v.b
 let npages v =
   match v.fl with
   | Snapshot s -> Version.npages s.vs
-  | Direct -> Schema_up.npages v.b
-  | Staged st -> st.base_npages + st.fresh_pages
+  | Staged (_, st) -> st.base_npages + st.fresh_pages
 
 let capacity v = npages v lsl page_bits v
 
@@ -141,12 +130,22 @@ let[@inline] snap_col s : Schema_up.col -> int array = function
 
 let snap_pos s pre = (s.l2p.(pre lsr s.bits) lsl s.bits) lor (pre land s.mask)
 
-(* A snapshot read a commit or vacuum overtook: the first chain overlay
-   capturing this page has its content as of the pinned epoch; otherwise no
-   commit since has touched it and the base still does. *)
-let overtaken_cell v s col pos =
+(* A snapshot read a commit or vacuum overtook, redone through the version
+   chain inside the store seqlock. Only a writer's pin survives a vacuum,
+   which leaves no chain to walk: the read conflicts. *)
+let overtaken s f =
   Obs.inc m_overtaken;
   Version.stable s.vs (fun () ->
+      let lsn = Version.vacuumed s.vs in
+      if lsn > 0 then
+        raise (Conflict { page = -1; stamp = lsn; snapshot = Version.epoch s.vs });
+      f ())
+
+(* The first chain overlay capturing a page has its content as of the
+   pinned epoch; otherwise no commit since has touched it and the base still
+   does. *)
+let overtaken_cell v s col pos =
+  overtaken s (fun () ->
       match Version.find_page s.vs (pos lsr s.bits) with
       | Some arrays -> arrays.(Schema_up.col_index col).(pos land s.mask)
       | None -> Schema_up.get_cell v.b col pos)
@@ -159,7 +158,7 @@ let[@inline] snap_cell v s a col pos =
   let x = a.(pos) in
   if Version.is_current s.vs then x else overtaken_cell v s col pos
 
-(* Staged pages missing from [st.pages] are base pages, unchanged by the
+(* Staged pages missing from [st.pages] are snapshot pages, unchanged by the
    transaction; only pages that existed when the view began qualify. *)
 let check_base st phys what =
   if phys >= st.base_npages then
@@ -168,65 +167,73 @@ let check_base st phys what =
 let read_cell v col pos =
   match v.fl with
   | Snapshot s -> snap_cell v s (snap_col s col) col pos
-  | Direct -> Schema_up.get_cell v.b col pos
-  | Staged st -> (
-    let phys = pos lsr page_bits v in
+  | Staged (s, st) -> (
+    let phys = pos lsr s.bits in
     match Hashtbl.find_opt st.pages phys with
-    | Some page -> page.(Schema_up.col_index col).(pos land (page_size v - 1))
+    | Some page -> page.(Schema_up.col_index col).(pos land s.mask)
     | None ->
       check_base st phys "read_cell";
-      (* Stamp check and base read must land in the same seqlock window, or
-         a racing commit could slip new data under the old stamp. *)
-      stable st (fun () ->
-          st.touch phys;
-          Schema_up.get_cell v.b col pos))
+      snap_cell v s (snap_col s col) col pos)
 
-(* Copy-on-write: the first write that changes a base page copies the page,
-   in the seqlock window of its stamp check; every later read and write of
-   the page uses the copy. [unchanged] decides, in the same window, that the
-   write would change nothing and needs no copy. *)
-let copy_base v st phys ~unchanged =
+(* The snapshot's image of page [phys], as a fresh copy. The cached column
+   arrays never shrink, so the fast path's slices stay in bounds. *)
+let snap_page v s phys =
+  let page =
+    Array.init 5 (fun ci ->
+        Array.sub (snap_col s (Schema_up.col_of_index ci)) (phys lsl s.bits) (s.mask + 1))
+  in
+  if Version.is_current s.vs then page
+  else
+    overtaken s (fun () ->
+        match Version.find_page s.vs phys with
+        | Some arrays -> Array.map Array.copy arrays
+        | None -> Schema_up.capture_page v.b phys)
+
+(* Copy-on-write: the first write that changes a base page copies the
+   snapshot's image of it, and every later read and write of the page uses
+   the copy. A page a newer commit rewrote ([Bulk] stamp) conflicts at once,
+   as its commit would; a newer size delta ([Delta] stamp) does not, since
+   the commit re-derives every pre-existing node's size from the base.
+   [unchanged] decides that the write would change nothing and needs no
+   copy. *)
+let copy_base v s st phys ~unchanged =
   check_base st phys "private_page";
-  match
-    stable st (fun () ->
-        st.touch phys;
-        if unchanged () then None else Some (Schema_up.capture_page v.b phys))
-  with
-  | None -> None
-  | Some page ->
+  let snapshot = Version.epoch s.vs in
+  let stamp = Schema_up.page_stamp v.b Bulk phys in
+  if stamp > snapshot then raise (Conflict { page = phys; stamp; snapshot });
+  if unchanged () then None
+  else begin
+    let page = snap_page v s phys in
     Hashtbl.replace st.pages phys page;
     Some page
+  end
 
 let private_page v phys =
-  let st = staged_exn v "private_page" in
+  let s, st = writable v "private_page" in
   match Hashtbl.find_opt st.pages phys with
   | Some page -> page
-  | None -> Option.get (copy_base v st phys ~unchanged:(fun () -> false))
+  | None -> Option.get (copy_base v s st phys ~unchanged:(fun () -> false))
 
 let write_cell v col pos x =
-  let st = staged_exn v "write_cell" in
-  let phys = pos lsr page_bits v in
-  let ci = Schema_up.col_index col and off = pos land (page_size v - 1) in
+  let s, st = writable v "write_cell" in
+  let phys = pos lsr s.bits in
+  let ci = Schema_up.col_index col and off = pos land s.mask in
   match Hashtbl.find_opt st.pages phys with
   | Some page -> page.(ci).(off) <- x
   | None -> (
-    match
-      copy_base v st phys ~unchanged:(fun () -> Schema_up.get_cell v.b col pos = x)
-    with
-    | None -> () (* rewrites the current value: nothing to copy *)
+    match copy_base v s st phys ~unchanged:(fun () -> read_cell v col pos = x) with
+    | None -> () (* rewrites the snapshot's value: nothing to copy *)
     | Some page -> page.(ci).(off) <- x)
 
 let pos_of_pre v pre =
   match v.fl with
   | Snapshot s -> snap_pos s pre
-  | Direct -> Schema_up.pos_of_pre v.b pre
-  | Staged st -> Pagemap.pre_to_pos st.pmap pre
+  | Staged (_, st) -> Pagemap.pre_to_pos st.pmap pre
 
 let pre_of_pos v pos =
   match v.fl with
   | Snapshot s -> Pagemap.pos_to_pre (Version.pmap s.vs) pos
-  | Direct -> Schema_up.pre_of_pos v.b pos
-  | Staged st -> Pagemap.pos_to_pre st.pmap pos
+  | Staged (_, st) -> Pagemap.pos_to_pre st.pmap pos
 
 (* Fresh pages join the private page table under their provisional ids. *)
 let splice_pages v ~at_logical ~count =
@@ -247,25 +254,20 @@ let splice_pages v ~at_logical ~count =
 
 (* ---------------------------------------------------------- node identity -- *)
 
+let snap_node_pos v s id =
+  if id >= Version.node_hwm s.vs then Varray.null
+  else
+    let pos = Schema_up.node_pos_get v.b id in
+    if Version.is_current s.vs then pos
+    else overtaken s (fun () -> Version.node_pos s.vs id)
+
 let node_pos_get v id =
   match v.fl with
-  | Snapshot s ->
-    if id >= Version.node_hwm s.vs then Varray.null
-    else
-      let pos = Schema_up.node_pos_get v.b id in
-      if Version.is_current s.vs then pos
-      else begin
-        Obs.inc m_overtaken;
-        Version.stable s.vs (fun () -> Version.node_pos s.vs id)
-      end
-  | Direct -> Schema_up.node_pos_get v.b id
-  | Staged st -> (
+  | Snapshot s -> snap_node_pos v s id
+  | Staged (s, st) -> (
     match Hashtbl.find_opt st.node_pos_w id with
     | Some pos -> pos
-    | None ->
-      stable st (fun () ->
-          if id < Schema_up.node_ids v.b then Schema_up.node_pos_get v.b id
-          else Varray.null))
+    | None -> snap_node_pos v s id)
 
 let node_pos_set v id pos =
   Hashtbl.replace (staged_exn v "node_pos_set").node_pos_w id pos
@@ -343,31 +345,19 @@ let attr_add v ~node ~qn ~prop =
 
 (* Live attribute rows of a node through the view: (row-id, qn, prop).
    Staged adds get pseudo ids past the snapshot boundary. *)
+let snap_attr_entries s node =
+  let rows = Version.base_attr_entries s.vs node in
+  if Version.is_current s.vs then rows
+  else overtaken s (fun () -> Version.attr_entries s.vs node)
+
 let attr_entries v node =
   match v.fl with
-  | Snapshot s ->
-    let rows = Version.base_attr_entries s.vs node in
-    if Version.is_current s.vs then rows
-    else begin
-      Obs.inc m_overtaken;
-      Version.stable s.vs (fun () -> Version.attr_entries s.vs node)
-    end
-  | Direct ->
-    List.map
-      (fun row ->
-        let _, qn, prop = Schema_up.attr_row v.b row in
-        (row, qn, prop))
-      (Schema_up.attr_rows_of_node v.b node)
-  | Staged st ->
+  | Snapshot s -> snap_attr_entries s node
+  | Staged (s, st) ->
     let from_base =
-      stable st (fun () ->
-          List.filter_map
-            (fun row ->
-              if row >= st.base_attr_len || List.mem row st.attr_dels then None
-              else
-                let _, qn, prop = Schema_up.attr_row v.b row in
-                Some (row, qn, prop))
-            (Schema_up.attr_rows_of_node v.b node))
+      List.filter
+        (fun (row, _, _) -> not (List.mem row st.attr_dels))
+        (snap_attr_entries s node)
     in
     let from_staged = ref [] in
     for i = st.attr_adds_len - 1 downto 0 do
@@ -396,6 +386,33 @@ let attr_remove_named v ~node ~qn =
     attr_remove_row st row;
     true
 
+(* The pages a commit must find unchanged since the snapshot: the base pages
+   the transaction copied, and the owner page of every staged attribute
+   change, which that commit bulk-stamps. *)
+let write_set v =
+  let s, st = writable v "write_set" in
+  let pages = Hashtbl.create 8 in
+  let add phys = if phys < st.base_npages then Hashtbl.replace pages phys () in
+  Hashtbl.iter (fun phys _ -> add phys) st.pages;
+  let owner node =
+    let pos = node_pos_get v node in
+    if pos <> Varray.null then add (pos lsr s.bits)
+  in
+  for i = 0 to st.attr_adds_len - 1 do
+    let node, _, _ = st.attr_adds.(i) in
+    if node <> Varray.null then owner node
+  done;
+  List.iter
+    (fun row ->
+      let r = Schema_up.attr_row v.b row in
+      let node, _, _ =
+        if Version.is_current s.vs then r
+        else overtaken s (fun () -> Version.attr_row s.vs row)
+      in
+      owner node)
+    st.attr_dels;
+  List.of_seq (Hashtbl.to_seq_keys pages)
+
 (* -------------------------------------------------- the storage signature -- *)
 
 let extent = capacity
@@ -403,14 +420,13 @@ let extent = capacity
 let node_count v =
   match v.fl with
   | Snapshot s -> Version.live s.vs
-  | Direct -> Schema_up.node_count v.b
-  | Staged st -> Schema_up.node_count v.b + st.live_delta
+  | Staged (s, st) -> Version.live s.vs + st.live_delta
 
 (* A cell by pre: snapshots read the cached arrays directly. *)
 let[@inline] cell v col pre =
   match v.fl with
   | Snapshot s -> snap_cell v s (snap_col s col) col (snap_pos s pre)
-  | Direct | Staged _ -> read_cell v col (pos_of_pre v pre)
+  | Staged _ -> read_cell v col (pos_of_pre v pre)
 
 let is_used v pre = cell v Clevel pre <> Varray.null
 
@@ -437,7 +453,7 @@ let next_used_cells v pre =
    overtook is then redone read by read. *)
 let next_used v pre =
   match v.fl with
-  | Direct | Staged _ -> next_used_cells v pre
+  | Staged _ -> next_used_cells v pre
   | Snapshot s ->
     let stop = Version.npages s.vs lsl s.bits in
     let p = ref pre in
@@ -479,8 +495,8 @@ let prev_used v pre =
 
 let size v pre =
   match v.fl with
-  | Direct | Snapshot _ -> cell v Csize pre
-  | Staged st ->
+  | Snapshot _ -> cell v Csize pre
+  | Staged (_, st) ->
     let pos = pos_of_pre v pre in
     let s = read_cell v Csize pos in
     if Hashtbl.length st.size_deltas = 0 || read_cell v Clevel pos = Varray.null

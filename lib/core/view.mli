@@ -3,38 +3,38 @@
     The structural update algorithms (Figure 7) and in-transaction query
     evaluation are written once, against a {!t}.
 
+    A {e snapshot} view reads a pinned MVCC version ({!Version.t}) through
+    the descriptor's frozen pageOffset, so evaluation holds no lock and
+    observes exactly the store as of the pinned commit. While no commit or
+    vacuum has begun since the version was installed ({!Version.is_current}),
+    a read is a plain array read of the base, checked afterwards; a read
+    that a commit overtook is redone through the version chain's pre-image
+    overlays inside the store seqlock and counted in [mvcc.overtaken_reads].
+    Snapshot views reject every mutating operation with [Invalid_argument]:
+    every change to the plane goes through a transaction
+    ({!Txn.with_write}).
+
     A {e staged} view is a transaction's private world (Figure 8) and the
-    only writable flavour. It works on private copy-on-write copies of the
-    pages it modifies (§3.2): the first write that changes a base page
-    copies the page's five columns, and every later read and write of that
-    page uses the copy; pages it appends are staged privately too and
-    referenced only from the view's private pageOffset table. At commit,
-    each copied page is diffed against the current base and only the cells
-    that differ are logged and applied. Ancestor [size] changes are kept as
-    {e commutative deltas}; attribute and node/pos changes are differential,
-    and freed node ids return to the allocator only at commit;
-    dictionary/pool appends pass through to the base (append-only,
-    invisible until referenced) but are logged for the WAL.
+    only writable flavour: the transaction's pinned version plus private
+    copy-on-write copies of the pages it modifies (§3.2). A page it has not
+    written is read through the snapshot, exactly as a snapshot view reads
+    it, so staged reads check no stamp and join no validation set. The first
+    write that changes a base page copies the snapshot's image of the page's
+    five columns, and every later read and write of that page uses the copy;
+    pages it appends are staged privately too and referenced only from the
+    view's private pageOffset table. At commit, each copied page is diffed
+    against the current base and only the cells that differ are logged and
+    applied. Ancestor [size] changes are kept as {e commutative deltas};
+    attribute and node/pos changes are differential, and freed node ids
+    return to the allocator only at commit; dictionary/pool appends pass
+    through to the base (append-only, invisible until referenced) but are
+    logged for the WAL.
 
     A staged view makes {e no} destructive change to base pages, so abort is
-    "drop the view".  The [touch] callback fires before any read of a base
-    page and before the copy, so the transaction layer can check the page's
-    commit stamps and record it for commit-time validation; private pages
-    and size deltas bypass it — the paper's trick for not locking the root:
-    growing an ancestor touches none of its pages, and a concurrent size
-    delta on a page the writer already copied does not fail its commit.
-
-    A {e direct} view reads the base {!Schema_up.t} as it stands — a
-    read-only view of a quiescent base. A {e snapshot} view reads a pinned
-    MVCC version ({!Version.t}) through the descriptor's frozen pageOffset,
-    so evaluation holds no lock and observes exactly the store as of the
-    pinned commit. While no commit or vacuum has begun since the version was
-    installed ({!Version.is_current}), a read is a plain array read of the
-    base, checked afterwards; a read that a commit overtook is redone
-    through the version chain's pre-image overlays inside the store seqlock
-    and counted in [mvcc.overtaken_reads]. Direct and snapshot views reject
-    every mutating operation with [Invalid_argument]: every change to the
-    plane goes through a transaction ({!Txn.with_write}). *)
+    "drop the view". Its conflict footprint is its write set ({!write_set}):
+    the pages it copied and the owner pages of its attribute changes.
+    Growing an ancestor through a size delta touches none of its pages — the
+    paper's trick for not locking the root. *)
 
 type pool = Ptext | Pcomment | Ppi_target | Ppi_data | Dqn | Dprop
 (** Identifies a shared string container in WAL log entries. *)
@@ -64,36 +64,40 @@ type staged = {
   mutable fresh_nodes : int list;  (** ids allocated from the shared allocator *)
   mutable freed_nodes : int list;  (** ids to release at commit *)
   mutable live_delta : int;
-  touch : int -> unit;  (** phys page, before any base read or copy *)
-  seq : int Atomic.t;  (** the store seqlock base reads retry through *)
-  base_attr_len : int;  (** attr-table length at view creation *)
+  base_attr_len : int;  (** the snapshot's attr-table length *)
 }
+
+exception Conflict of { page : int; stamp : int; snapshot : int }
+(** A staged view cannot go on from its snapshot: its first write to base
+    page [page] found a {!Schema_up.Bulk} stamp newer than the snapshot's
+    epoch, or ([page = -1]) a read found the store vacuumed at LSN [stamp]
+    since. Raised as {!Txn.Conflict}. *)
 
 type t
 
-val direct : Schema_up.t -> t
-(** Read-only view of the base as it stands. Only sound while no commit is
-    in flight. *)
-
-val staged : ?touch:(int -> unit) -> ?seq:int Atomic.t -> Schema_up.t -> t
-(** [seq], when given, is the MVCC store's seqlock: base-page reads, copies
-    and their stamp checks retry around commit critical sections instead of
-    observing half-applied pages. *)
+val staged : Version.t -> t
+(** A write transaction's view of a version it pins for the view's
+    lifetime ({!Version.hold}). *)
 
 val snapshot : Version.t -> t
 (** Read-only view of a pinned version descriptor. Caches the frozen
     pageOffset and the base column arrays once, for the current-version
-    fast path. *)
-
-val base : t -> Schema_up.t
+    fast path; a staged view does the same. *)
 
 val staged_state : t -> staged option
-(** [None] on a direct or snapshot view. *)
+(** [None] on a snapshot view. *)
 
 val snapshot_version : t -> Version.t option
-(** The pinned version descriptor of a snapshot view ([None] on direct and
-    staged views). Its {!Version.epoch} identifies the committed state the
-    view reads — the key the result cache ({!Qcache}) is valid against. *)
+(** The pinned version descriptor of a snapshot view ([None] on a staged
+    view, whose own changes no epoch names). Its {!Version.epoch}
+    identifies the committed state the view reads — the key the result
+    cache ({!Qcache}) is valid against. *)
+
+val write_set : t -> int list
+(** The base pages a staged view's commit validates: every page it copied,
+    and the owner page of every staged attribute add or remove (the pages
+    that commit bulk-stamps). Reads and size deltas add nothing.
+    [Invalid_argument] on a snapshot view. *)
 
 (** {1 The pre view (storage signature for in-view queries)} *)
 
@@ -113,12 +117,15 @@ val capacity : t -> int
 val read_cell : t -> Schema_up.col -> int -> int
 
 val write_cell : t -> Schema_up.col -> int -> int -> unit
-(** Writing a cell's current value copies nothing. *)
+(** Writing a cell's current value copies nothing. The first write that
+    changes a base page copies it from the snapshot, and raises {!Conflict}
+    when a newer commit bulk-stamped the page; a newer size delta on it
+    does not conflict. *)
 
 val private_page : t -> int -> int array array
 (** [private_page v phys]: the transaction's private image of physical page
-    [phys] (columns indexed by {!Schema_up.col_index}), copied from the base
-    on first use under the same stamp check as {!write_cell}'s copy. The
+    [phys] (columns indexed by {!Schema_up.col_index}), copied from the
+    snapshot on first use under the same stamp check as {!write_cell}'s copy. The
     caller writes it in place, and must restore its free runs
     ({!Schema_up.recompute_free_runs}) and the node/pos entries of tuples
     it moves. *)
@@ -141,7 +148,7 @@ val free_node_id : t -> int -> unit
 
 val add_size_delta : t -> node:int -> int -> unit
 (** Commutative ancestor-size adjustment, accumulated until commit; own size
-    reads see it. Never touches a base page. *)
+    reads see it. Copies no page and adds nothing to the write set. *)
 
 val add_live : t -> int -> unit
 

@@ -27,6 +27,15 @@ let small_doc =
         <?audit date="2005-04-01"?>
       </site>|}
 
+(* ---------------------------------------------------------- store views -- *)
+
+(* The store as it stands, as the newest version of a private chain: no
+   commit can overtake it, so reads through it see the base as it was at
+   this call. Take a fresh one after a commit. *)
+let version t = Core.Version.newest (Core.Version.create ~epoch:0 t)
+
+let view t = Core.View.snapshot (version t)
+
 (* ------------------------------------------------------------- oracle -- *)
 
 (* Nodes are identified by their document-order ordinal (0 = root). *)

@@ -22,7 +22,7 @@ let site_schema =
 
 let view_of d f =
   let t = Up.of_dom d in
-  f (Core.View.direct t)
+  f (Testsupport.view t)
 
 let test_validate_ok () =
   view_of Testsupport.small_doc (fun v ->

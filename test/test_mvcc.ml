@@ -11,6 +11,7 @@ module Txn = Core.Txn
 module View = Core.View
 module Version = Core.Version
 module Session = Core.Db.Session
+module U = Core.Update
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -242,6 +243,53 @@ let overtaken_case =
           ("size deltas", size_deltas);
           ("attribute removals", attr_removals) ] )
 
+(* The staged mirror: a write transaction renames the root (copying the
+   root's page), then 1-5 random commits overtake its snapshot. Its reads of
+   every page it did not write equal a snapshot view's reads of its pinned
+   version. *)
+let staged_overtaken = ref 0
+
+let check_staged_reads (d, scripts) =
+  let m = Txn.manager (Up.of_dom ~page_bits:4 ~fill:0.9 d) in
+  (* the reader and the writer pin the same version *)
+  Txn.read m (fun snap ->
+      let t = Txn.begin_write m in
+      let v = Txn.view t in
+      U.rename_element v ~pre:(View.root_pre v) (Xml.Qname.make "renamed");
+      List.iter
+        (fun cmds ->
+          try Txn.with_write m (fun w -> ignore (Core.Xupdate.apply w cmds))
+          with Core.Xupdate.Apply_error _ | U.Update_error _ -> ())
+        scripts;
+      if not (Version.is_current (Option.get (View.snapshot_version snap))) then
+        incr staged_overtaken;
+      let written = View.write_set v in
+      let unwritten lines =
+        List.filteri
+          (fun pre _ ->
+            not (List.mem (View.pos_of_pre v pre lsr View.page_bits v) written))
+          lines
+      in
+      let staged = unwritten (dump v) and snapshot = unwritten (dump snap) in
+      Txn.abort t;
+      match List.find_opt (fun (a, b) -> a <> b) (List.combine staged snapshot) with
+      | None -> true
+      | Some (a, b) ->
+        QCheck2.Test.fail_reportf "staged read moved\nstaged:   %s\nsnapshot: %s" a b)
+
+let prop_staged_reads =
+  QCheck2.Test.make ~name:"staged reads = snapshot reads"
+    ~count:500 ~print:print_overtaken_case gen_overtaken_case check_staged_reads
+
+let staged_reads_case =
+  let name, speed, run = Testsupport.qcheck_case prop_staged_reads in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      Alcotest.(check bool) "commits overtook the staged snapshot" true
+        (!staged_overtaken > 0) )
+
 (* ------------------------------------------------------- lock-free reads -- *)
 
 (* A burst of queries and read transactions never begins a write
@@ -435,7 +483,8 @@ let () =
           Testsupport.qcheck_case prop_snapshot_frozen;
           Alcotest.test_case "current reads take the fast path" `Quick
             test_current_reads_fast;
-          overtaken_case ] );
+          overtaken_case;
+          staged_reads_case ] );
       ( "lock-free reads",
         [ Alcotest.test_case "no locks on read path" `Quick
             test_reads_take_no_locks;

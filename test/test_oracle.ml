@@ -72,7 +72,7 @@ let print_query_case (d, p) =
 
 let check_query ?par (d, p) =
   let t = Up.of_dom ~page_bits:3 ~fill:0.7 d in
-  let v = View.direct t in
+  let v = Testsupport.view t in
   let engine = norm_engine v (E.eval_items v ?par p) in
   let oracle = norm_oracle d (O.eval d p) in
   if engine = oracle then true
@@ -107,7 +107,7 @@ let apply_engine d cmds =
   match run_script t cmds with
   | n -> (
     match Up.check_integrity t with
-    | Ok () -> Ok (t, View.direct t, n)
+    | Ok () -> Ok (t, Testsupport.view t, n)
     | Error m -> Error (`Integrity m))
   | exception Xupdate.Apply_error m -> Error (`Apply m)
   (* append's attribute content is applied outside the wrapper that turns
@@ -161,7 +161,7 @@ let prop_update =
    its state before the script and stays internally consistent. *)
 let check_rollback (d, cmds) =
   let t = Up.of_dom ~page_bits:3 ~fill:0.7 d in
-  let serialize () = Xml.Xml_serialize.to_string (Ns.to_dom (View.direct t)) in
+  let serialize () = Xml.Xml_serialize.to_string (Ns.to_dom (Testsupport.view t)) in
   let before = serialize () in
   match run_script t cmds with
   | _ -> true

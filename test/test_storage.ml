@@ -195,7 +195,6 @@ let test_up_skip_edges () =
   (* 8 nodes on pages of 4, both full *)
   Alcotest.(check int) "full page: next_used identity" 5 (Up.next_used t 5);
   Alcotest.(check int) "full page: prev_used identity" 5 (Up.prev_used t 5);
-  let v = View.direct t in
   (* delete b..f (pres 2..6): page 1 becomes fully empty, page 0 gets a hole *)
   Core.Txn.with_write (Core.Txn.manager t) (fun w ->
       List.iter
@@ -209,7 +208,7 @@ let test_up_skip_edges () =
   (* view now: r(0) a(1) _ _ | _ _ _ _ (empty page) | g somewhere *)
   let g =
     let module E = Core.Engine.Make (Core.View) in
-    match E.parse_eval v "//g" with
+    match E.parse_eval (Testsupport.view t) "//g" with
     | [ E.Node pre ] -> pre
     | _ -> Alcotest.fail "g"
   in

@@ -1,6 +1,6 @@
 (* Transaction protocol tests (Figure 8): isolation, atomicity, commutative
    size deltas, concurrent commits with page splices, first-committer-wins
-   validation at touch time and at commit. *)
+   validation of the write set at first write and at commit. *)
 
 module Dom = Xml.Dom
 module P = Xml.Xml_parser
@@ -332,28 +332,37 @@ let test_vacuum_drops_touched_page () =
   in
   check_vacuum_aborts m rename 1.0
 
+(* Two sections on pages of 8: root, a and c1..c6 fill page 0; b, q1, q2
+   sit on page 1. *)
+let two_page_store () =
+  Txn.manager
+    (Up.of_dom ~page_bits:3 ~fill:1.0
+       (P.parse "<root><a><c1/><c2/><c3/><c4/><c5/><c6/></a><b><q1/><q2/></b></root>"))
+
+let insert_q3 v =
+  U.insert v (U.Last_child (node_pre v "/root/b")) (P.parse_fragment "<q3/>")
+
 let test_snapshot_conflict_detected () =
-  (* First-committer-wins: T1 snapshots, T2 commits a change affecting a page
-     T1 then touches (the root page gets T2's commutative size delta) -> T1
-     must see a conflict rather than a frankenstein view. *)
-  let base =
-    Up.of_dom ~page_bits:3 ~fill:1.0
-      (P.parse "<root><a><c1/><c2/><c3/><c4/><c5/><c6/></a><b><q1/><q2/></b></root>")
-  in
-  let m = Txn.manager base in
-  (* pre of /root/a/c1, resolved outside any write txn (it will not shift) *)
+  (* First-committer-wins on the write set: T1 snapshots, T2 inserts under b
+     (rewriting page 1; the root's size delta lands on page 0) and commits.
+     T1 keeps reading its snapshot on both pages — reads never conflict —
+     but its first write to page 1 must conflict rather than build a
+     frankenstein page. *)
+  let m = two_page_store () in
+  let base = Txn.store m in
+  (* pres resolved outside any write txn (they will not shift) *)
   let c1 = Txn.read m (fun v -> node_pre v "/root/a/c1") in
+  let q1 = Txn.read m (fun v -> node_pre v "/root/b/q1") in
   let t1 = Txn.begin_write m in
   let v1 = Txn.view t1 in
   Alcotest.(check int) "t1 reads page 0" 2 (View.level v1 c1);
-  (* T2 inserts under b (rewriting b's page only) and commits: the root
-     size delta stamps page 0 without T2 ever touching it *)
-  Txn.with_write m (fun v ->
-      U.insert v (U.Last_child (node_pre v "/root/b")) (P.parse_fragment "<q3/>"));
-  (* T1 touches page 0 again: its snapshot is stale *)
-  (match View.level v1 c1 with
-  | _ -> Alcotest.fail "expected snapshot conflict"
-  | exception Txn.Conflict { page = 0; _ } -> ());
+  Txn.with_write m insert_q3;
+  Alcotest.(check int) "t1 reads its snapshot's root size" 10
+    (View.size v1 (View.root_pre v1));
+  Alcotest.(check int) "t1 does not see q3" 0 (List.length (E.parse_eval v1 "//q3"));
+  (match U.rename_element v1 ~pre:q1 (Xml.Qname.make "p1") with
+  | () -> Alcotest.fail "expected snapshot conflict"
+  | exception Txn.Conflict { page = 1; _ } -> ());
   Txn.abort t1;
   check_integrity base;
   (* a fresh transaction (new snapshot) sees both changes and proceeds *)
@@ -361,6 +370,99 @@ let test_snapshot_conflict_detected () =
       U.insert v (U.Last_child (node_pre v "/root/a")) (P.parse_fragment "<c7/>"));
   Txn.read m (fun v ->
       Alcotest.(check int) "final root size" 12 (View.size v (View.root_pre v)))
+
+(* A newer delta stamp does not block a page copy: the copy is the
+   snapshot's image, and the commit re-derives every pre-existing node's
+   size from the base. T1 renames c1 after T2's insert under b left its
+   root-size delta on page 0; T1 commits, and the root keeps T2's delta. *)
+let test_copy_after_newer_delta () =
+  let m = two_page_store () in
+  let c1 = Txn.read m (fun v -> node_pre v "/root/a/c1") in
+  let t1 = Txn.begin_write m in
+  Txn.with_write m insert_q3;
+  U.rename_element (Txn.view t1) ~pre:c1 (Xml.Qname.make "d1");
+  Txn.commit t1;
+  check_integrity (Txn.store m);
+  Txn.read m (fun v ->
+      Alcotest.(check int) "root size keeps the delta" 11
+        (View.size v (View.root_pre v));
+      Alcotest.(check int) "rename committed" 1
+        (List.length (E.parse_eval v "/root/a/d1"));
+      Alcotest.(check int) "insert kept" 1 (List.length (E.parse_eval v "//q3")))
+
+(* A vacuum does not wait for a writer's pin. The writer's next read of the
+   relocated store conflicts instead of walking the chain the vacuum
+   dropped. *)
+let test_read_across_vacuum () =
+  let m = site_mgr () in
+  let t = Txn.begin_write m in
+  Alcotest.(check int) "staged read before" 3 (List.length (names (Txn.view t)));
+  Txn.vacuum ~fill:0.3 m;
+  (match names (Txn.view t) with
+  | _ -> Alcotest.fail "expected a conflict"
+  | exception Txn.Conflict { page = -1; _ } -> ());
+  Txn.abort t;
+  check_integrity (Txn.store m)
+
+(* Rule (d) and its neighbours: a transaction staged on a snapshot in which
+   item[1] exists, while a newer commit deletes it. Whether it staged before
+   or after that commit, it aborts, and the store is the delete alone. *)
+let check_loses_to_delete what stage =
+  let path = "/site/items/item[1]" in
+  List.iter
+    (fun stage_first ->
+      let m = site_mgr () in
+      let t = Txn.begin_write m in
+      if stage_first then stage (Txn.view t) path;
+      Txn.with_write m (fun v -> U.delete v ~pre:(node_pre v path));
+      let after_delete = serialize m in
+      (match if not stage_first then stage (Txn.view t) path with
+      | () -> expect_conflict what (fun () -> Txn.commit t)
+      | exception Txn.Conflict _ -> Txn.abort t);
+      check_integrity (Txn.store m);
+      Alcotest.(check string) (what ^ ": store = the delete alone") after_delete
+        (serialize m))
+    [ true; false ]
+
+let test_freed_since_snapshot () =
+  check_loses_to_delete "insert under a deleted node" (fun v path ->
+      U.insert v (U.Last_child (node_pre v path)) (P.parse_fragment "<stock>1</stock>"));
+  check_loses_to_delete "set_attribute on a deleted node" (fun v path ->
+      U.set_attribute v ~pre:(node_pre v path) (Xml.Qname.make "flag") "x");
+  (* rule (d) alone: a size delta on the node, no page copied *)
+  check_loses_to_delete "size delta on a deleted node" (fun v path ->
+      let node = View.read_cell v Up.Cnode (View.pos_of_pre v (node_pre v path)) in
+      View.add_size_delta v ~node 1)
+
+(* A one-node insert validates at most two pages, however large the
+   document: its ancestor search reads the snapshot and its ancestors grow
+   through size deltas. *)
+let test_insert_write_set_is_local () =
+  List.iter
+    (fun nodes ->
+      (* sections of 500 entries with a text child each: 1,001 nodes *)
+      let sections = (nodes + 500) / 1001 in
+      let section s =
+        Printf.sprintf "<section%d>%s</section%d>" s
+          (String.concat "" (List.init 500 (fun _ -> "<entry>payload</entry>")))
+          s
+      in
+      let doc =
+        P.parse ("<root>" ^ String.concat "" (List.init sections section) ^ "</root>")
+      in
+      let m = Txn.manager (Up.of_dom ~page_bits:10 ~fill:0.9 doc) in
+      let t = Txn.begin_write m in
+      let v = Txn.view t in
+      let mid = node_pre v (Printf.sprintf "/root/section%d" (sections / 2)) in
+      U.insert v (U.First_child mid) (P.parse_fragment "<probe/>");
+      let pages = List.length (View.write_set v) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d nodes: %d pages validated <= 2"
+           (Up.node_count (Txn.store m)) pages)
+        true (pages <= 2);
+      Txn.commit t;
+      check_integrity (Txn.store m))
+    [ 5_000; 50_000; 250_000 ]
 
 (* A transaction copies each base page it changes; a size delta a
    concurrent commit lands on that page after the copy must survive the
@@ -435,7 +537,7 @@ let test_window_insert_moves_only_the_window () =
           List.iter
             (fun n -> U.delete v ~pre:(node_pre v ("/r/" ^ n)))
             [ "a1"; "a10"; "a11" ]);
-      let d = View.direct base in
+      let d = Testsupport.view base in
       let node_of i = Up.node_at base ~pre:(node_pre d (Printf.sprintf "/r/a%d" i)) in
       let kept = [ 0; 2; 3; 4; 5; 6; 7; 8; 9; 12; 13; 14 ] in
       let pos_before = List.map (fun i -> (i, Up.node_pos_get base (node_of i))) kept in
@@ -444,6 +546,7 @@ let test_window_insert_moves_only_the_window () =
           U.insert v (U.After (node_pre v "/r/a4")) (P.parse_fragment "<n1/><n2/>"));
       Core.Wal.close wal;
       check_integrity base;
+      let d = Testsupport.view base in
       Alcotest.(check int) "no new page" 1 (Up.npages base);
       Alcotest.(check int) "only a5..a9 moved" 5 U.costs.U.moved_tuples;
       List.iter
@@ -638,6 +741,14 @@ let () =
             test_vacuum_drops_touched_page;
           Alcotest.test_case "copied page keeps a concurrent delta" `Quick
             test_copied_page_keeps_concurrent_delta;
+          Alcotest.test_case "newer delta stamp allows a page copy" `Quick
+            test_copy_after_newer_delta;
+          Alcotest.test_case "staged read across a vacuum" `Quick
+            test_read_across_vacuum;
+          Alcotest.test_case "node freed since the snapshot" `Quick
+            test_freed_since_snapshot;
+          Alcotest.test_case "one-node insert validates <= 2 pages" `Quick
+            test_insert_write_set_is_local;
           Alcotest.test_case "unchanged cells are not logged" `Quick
             test_unchanged_cells_not_logged;
           Alcotest.test_case "window insert moves only the window" `Quick

@@ -32,12 +32,13 @@ let test_figure4 () =
      then append <k><l/><m/></k> as last child of g. *)
   let t = Up.of_dom ~page_bits:3 ~fill:0.875 Testsupport.paper_doc in
   Alcotest.(check int) "two pages" 2 (Up.npages t);
-  let v = View.direct t in
+  let v = Testsupport.view t in
   let g = pre_of_ordinal v 6 in
   Alcotest.(check string) "g found" "g" (Qname.to_string (View.qname v g));
   let kids = P.parse_fragment "<k><l/><m/></k>" in
   Txn.with_write (Txn.manager t) (fun w -> U.insert w (U.Last_child g) kids);
   check_integrity t;
+  let v = Testsupport.view t in
   (* A third page was appended physically and spliced in as logical page 1 *)
   Alcotest.(check int) "three pages" 3 (Up.npages t);
   Alcotest.(check int) "logical 0 is phys 0" 0
@@ -70,11 +71,11 @@ let test_figure4_within_page () =
   (* Same setup, but insert a single node: fits the free slot -> no new page,
      pre numbers after the point shift only within the page. *)
   let t = Up.of_dom ~page_bits:3 ~fill:0.875 Testsupport.paper_doc in
-  let v = View.direct t in
-  let g = pre_of_ordinal v 6 in
+  let g = pre_of_ordinal (Testsupport.view t) 6 in
   Txn.with_write (Txn.manager t) (fun w ->
       U.insert w (U.Last_child g) (P.parse_fragment "<k/>"));
   check_integrity t;
+  let v = Testsupport.view t in
   Alcotest.(check int) "still two pages" 2 (Up.npages t);
   Alcotest.(check bool) "pagemap still identity" true
     (Column.Pagemap.is_identity (Up.pagemap t));
@@ -97,24 +98,23 @@ let person v i =
 let test_insert_before_after () =
   let t = site () in
   let m = Txn.manager t in
-  let v = View.direct t in
   Txn.with_write m (fun w ->
       U.insert w (U.Before (person w 1))
         (P.parse_fragment "<person><name>Zero</name></person>"));
   check_integrity t;
   Alcotest.(check (list string)) "before first"
-    [ "Zero"; "Ada"; "Grace"; "Edsger" ] (names v);
+    [ "Zero"; "Ada"; "Grace"; "Edsger" ] (names (Testsupport.view t));
   Txn.with_write m (fun w ->
       U.insert w (U.After (person w 2))
         (P.parse_fragment "<person><name>Half</name></person>"));
   check_integrity t;
   Alcotest.(check (list string)) "after second"
-    [ "Zero"; "Ada"; "Half"; "Grace"; "Edsger" ] (names v)
+    [ "Zero"; "Ada"; "Half"; "Grace"; "Edsger" ] (names (Testsupport.view t))
 
 let test_insert_nth_and_first () =
   let t = site () in
   let m = Txn.manager t in
-  let v = View.direct t in
+  let v = Testsupport.view t in
   let people =
     match query v "/site/people" with
     | [ E.Node pre ] -> pre
@@ -127,7 +127,7 @@ let test_insert_nth_and_first () =
         (P.parse_fragment "<person><name>Third</name></person>"));
   check_integrity t;
   Alcotest.(check (list string)) "first and third"
-    [ "First"; "Ada"; "Third"; "Grace"; "Edsger" ] (names v);
+    [ "First"; "Ada"; "Third"; "Grace"; "Edsger" ] (names (Testsupport.view t));
   Alcotest.check_raises "nth out of range"
     (U.Update_error "insert nth-child: position 9 out of range (node has 5 children)")
     (fun () ->
@@ -136,11 +136,12 @@ let test_insert_nth_and_first () =
 
 let test_insert_forest_and_mixed () =
   let t = site () in
-  let v = View.direct t in
+  let v = Testsupport.view t in
   let p = person v 3 in
   Txn.with_write (Txn.manager t) (fun w ->
       U.insert w (U.Last_child p) (P.parse_fragment "text<why>because</why><!--note-->"));
   check_integrity t;
+  let v = Testsupport.view t in
   match query v "/site/people/person[3]" with
   | [ E.Node pre ] ->
     Alcotest.(check string) "string value" "Edsgertextbecause" (E.string_value v pre)
@@ -149,7 +150,7 @@ let test_insert_forest_and_mixed () =
 let test_insert_errors () =
   let t = site () in
   let m = Txn.manager t in
-  let v = View.direct t in
+  let v = Testsupport.view t in
   let root = View.root_pre v in
   Alcotest.check_raises "before root" (U.Update_error "insert-before: target is the root")
     (fun () ->
@@ -172,12 +173,13 @@ let test_insert_errors () =
 let test_delete_subtree () =
   let t = site () in
   let m = Txn.manager t in
-  let v = View.direct t in
+  let v = Testsupport.view t in
   let before_live = Up.node_count t in
   let p = person v 2 in
   let psize = View.size v p in
   Txn.with_write m (fun w -> U.delete w ~pre:p);
   check_integrity t;
+  let v = Testsupport.view t in
   Alcotest.(check (list string)) "grace gone" [ "Ada"; "Edsger" ] (names v);
   Alcotest.(check int) "live count dropped" (before_live - psize - 1) (Up.node_count t);
   (* slots are unused, not shifted: extent unchanged *)
@@ -189,7 +191,6 @@ let test_delete_subtree () =
 let test_delete_then_insert_reuses_slots () =
   let t = site () in
   let m = Txn.manager t in
-  let v = View.direct t in
   let pages_before = Up.npages t in
   Txn.with_write m (fun w -> U.delete w ~pre:(person w 2));
   (* the freed slots allow a within-page insert where it would have overflowed *)
@@ -197,7 +198,8 @@ let test_delete_then_insert_reuses_slots () =
       U.insert w (U.After (person w 1))
         (P.parse_fragment "<person><name>Grace</name><age>45</age></person>"));
   check_integrity t;
-  Alcotest.(check (list string)) "restored" [ "Ada"; "Grace"; "Edsger" ] (names v);
+  Alcotest.(check (list string)) "restored" [ "Ada"; "Grace"; "Edsger" ]
+    (names (Testsupport.view t));
   Alcotest.(check int) "no new pages" pages_before (Up.npages t)
 
 (* ------------------------------------------------------- value updates -- *)
@@ -205,22 +207,22 @@ let test_delete_then_insert_reuses_slots () =
 let test_value_updates () =
   let t = site () in
   let m = Txn.manager t in
-  let v = View.direct t in
+  let v = Testsupport.view t in
   (match query v "/site/people/person[1]/name/text()" with
   | [ E.Node txt ] -> Txn.with_write m (fun w -> U.set_text w ~pre:txt "Augusta")
   | _ -> Alcotest.fail "text");
+  let v = Testsupport.view t in
   Alcotest.(check (list string)) "text updated" [ "Augusta"; "Grace"; "Edsger" ] (names v);
   let p = person v 1 in
   Txn.with_write m (fun w ->
       U.set_attribute w ~pre:p (Qname.make "id") "p0-renamed";
       U.set_attribute w ~pre:p (Qname.make "vip") "yes");
-  Alcotest.(check (option string)) "attr replaced" (Some "p0-renamed")
-    (View.attribute v p (Qname.make "id"));
-  Alcotest.(check (option string)) "attr added" (Some "yes")
-    (View.attribute v p (Qname.make "vip"));
+  let attr q = View.attribute (Testsupport.view t) p (Qname.make q) in
+  Alcotest.(check (option string)) "attr replaced" (Some "p0-renamed") (attr "id");
+  Alcotest.(check (option string)) "attr added" (Some "yes") (attr "vip");
   Alcotest.(check bool) "attr removed" true
     (Txn.with_write m (fun w -> U.remove_attribute w ~pre:p (Qname.make "vip")));
-  Alcotest.(check (option string)) "gone" None (View.attribute v p (Qname.make "vip"));
+  Alcotest.(check (option string)) "gone" None (attr "vip");
   Alcotest.(check bool) "remove missing" false
     (Txn.with_write m (fun w -> U.remove_attribute w ~pre:p (Qname.make "vip")));
   check_integrity t
@@ -331,8 +333,8 @@ let prop_update_mirror =
     (fun (d, ops, (bits, fill)) ->
       let t = Up.of_dom ~page_bits:bits ~fill d in
       let m = Txn.manager t in
-      let v = View.direct t in
       let dom = List.fold_left (commit_op m t) d ops in
+      let v = Testsupport.view t in
       if not (Dom.equal dom (Ser.to_dom v)) then
         QCheck2.Test.fail_reportf "mismatch:\noracle: %s\nstore:  %s"
           (Xml.Xml_serialize.to_string dom)
@@ -343,7 +345,7 @@ let prop_update_mirror =
         (match Up.check_integrity t with
         | Ok () -> ()
         | Error m -> QCheck2.Test.fail_reportf "integrity after compact: %s" m);
-        if not (Dom.equal dom (Ser.to_dom v)) then
+        if not (Dom.equal dom (Ser.to_dom (Testsupport.view t))) then
           QCheck2.Test.fail_report "document changed by compact"
         else if not (Column.Pagemap.is_identity (Up.pagemap t)) then
           QCheck2.Test.fail_report "compact did not restore identity order"
@@ -368,7 +370,6 @@ let update_mirror_case =
 let test_repeated_inserts_same_point () =
   let t = Up.of_dom ~page_bits:2 ~fill:0.75 (P.parse "<r><a/><b/></r>") in
   let m = Txn.manager t in
-  let v = View.direct t in
   for i = 1 to 200 do
     Txn.with_write m (fun w ->
         let a =
@@ -379,6 +380,7 @@ let test_repeated_inserts_same_point () =
         U.insert w (U.After a) (P.parse_fragment (Printf.sprintf "<n i='%d'/>" i)))
   done;
   check_integrity t;
+  let v = Testsupport.view t in
   Alcotest.(check int) "all present" 200 (List.length (query v "/r/n"));
   Alcotest.(check int) "sizes correct" 202 (View.size v (View.root_pre v))
 
@@ -391,7 +393,7 @@ let test_insert_cost_is_local () =
         children = List.init 5000 (fun i -> Dom.element ("e" ^ string_of_int (i mod 7))) }
   in
   let t = Up.of_dom ~page_bits:6 ~fill:0.9 wide in
-  let v = View.direct t in
+  let v = Testsupport.view t in
   U.reset_costs ();
   let target = pre_of_ordinal v 2500 in
   Txn.with_write (Txn.manager t) (fun w ->

@@ -1,4 +1,4 @@
-(* Direct tests of the View layer: read-through/copy-on-write semantics,
+(* Direct tests of the View layer: snapshot reads, copy-on-write semantics,
    private page staging, size-delta visibility, attribute deltas, node id
    lifecycle — the machinery under the transaction protocol. *)
 
@@ -15,11 +15,11 @@ let base () = Up.of_dom ~page_bits:3 ~fill:0.75 Testsupport.paper_doc
 (* ---------------------------------------------------------- cell layer -- *)
 
 (* Only a transaction's staged view is writable: every mutating operation on
-   a direct view raises, and the base stays as it was. *)
-let test_direct_read_only () =
+   a snapshot view raises, and the base stays as it was. *)
+let test_snapshot_read_only () =
   let t = base () in
-  let before = Ser.to_dom (View.direct t) in
-  let v = View.direct t in
+  let before = Ser.to_dom (Testsupport.view t) in
+  let v = Testsupport.view t in
   Alcotest.(check bool) "no staged state" true (View.staged_state v = None);
   let root = View.root_pre v in
   let node = Up.node_at t ~pre:root in
@@ -39,31 +39,32 @@ let test_direct_read_only () =
       ("push_pi", fun () -> ignore (View.push_pi v ~target:"t" ~data:"d"));
       ("attr_add", fun () -> View.attr_add v ~node ~qn:0 ~prop:0);
       ("attr_remove_node", fun () -> View.attr_remove_node v ~node);
-      ("attr_remove_named", fun () -> ignore (View.attr_remove_named v ~node ~qn:0)) ]
+      ("attr_remove_named", fun () -> ignore (View.attr_remove_named v ~node ~qn:0));
+      ("write_set", fun () -> ignore (View.write_set v)) ]
   in
   List.iter
     (fun (what, op) ->
       match op () with
-      | () -> Alcotest.failf "%s on a direct view did not raise" what
+      | () -> Alcotest.failf "%s on a snapshot view did not raise" what
       | exception Invalid_argument _ -> ())
     ops;
   Alcotest.(check bool) "base unchanged" true (Dom.equal before (Ser.to_dom v))
 
 let test_staged_read_through_and_cow () =
   let t = base () in
-  let v = View.staged t in
+  let v = View.staged (Testsupport.version t) in
   let before = Up.get_cell t Up.Cname 3 in
   Alcotest.(check int) "read-through" before (View.read_cell v Up.Cname 3);
   View.write_cell v Up.Cname 3 1234;
   Alcotest.(check int) "staged sees own write" 1234 (View.read_cell v Up.Cname 3);
   Alcotest.(check int) "base untouched" before (Up.get_cell t Up.Cname 3);
   (* another view of the same base is isolated *)
-  let v2 = View.staged t in
+  let v2 = View.staged (Testsupport.version t) in
   Alcotest.(check int) "sibling view isolated" before (View.read_cell v2 Up.Cname 3)
 
 let test_staged_pages_private () =
   let t = base () in
-  let v = View.staged t in
+  let v = View.staged (Testsupport.version t) in
   let base_pages = Up.npages t in
   let fresh = View.splice_pages v ~at_logical:1 ~count:2 in
   Alcotest.(check int) "two provisional pages" 2 (List.length fresh);
@@ -85,7 +86,7 @@ let test_staged_pages_private () =
 
 let test_size_delta_visibility () =
   let t = base () in
-  let v = View.staged t in
+  let v = View.staged (Testsupport.version t) in
   let root = View.root_pre v in
   let node = Up.node_at t ~pre:root in
   let s0 = View.size v root in
@@ -97,7 +98,7 @@ let test_size_delta_visibility () =
 
 let test_node_id_lifecycle () =
   let t = base () in
-  let v = View.staged t in
+  let v = View.staged (Testsupport.version t) in
   let id = View.fresh_node_id v in
   Alcotest.(check int) "unmapped until set" Column.Varray.null (View.node_pos_get v id);
   View.node_pos_set v id 5;
@@ -113,7 +114,7 @@ let test_node_id_lifecycle () =
 
 let test_attr_deltas () =
   let t = Up.of_dom ~page_bits:3 ~fill:0.75 Testsupport.small_doc in
-  let v = View.staged t in
+  let v = View.staged (Testsupport.version t) in
   let item =
     match E.parse_eval v "//item[@id='i0']" with
     | [ E.Node pre ] -> pre
@@ -145,7 +146,7 @@ let test_attr_deltas () =
 
 let test_pool_log () =
   let t = base () in
-  let v = View.staged t in
+  let v = View.staged (Testsupport.version t) in
   let _ = View.push_text v "hello" in
   let _ = View.intern_qn v (Xml.Qname.make "fresh") in
   let _ = View.push_pi v ~target:"tgt" ~data:"dta" in
@@ -155,31 +156,37 @@ let test_pool_log () =
       (List.length st.View.pool_log)
   | None -> Alcotest.fail "staged"
 
-let test_touch_callback_granularity () =
+(* The validation set is the write set: reads add nothing, the first write
+   that changes a base page adds that page, and private pages and size
+   deltas add nothing — the no-root-lock property. An attribute change adds
+   its owner's page. *)
+let test_write_set_granularity () =
   let t = base () in
-  let touched = ref [] in
-  let v = View.staged ~touch:(fun page -> touched := page :: !touched) t in
-  ignore (View.read_cell v Up.Clevel 1);
-  Alcotest.(check bool) "read touch" true (List.mem 0 !touched);
-  touched := [];
-  View.write_cell v Up.Cname 9 0;
-  Alcotest.(check bool) "write touch page 1" true (List.mem 1 !touched);
-  touched := [];
-  (* staged pages bypass the callback *)
+  let v = View.staged (Testsupport.version t) in
+  let write_set () = List.sort compare (View.write_set v) in
+  ignore (Ser.to_dom v);
+  Alcotest.(check (list int)) "reads add nothing" [] (write_set ());
+  let name = View.read_cell v Up.Cname 9 in
+  View.write_cell v Up.Cname 9 name;
+  Alcotest.(check (list int)) "rewriting a value adds nothing" [] (write_set ());
+  View.write_cell v Up.Cname 9 (name + 1);
+  Alcotest.(check (list int)) "first write adds page 1" [ 1 ] (write_set ());
   let fresh = View.splice_pages v ~at_logical:0 ~count:1 in
   View.write_cell v Up.Cname (List.hd fresh * View.page_size v) 0;
-  Alcotest.(check (list int)) "no touch for staged pages" [] !touched;
-  (* size deltas bypass the callback: the no-root-lock property *)
+  Alcotest.(check (list int)) "private pages add nothing" [ 1 ] (write_set ());
   let node = Up.node_at t ~pre:(Up.root_pre t) in
   View.add_size_delta v ~node 1;
-  Alcotest.(check (list int)) "no touch for deltas" [] !touched
+  Alcotest.(check (list int)) "size deltas add nothing" [ 1 ] (write_set ());
+  View.attr_add v ~node ~qn:0 ~prop:0;
+  Alcotest.(check (list int)) "an attribute adds its owner's page" [ 0; 1 ]
+    (write_set ())
 
 (* A full update sequence through a staged view leaves the base bit-for-bit
    unchanged until commit (verified via serialisation + integrity). *)
 let test_staging_never_mutates_base () =
   let t = Up.of_dom ~page_bits:2 ~fill:0.6 Testsupport.small_doc in
-  let before = Ser.to_dom (View.direct t) in
-  let v = View.staged t in
+  let before = Ser.to_dom (Testsupport.view t) in
+  let v = View.staged (Testsupport.version t) in
   U.insert v (U.Last_child (View.root_pre v)) (P.parse_fragment "<extra><deep/></extra>");
   U.delete v
     ~pre:
@@ -196,7 +203,7 @@ let test_staging_never_mutates_base () =
   Alcotest.(check int) "staged extra" 1 (List.length (E.parse_eval v "//extra"));
   Alcotest.(check int) "staged delete" 1 (List.length (E.parse_eval v "//item"));
   (* the base still shows the old one *)
-  let after = Ser.to_dom (View.direct t) in
+  let after = Ser.to_dom (Testsupport.view t) in
   Alcotest.(check bool) "base unchanged" true (Dom.equal before after);
   match Up.check_integrity t with
   | Ok () -> ()
@@ -205,7 +212,8 @@ let test_staging_never_mutates_base () =
 let () =
   Alcotest.run "view"
     [ ( "cells",
-        [ Alcotest.test_case "direct views are read-only" `Quick test_direct_read_only;
+        [ Alcotest.test_case "snapshot views are read-only" `Quick
+            test_snapshot_read_only;
           Alcotest.test_case "staged COW" `Quick test_staged_read_through_and_cow;
           Alcotest.test_case "private pages" `Quick test_staged_pages_private ] );
       ( "deltas",
@@ -214,6 +222,6 @@ let () =
           Alcotest.test_case "attributes" `Quick test_attr_deltas;
           Alcotest.test_case "pool log" `Quick test_pool_log ] );
       ( "protocol",
-        [ Alcotest.test_case "touch granularity" `Quick test_touch_callback_granularity;
+        [ Alcotest.test_case "write-set granularity" `Quick test_write_set_granularity;
           Alcotest.test_case "staging never mutates base" `Quick
             test_staging_never_mutates_base ] ) ]

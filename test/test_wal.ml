@@ -224,8 +224,8 @@ let test_wal_replay_reproduces_document () =
       Alcotest.(check int) "three records" 3 n;
       check_integrity recovered;
       Alcotest.check doc "same document"
-        (Ser.to_dom (View.direct live))
-        (Ser.to_dom (View.direct recovered));
+        (Ser.to_dom (Testsupport.view live))
+        (Ser.to_dom (Testsupport.view recovered));
       Alcotest.(check int) "same live count" (Up.node_count live)
         (Up.node_count recovered))
 
@@ -275,7 +275,7 @@ let test_torn_wal_tail_recovers_prefix () =
       Txn.with_write m (fun v ->
           U.insert v (U.Last_child (node_pre v "/site/people"))
             (P.parse_fragment "<person id='keep'/>"));
-      let after_first = Ser.to_dom (View.direct live) in
+      let after_first = Ser.to_dom (Testsupport.view live) in
       Txn.with_write m (fun v ->
           U.insert v (U.Last_child (node_pre v "/site/people"))
             (P.parse_fragment "<person id='torn'/>"));
@@ -289,7 +289,8 @@ let test_torn_wal_tail_recovers_prefix () =
       let n = replay ~wal_path recovered in
       Alcotest.(check int) "only the intact record" 1 n;
       check_integrity recovered;
-      Alcotest.check doc "prefix state" after_first (Ser.to_dom (View.direct recovered)))
+      Alcotest.check doc "prefix state" after_first
+        (Ser.to_dom (Testsupport.view recovered)))
 
 let test_missing_wal_is_empty () =
   let t = Up.of_dom Testsupport.small_doc in
@@ -317,8 +318,8 @@ let test_recovery_with_page_splices () =
       Alcotest.(check bool) "pagemap no longer identity" false
         (Column.Pagemap.is_identity (Up.pagemap recovered));
       Alcotest.check doc "equal documents"
-        (Ser.to_dom (View.direct live))
-        (Ser.to_dom (View.direct recovered)))
+        (Ser.to_dom (Testsupport.view live))
+        (Ser.to_dom (Testsupport.view recovered)))
 
 let () =
   Alcotest.run "wal"

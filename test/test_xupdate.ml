@@ -25,7 +25,7 @@ let apply_to ?(src = Testsupport.small_doc) body =
   let t = Up.of_dom ~page_bits:3 ~fill:0.75 src in
   let n = Txn.with_write (Txn.manager t) (fun v -> Xu.apply_string v (wrap body)) in
   check_integrity t;
-  (n, t, View.direct t)
+  (n, t, Testsupport.view t)
 
 (* -------------------------------------------------------------- parsing -- *)
 
@@ -280,7 +280,7 @@ let prop_geometry_equivalence =
         (match Up.check_integrity t with
         | Ok () -> ()
         | Error m -> QCheck2.Test.fail_report m);
-        Xml.Xml_serialize.to_string (Ser.to_dom (View.direct t))
+        Xml.Xml_serialize.to_string (Ser.to_dom (Testsupport.view t))
       in
       let reference = run (12, 1.0) in
       List.for_all
