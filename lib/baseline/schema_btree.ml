@@ -183,4 +183,9 @@ let attribute t pre q =
     (fun (q', v) -> if Xml.Qname.equal q q' then Some v else None)
     (attributes t pre)
 
+let attribute_id t pre id =
+  List.find_map
+    (fun (q', v) -> if qn_id t q' = Some id then Some v else None)
+    (attributes t pre)
+
 let root_pre t = t.root

@@ -131,18 +131,17 @@ let attributes t pre =
       ( Xml.Qname.of_string (Dict.to_string t.qn (Varray.get t.attr_qn row)),
         Dict.to_string t.props (Varray.get t.attr_prop row) ))
 
-let attribute t pre q =
-  match qn_id t q with
-  | None -> None
-  | Some qid ->
-    let start, stop = attr_range t pre in
-    let rec scan row =
-      if row >= stop then None
-      else if Varray.get t.attr_qn row = qid then
-        Some (Dict.to_string t.props (Varray.get t.attr_prop row))
-      else scan (row + 1)
-    in
-    scan start
+let attribute_id t pre qid =
+  let start, stop = attr_range t pre in
+  let rec scan row =
+    if row >= stop then None
+    else if Varray.get t.attr_qn row = qid then
+      Some (Dict.to_string t.props (Varray.get t.attr_prop row))
+    else scan (row + 1)
+  in
+  scan start
+
+let attribute t pre q = Option.bind (qn_id t q) (attribute_id t pre)
 
 let root_pre _ = 0
 

@@ -49,8 +49,32 @@ let counter_of_axis = function
 let m_items = Obs.counter ~help:"items produced by path evaluations" "engine.items"
 
 (* Positional predicates count within one context's axis result, so they pin
-   the per-context evaluation order and rule out the range strategy. *)
+   the per-context evaluation order and rule out the descendant scan. *)
 let positional = List.exists (function Pos _ | Last -> true | _ -> false)
+
+(* `descendant-or-self::node()/child::T[p]`, the parser's `//T[p]`, selects
+   exactly the descendants that pass T and p when no predicate is positional
+   (a position counts among one parent's children). As one descendant step
+   it is one staircase scan, not a materialisation of every descendant
+   followed by a child step from each of them. *)
+let dslash_child = function
+  | { axis = Descendant_or_self; test = Kind_node; preds = [] }
+    :: ({ axis = Child; preds; _ } as s)
+    :: rest
+    when not (positional preds) ->
+    Some ({ s with axis = Descendant }, rest)
+  | _ -> None
+
+(* Shares the input list when nothing fuses, as in most predicate paths. *)
+let rec fuse_dslash steps =
+  match dslash_child steps with
+  | Some (d, rest) -> d :: fuse_dslash rest
+  | None -> (
+    match steps with
+    | [] -> steps
+    | s :: rest ->
+      let rest' = fuse_dslash rest in
+      if rest' == rest then steps else s :: rest')
 
 (* Contiguous n-way split, near-equal sizes, order preserved. *)
 let chunk_list n xs =
@@ -132,19 +156,26 @@ module Make (S : Storage_intf.S) = struct
     | Node pre -> string_value t pre
     | Attribute a -> a.value
 
-  let matches_test t test pre =
+  let is_element t pre = pre <> doc_node && Kind.equal (S.kind t pre) Kind.Element
+
+  (* A node test compiled for one step: a name is looked up in the
+     dictionary once, so each candidate costs an integer comparison. A name
+     the dictionary lacks matches nothing. *)
+  let compile_test t test : int -> bool =
     match test with
-    | Kind_node -> true
-    | Wildcard -> S.kind t pre = Kind.Element
+    | Kind_node -> fun _ -> true
+    | Wildcard -> fun pre -> Kind.equal (S.kind t pre) Kind.Element
     | Name q -> (
-      S.kind t pre = Kind.Element
-      &&
-      match S.qn_id t q with Some id -> S.name_id t pre = id | None -> false)
-    | Kind_text -> S.kind t pre = Kind.Text
-    | Kind_comment -> S.kind t pre = Kind.Comment
-    | Kind_pi None -> S.kind t pre = Kind.Pi
+      match S.qn_id t q with
+      | Some id ->
+        fun pre -> Kind.equal (S.kind t pre) Kind.Element && S.name_id t pre = id
+      | None -> fun _ -> false)
+    | Kind_text -> fun pre -> Kind.equal (S.kind t pre) Kind.Text
+    | Kind_comment -> fun pre -> Kind.equal (S.kind t pre) Kind.Comment
+    | Kind_pi None -> fun pre -> Kind.equal (S.kind t pre) Kind.Pi
     | Kind_pi (Some target) ->
-      S.kind t pre = Kind.Pi && String.equal (S.pi_target t pre) target
+      fun pre ->
+        Kind.equal (S.kind t pre) Kind.Pi && String.equal (S.pi_target t pre) target
 
   (* Axis application for one context, handling the virtual document node.
      Results come back in axis order. *)
@@ -160,6 +191,20 @@ module Make (S : Storage_intf.S) = struct
         []
       | Attribute -> invalid_arg "Engine: attribute axis on the document node"
 
+  (* The view regions a descendant step scans: [lo, hi) ranges, sorted and
+     pairwise disjoint after staircase pruning. Every used slot from the root
+     element on is a descendant of the document node (or the root itself,
+     which descendant::x from the document node includes). *)
+  let descendant_ranges t ~or_self ctxs =
+    if List.mem doc_node ctxs then [ (S.root_pre t, S.extent t) ]
+    else
+      List.filter_map
+        (fun c ->
+          let lo = if or_self then c else c + 1 in
+          let hi = Sj.subtree_end t c in
+          if lo < hi then Some (lo, hi) else None)
+        (Sj.prune_covered t ctxs)
+
   let contains_sub ~needle hay =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -170,20 +215,19 @@ module Make (S : Storage_intf.S) = struct
   (* Parallel evaluation ([~par] is a Par.t pool) partitions one axis step
      over the pool's domains; predicate sub-paths always run sequentially
      inside whichever domain evaluates them (workers never re-submit, so the
-     pool cannot deadlock on itself). Two plans:
+     pool cannot deadlock on itself).
 
-     - range: a descendant step without positional predicates scans, after
-       staircase pruning, a union of pairwise disjoint document-order
-       regions; cutting that multi-range into equal-span chunks gives
-       partitions whose outputs are sorted and disjoint — concatenation is
-       the merge. This parallelises //x even from a single context.
-     - ctx: any other step is partitioned by context list; per-context
-       evaluation (including positional predicates, which XPath defines per
-       context) is untouched, and the usual sort_uniq merges the parts.
-
-     Both produce exactly the sequential result: the sequential path is
-     sort_uniq over the concatenation of independent per-context (or
-     per-region) evaluations, and the partitions only regroup that work.
+     A descendant step without positional predicates is one staircase scan:
+     after pruning, its contexts' subtrees are a union of pairwise disjoint
+     document-order regions, and one pass over them applies the node test
+     and the predicates to each used slot, emitting survivors in document
+     order with no intermediate list and no re-sort. With a pool and a span
+     of at least [Par.range_cutoff] slots the regions are cut into
+     equal-span chunks scanned in parallel (the range plan); the chunk
+     outputs are sorted and disjoint, so concatenation is the merge. Every
+     other step evaluates per context (positional predicates count per
+     context), partitioned by context list under a pool (the ctx plan) and
+     merged by sort_uniq — the same union the sequential path computes.
 
      Profiling ([~prof] is a Profile.collector) records one step record per
      axis step — plan chosen, partitions, slots scanned, items produced —
@@ -201,23 +245,31 @@ module Make (S : Storage_intf.S) = struct
         | None -> fun (_ : int) -> ()
         | Some _ -> fun n -> ignore (Atomic.fetch_and_add scanned n)
       in
-      let attrs_of ctx =
-        if ctx = doc_node then []
-        else if S.kind t ctx <> Kind.Element then []
-        else begin
-          let all = S.attributes t ctx in
-          note (List.length all);
-          List.filter_map
-            (fun (qn, value) ->
-              let keep =
-                match test with
-                | Name q -> Xml.Qname.equal q qn
-                | Wildcard | Kind_node -> true
-                | Kind_text | Kind_comment | Kind_pi _ -> false
-              in
-              if keep then Some (Attribute { owner = ctx; qn; value }) else None)
-            all
-        end
+      (* a name test is resolved once and decodes only the attribute it
+         names *)
+      let attrs_of =
+        match test with
+        | Name q -> (
+          match S.qn_id t q with
+          | None -> fun _ -> []
+          | Some id ->
+            fun ctx ->
+              if not (is_element t ctx) then []
+              else begin
+                note 1;
+                match S.attribute_id t ctx id with
+                | Some value -> [ Attribute { owner = ctx; qn = q; value } ]
+                | None -> []
+              end)
+        | Wildcard | Kind_node ->
+          fun ctx ->
+            if not (is_element t ctx) then []
+            else begin
+              let all = S.attributes t ctx in
+              note (List.length all);
+              List.map (fun (qn, value) -> Attribute { owner = ctx; qn; value }) all
+            end
+        | Kind_text | Kind_comment | Kind_pi _ -> fun _ -> []
       in
       let run_step () =
         let attrs =
@@ -253,77 +305,63 @@ module Make (S : Storage_intf.S) = struct
         | None -> fun (_ : int) -> ()
         | Some _ -> fun n -> ignore (Atomic.fetch_and_add scanned n)
       in
-      let step_one ctx =
-        let all = axis_one t axis ctx in
-        note (List.length all);
-        let candidates = List.filter (matches_test t test) all in
-        let items = List.map (fun c -> Node c) candidates in
-        let survivors =
-          List.fold_left (fun items p -> apply_pred_items t items p) items preds
-        in
-        List.filter_map (function Node c -> Some c | Attribute _ -> None) survivors
+      let test = compile_test t test in
+      let pool =
+        match par with Some pool when Par.domains pool > 1 -> Some pool | _ -> None
       in
-      let seq () = List.sort_uniq compare (List.concat_map step_one ctxs) in
       let run_step () =
-        match par with
-        | None -> seq ()
-        | Some pool when Par.domains pool <= 1 -> seq ()
-        | Some pool -> (
-          let rangeable =
-            (match axis with Descendant | Descendant_or_self -> true | _ -> false)
-            && not (positional preds)
-          in
+        match axis with
+        | (Descendant | Descendant_or_self) when not (positional preds) ->
           let ranges =
-            if not rangeable then []
-            else
-              match ctxs with
-              | [ c ] when c = doc_node ->
-                (* every used slot from the root on is a descendant of the
-                   virtual document node (or the root itself) *)
-                [ (S.root_pre t, S.extent t) ]
-              | _ when List.mem doc_node ctxs -> []
-              | _ ->
-                let or_self = axis = Descendant_or_self in
-                List.filter_map
-                  (fun c ->
-                    let lo = if or_self then c else c + 1 in
-                    let hi = Sj.subtree_end t c in
-                    if lo < hi then Some (lo, hi) else None)
-                  (Sj.prune_covered t ctxs)
+            descendant_ranges t ~or_self:(axis = Descendant_or_self) ctxs
           in
           let span = List.fold_left (fun a (lo, hi) -> a + (hi - lo)) 0 ranges in
-          if rangeable && span >= Par.range_cutoff pool then begin
+          (* one note for the whole scan: the inner loop stays branch-free *)
+          note span;
+          let keep pre =
+            test pre && List.for_all (fun p -> eval_pred t (Node pre) p) preds
+          in
+          let scan chunk () =
+            let out = ref [] in
+            List.iter
+              (fun (lo, hi) ->
+                let rec go pre =
+                  if pre < hi then begin
+                    if keep pre then out := pre :: !out;
+                    go (S.next_used t (pre + 1))
+                  end
+                in
+                go (S.next_used t lo))
+              chunk;
+            List.rev !out
+          in
+          (match pool with
+          | Some pool when span >= Par.range_cutoff pool ->
             let per = max 1 ((span + Par.domains pool - 1) / Par.domains pool) in
             let chunks = split_ranges per ranges in
             Par.note_parallel_step `Range (List.length chunks);
             plan := Profile.Range;
             partitions := List.length chunks;
-            (* one note for the whole scan: the inner loop stays branch-free *)
-            note span;
-            let scan chunk () =
-              let out = ref [] in
-              List.iter
-                (fun (lo, hi) ->
-                  let rec go pre =
-                    if pre < hi then begin
-                      if
-                        matches_test t test pre
-                        && List.for_all (fun p -> eval_pred t (Node pre) p) preds
-                      then out := pre :: !out;
-                      go (S.next_used t (pre + 1))
-                    end
-                  in
-                  go (S.next_used t lo))
-                chunk;
-              List.rev !out
-            in
             let parts = Par.run pool (List.map scan chunks) in
             (* partition outputs are sorted and pairwise disjoint (pruning
                made the regions disjoint): concatenation IS the sorted
                duplicate-free union *)
             Par.time_merge (fun () -> List.concat parts)
-          end
-          else if List.length ctxs >= Par.ctx_cutoff pool then begin
+          | Some _ | None -> scan ranges ())
+        | _ -> (
+          let step_one ctx =
+            let all = axis_one t axis ctx in
+            note (List.length all);
+            let items =
+              List.filter_map (fun c -> if test c then Some (Node c) else None) all
+            in
+            let survivors =
+              List.fold_left (fun items p -> apply_pred_items t items p) items preds
+            in
+            List.filter_map (function Node c -> Some c | Attribute _ -> None) survivors
+          in
+          match pool with
+          | Some pool when List.length ctxs >= Par.ctx_cutoff pool ->
             let chunks = chunk_list (Par.domains pool) ctxs in
             Par.note_parallel_step `Ctx (List.length chunks);
             plan := Profile.Ctx;
@@ -332,9 +370,8 @@ module Make (S : Storage_intf.S) = struct
               Par.run pool
                 (List.map (fun chunk () -> List.concat_map step_one chunk) chunks)
             in
-            Par.time_merge (fun () -> List.sort_uniq compare (List.concat parts))
-          end
-          else seq ())
+            Par.time_merge (fun () -> List.sort_uniq Int.compare (List.concat parts))
+          | Some _ | None -> List.sort_uniq Int.compare (List.concat_map step_one ctxs))
       in
       let out =
         profiled_step ~prof step ~ctx_in:(List.length ctxs) ~plan ~partitions
@@ -449,24 +486,36 @@ module Make (S : Storage_intf.S) = struct
       | first :: _ -> VStr (item_string t first))
     | Count p -> VNum (float_of_int (List.length (eval_rel t it p)))
 
-  (* Relative path from a predicate's context item. Always sequential and
-     never profiled: it may run inside a pool worker (workers must never
+  (* A predicate's path from its context item. Always sequential and never
+     profiled: it may run inside a pool worker (workers must never
      re-submit), and profile steps belong to the top-level path only. *)
   and eval_rel t it p =
-    if p.absolute then eval_steps ~par:None ~prof:None t [ doc_node ] p.steps
-    else
-      match it with
-      | Node ctx -> eval_steps ~par:None ~prof:None t [ ctx ] p.steps
-      | Attribute _ -> [] (* no forward axes from attribute nodes *)
+    match it with
+    | Node ctx -> eval_path ~par:None ~prof:None t [ ctx ] p
+    | Attribute _ when p.absolute -> eval_path ~par:None ~prof:None t [] p
+    | Attribute _ -> [] (* no forward axes from attribute nodes *)
+
+  (* Where a path evaluation enters [eval_steps]: every `//T[p]` is fused
+     into one descendant step first. From the document node `//T` selects
+     the root element's descendants and never the root itself (see
+     DESIGN.md), which is `descendant::T` from the root element; an explicit
+     descendant step from the document node still includes the root. *)
+  and eval_path ~par ~prof t ctxs p =
+    let ctxs, steps =
+      if not p.absolute then (ctxs, fuse_dslash p.steps)
+      else
+        match dslash_child p.steps with
+        | Some (d, rest) -> ([ S.root_pre t ], d :: fuse_dslash rest)
+        | None -> ([ doc_node ], fuse_dslash p.steps)
+    in
+    eval_steps ~par ~prof t ctxs steps
 
   let eval_items t ?par ?prof ?context p =
     let items =
-      if p.absolute then
-        if p.steps = [] then [ Node (S.root_pre t) ]
-        else eval_steps ~par ~prof t [ doc_node ] p.steps
+      if p.absolute && p.steps = [] then [ Node (S.root_pre t) ]
       else
         let ctxs = match context with Some c -> c | None -> [ S.root_pre t ] in
-        eval_steps ~par ~prof t ctxs p.steps
+        eval_path ~par ~prof t ctxs p
     in
     Obs.add m_items (List.length items);
     items

@@ -10,7 +10,18 @@
       value of its {e first} result node only;
     - comparisons where either operand is numeric are numeric (non-numeric
       strings compare false); otherwise string comparison;
-    - the attribute axis is only valid as the final step of a path.
+    - the attribute axis is only valid as the final step of a path;
+    - [//x] and [//*] select the root element's descendants, never the root
+      element itself (XPath 1.0 also selects the root when it matches).
+
+    {2 Evaluation}
+
+    Each [descendant-or-self::node()/child::x[p]] (what [//x[p]] parses
+    to) whose predicates are not positional is evaluated as
+    [descendant::x[p]]. Every descendant step without a positional
+    predicate is one staircase scan over its pruned context regions, with
+    the node test and the predicates applied inside the scan. Node tests
+    are compiled once per step: a name is looked up in the dictionary once.
 
     {2 Parallel evaluation}
 
@@ -21,11 +32,11 @@
     staged writable views are not. Results are identical to the sequential
     ones. Two plans are used:
 
-    - {e range}: descendant steps without positional predicates scan, after
-      staircase pruning, disjoint document-order regions; the combined span
-      is cut into equal-slot chunks (a cut may split one subtree — every
-      used slot inside a pruned region is a descendant of its context), and
-      the sorted disjoint partials concatenate into the final result.
+    - {e range}: a descendant scan whose regions span at least the pool's
+      range cutoff is cut into equal-slot chunks (a cut may split one
+      subtree — every used slot inside a pruned region is a descendant of
+      its context), and the sorted disjoint partials concatenate into the
+      final result.
     - {e ctx}: all other steps are partitioned by context list, keeping
       per-context semantics (positional predicates count per context);
       partials are merged with the same sort_uniq as the sequential path.

@@ -388,18 +388,16 @@ let attributes t pre =
       (qn_of_id t qn, prop_of_id t prop))
     (attr_rows_of_node t node)
 
-let attribute t pre q =
-  match qn_id t q with
-  | None -> None
-  | Some qid ->
-    let node = node_at t ~pre in
-    let rec scan = function
-      | [] -> None
-      | row :: rest ->
-        let _, qn, prop = attr_row t row in
-        if qn = qid then Some (prop_of_id t prop) else scan rest
-    in
-    scan (attr_rows_of_node t node)
+let attribute_id t pre qid =
+  let rec scan = function
+    | [] -> None
+    | row :: rest ->
+      let _, qn, prop = attr_row t row in
+      if qn = qid then Some (prop_of_id t prop) else scan rest
+  in
+  scan (attr_rows_of_node t (node_at t ~pre))
+
+let attribute t pre q = Option.bind (qn_id t q) (attribute_id t pre)
 
 (* ------------------------------------------------------------ bookkeeping *)
 

@@ -1,5 +1,5 @@
 module Make (S : Storage_intf.S) = struct
-  let sort_uniq l = List.sort_uniq compare l
+  let sort_uniq l = List.sort_uniq Int.compare l
 
   (* Hop from a used node towards its next sibling: [pre + size + 1] skips at
      least the node's own descendants (undershoot lands on a descendant of a

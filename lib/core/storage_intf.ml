@@ -61,6 +61,11 @@ module type S = sig
 
   val attribute : t -> int -> Xml.Qname.t -> string option
 
+  val attribute_id : t -> int -> int -> string option
+  (** [attribute_id t pre id] is {!attribute} for the qname interned under
+      [id] (see {!qn_id}): an attribute step resolves its name once and
+      then reads each candidate's attribute by id. *)
+
   val root_pre : t -> int
   (** Pre of the document's root element. *)
 end

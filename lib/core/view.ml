@@ -543,16 +543,14 @@ let attributes v pre =
     (fun (_, qn, prop) -> (Schema_up.qn_of_id v.b qn, Schema_up.prop_of_id v.b prop))
     (attr_entries v node)
 
-let attribute v pre q =
-  match qn_id v q with
-  | None -> None
-  | Some qid ->
-    let node = node_at_pre v pre in
-    let rec scan = function
-      | [] -> None
-      | (_, qn, prop) :: rest ->
-        if qn = qid then Some (Schema_up.prop_of_id v.b prop) else scan rest
-    in
-    scan (attr_entries v node)
+let attribute_id v pre qid =
+  let rec scan = function
+    | [] -> None
+    | (_, qn, prop) :: rest ->
+      if qn = qid then Some (Schema_up.prop_of_id v.b prop) else scan rest
+  in
+  scan (attr_entries v (node_at_pre v pre))
+
+let attribute v pre q = Option.bind (qn_id v q) (attribute_id v pre)
 
 let root_pre v = next_used v 0

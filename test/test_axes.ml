@@ -198,6 +198,34 @@ let test_engine_both_schemas_agree () =
       Alcotest.(check (list string)) src sro sup)
     queries
 
+(* `//x` without positional predicates is evaluated as one fused descendant
+   step, `//x[1]` as the parser's two steps. From the document node both
+   select the root element's descendants and never the root itself (a known
+   deviation from XPath 1.0, shared with the DOM oracle); an explicit
+   descendant step from the document node does include the root. *)
+let test_engine_dslash_root () =
+  let d = Xml.Xml_parser.parse "<site><a><site/></a><b/></site>" in
+  let ro = Ro.of_dom d in
+  let up = Up.of_dom ~page_bits:2 ~fill:0.5 d in
+  let oracle = Testsupport.Dom_eval.make d in
+  List.iter
+    (fun (src, want) ->
+      let p = Xpath.Xpath_parser.parse src in
+      let ords = List.map (function Testsupport.Dom_eval.N i -> i | A _ -> -1) in
+      Alcotest.(check (list int)) (src ^ " (oracle)") want
+        (ords (Testsupport.Dom_eval.eval oracle p));
+      let nodes_ro = E_ro.eval_nodes ro p and nodes_up = E_up.eval_nodes up p in
+      Alcotest.(check (list int)) (src ^ " (ro)") want (Ord_ro.ordinals ro nodes_ro);
+      Alcotest.(check (list int)) (src ^ " (up)") want (Ord_up.ordinals up nodes_up))
+    [ ("//site", [ 2 ]);
+      ("//*", [ 1; 2; 3 ]);
+      ("//site[1]", [ 2 ]);
+      ("//*[1]", [ 1; 2 ]);
+      ("/site//site", [ 2 ]);
+      ("/site//site[last()]", [ 2 ]);
+      ("/descendant::site", [ 0; 2 ]);
+      ("/descendant-or-self::site", [ 0; 2 ]) ]
+
 let test_engine_conveniences () =
   let t = Ro.of_dom Testsupport.small_doc in
   Alcotest.(check int) "count" 3 (E_ro.count t (Xpath.Xpath_parser.parse "//person"));
@@ -269,6 +297,7 @@ let () =
           Alcotest.test_case "string value" `Quick test_engine_string_value;
           Alcotest.test_case "schemas agree" `Quick test_engine_both_schemas_agree;
           Alcotest.test_case "conveniences and errors" `Quick test_engine_conveniences;
+          Alcotest.test_case "// from the document node" `Quick test_engine_dslash_root;
           Alcotest.test_case "kind module" `Quick test_kind_module;
           Alcotest.test_case "qname ordering/validation" `Quick
             test_qname_ordering_and_validation;

@@ -37,8 +37,10 @@ let test_seq_profile () =
   Alcotest.(check bool) "timings accumulated" true
     (p.Profile.total_s >= 0.0 && p.Profile.parse_s >= 0.0 && p.Profile.eval_s >= 0.0);
   Alcotest.(check bool) "trace captured" true (p.Profile.trace <> None);
-  (* //item/keyword = descendant-or-self::node() / child::item / child::keyword *)
-  Alcotest.(check int) "one record per axis step" 3 (List.length p.Profile.steps);
+  (* //item/keyword = descendant-or-self::node() / child::item / child::keyword,
+     evaluated as descendant::item / child::keyword: the engine fuses each
+     `//x` into one descendant step *)
+  Alcotest.(check int) "one record per axis step" 2 (List.length p.Profile.steps);
   List.iter
     (fun (s : Profile.step) ->
       Alcotest.(check string) "sequential plan" "seq" (Profile.plan_name s.Profile.plan);
@@ -47,27 +49,27 @@ let test_seq_profile () =
       Alcotest.(check bool) "duration sane" true (s.Profile.dur_s >= 0.0))
     p.Profile.steps;
   (match p.Profile.steps with
-  | [ s1; s2; s3 ] ->
+  | [ s1; s2 ] ->
+    Alcotest.(check string) "fused descendant step" "descendant" s1.Profile.axis;
     Alcotest.(check int) "first step starts from the root" 1 s1.Profile.ctx_in;
     (* each step's output feeds the next step's context *)
     Alcotest.(check int) "items flow to ctx" s1.Profile.items s2.Profile.ctx_in;
-    Alcotest.(check int) "items flow to ctx (2)" s2.Profile.items s3.Profile.ctx_in;
-    Alcotest.(check int) "last step carries the result" 40 s3.Profile.items
-  | _ -> Alcotest.fail "expected exactly three steps")
+    Alcotest.(check int) "last step carries the result" 40 s2.Profile.items
+  | _ -> Alcotest.fail "expected exactly two steps")
 
 let test_parallel_plans () =
   let db = doc () in
-  let seq = Db.get_exn (Db.query_profiled db "//item//keyword") in
+  let seq = Db.get_exn (Db.query_profiled db "//item/keyword") in
   Par.with_pool ~range_cutoff:1 ~ctx_cutoff:1 ~domains:4 (fun par ->
-      let items, p = Db.get_exn (Db.query_profiled ~par db "//item//keyword") in
+      let items, p = Db.get_exn (Db.query_profiled ~par db "//item/keyword") in
       Alcotest.(check int) "parallel = sequential" (List.length (fst seq))
         (List.length items);
       Alcotest.(check int) "pool width recorded" 4 p.Profile.domains;
       let has plan =
         List.exists (fun (s : Profile.step) -> s.Profile.plan = plan) p.Profile.steps
       in
-      (* the leading descendant scan partitions by pre-order range; later
-         steps (larger context lists) chunk the context instead *)
+      (* the descendant scan (//item) partitions by pre-order range; the
+         child step chunks its context list instead *)
       Alcotest.(check bool) "range plan used" true (has Profile.Range);
       Alcotest.(check bool) "ctx plan used" true (has Profile.Ctx);
       List.iter
