@@ -209,6 +209,18 @@ let run_fig9 ~scales ~quota =
   record_gate "fig9_avg_overhead_pct"
     (Array.fold_left ( +. ) 0.0 sums
     /. float_of_int (Xmark.Queries.query_count * Array.length sums));
+  (* Q7 is three pure descendant scans: what the updateable schema adds per
+     scanned slot, with no other work to hide it *)
+  let q7_up_over_ro =
+    geomean
+      (List.map
+         (fun (_, _, times) ->
+           let t_ro, t_up, _ = times.(6) in
+           t_up /. t_ro)
+         per_scale)
+  in
+  Printf.printf "Q7 up/ro (geomean over scales): %.3fx\n" q7_up_over_ro;
+  record_gate "fig9_q7_up_over_ro" q7_up_over_ro;
   (* what the snapshot view adds on top of the updateable schema: the
      current-version fast path should keep it close to 1 *)
   print_newline ();

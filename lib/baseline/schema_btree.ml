@@ -189,3 +189,19 @@ let attribute_id t pre id =
     (attributes t pre)
 
 let root_pre t = t.root
+
+(* One run per logical page, filled row by row: every slot stays a B-tree
+   descent, as the baseline's cost model requires. *)
+let fold_runs t ~lo ~hi ~init f =
+  Core.Storage_intf.fold_pages ~page_size:(1 lsl t.page_bits) ~lo
+    ~hi:(min hi t.slots) ~init (fun acc first last ->
+      let rows = Array.init (last - first) (fun i -> row t (first + i)) in
+      let col g = Array.map g rows in
+      f acc
+        { Core.Storage_intf.level = col (fun r -> r.rlevel);
+          size = col (fun r -> r.rsize);
+          kind = col (fun r -> r.rkind);
+          name = col (fun r -> r.rname);
+          phys = 0;
+          pre = first;
+          len = last - first })

@@ -145,6 +145,20 @@ let attribute t pre q = Option.bind (qn_id t q) (attribute_id t pre)
 
 let root_pre _ = 0
 
+(* The table is the pre view: one run. *)
+let fold_runs t ~lo ~hi ~init f =
+  let lo = max lo 0 and hi = min hi (extent t) in
+  if lo >= hi then init
+  else
+    f init
+      { Core.Storage_intf.level = Varray.unsafe_data t.level;
+        size = Varray.unsafe_data t.size;
+        kind = Varray.unsafe_data t.kind;
+        name = Varray.unsafe_data t.name;
+        phys = lo;
+        pre = lo;
+        len = hi - lo }
+
 let last_shifted t = t.shifted
 
 (* --------------------------------------------------------------- updates -- *)

@@ -2,49 +2,22 @@ open Xpath.Xpath_ast
 
 (* One counter per axis, shared by every Make instantiation (the registry
    dedups by name+labels). Counting context nodes per step — not per result —
-   keeps the hot path at one atomic add per (step, context-list). *)
-let axis_counter name =
-  Obs.counter ~help:"context nodes fed through axis steps"
-    ~labels:[ ("axis", name) ]
-    "engine.axis_steps"
-
-let m_ax_child = axis_counter "child"
-
-let m_ax_descendant = axis_counter "descendant"
-
-let m_ax_descendant_or_self = axis_counter "descendant-or-self"
-
-let m_ax_self = axis_counter "self"
-
-let m_ax_parent = axis_counter "parent"
-
-let m_ax_ancestor = axis_counter "ancestor"
-
-let m_ax_ancestor_or_self = axis_counter "ancestor-or-self"
-
-let m_ax_following = axis_counter "following"
-
-let m_ax_preceding = axis_counter "preceding"
-
-let m_ax_following_sibling = axis_counter "following-sibling"
-
-let m_ax_preceding_sibling = axis_counter "preceding-sibling"
-
-let m_ax_attribute = axis_counter "attribute"
-
-let counter_of_axis = function
-  | Child -> m_ax_child
-  | Descendant -> m_ax_descendant
-  | Descendant_or_self -> m_ax_descendant_or_self
-  | Self -> m_ax_self
-  | Parent -> m_ax_parent
-  | Ancestor -> m_ax_ancestor
-  | Ancestor_or_self -> m_ax_ancestor_or_self
-  | Following -> m_ax_following
-  | Preceding -> m_ax_preceding
-  | Following_sibling -> m_ax_following_sibling
-  | Preceding_sibling -> m_ax_preceding_sibling
-  | Attribute -> m_ax_attribute
+   keeps the hot path at one atomic add per (step, context-list). A
+   predicate's path is a step per candidate, so the lookup compares
+   immediates ([assq]) and finds the attribute and child axes first. *)
+let counter_of_axis =
+  let counters =
+    List.map
+      (fun axis ->
+        ( axis,
+          Obs.counter ~help:"context nodes fed through axis steps"
+            ~labels:[ ("axis", axis_name axis) ]
+            "engine.axis_steps" ))
+      [ Attribute; Child; Descendant; Descendant_or_self; Self; Parent;
+        Ancestor; Ancestor_or_self; Following; Preceding; Following_sibling;
+        Preceding_sibling ]
+  in
+  fun axis -> List.assq axis counters
 
 let m_items = Obs.counter ~help:"items produced by path evaluations" "engine.items"
 
@@ -80,25 +53,15 @@ let rec fuse_dslash steps =
 let chunk_list n xs =
   let len = List.length xs in
   let n = max 1 (min n len) in
-  if n <= 1 then [ xs ]
-  else begin
-    let base = len / n and extra = len mod n in
-    let rec take k xs acc =
-      if k = 0 then (List.rev acc, xs)
-      else
-        match xs with
-        | [] -> (List.rev acc, [])
-        | x :: tl -> take (k - 1) tl (x :: acc)
-    in
-    let rec go i xs acc =
-      if xs = [] then List.rev acc
-      else
-        let k = base + if i < extra then 1 else 0 in
-        let c, rest = take k xs [] in
-        go (i + 1) rest (c :: acc)
-    in
-    go 0 xs []
-  end
+  let base = len / n and extra = len mod n in
+  let rec go i xs acc =
+    if xs = [] then List.rev acc
+    else
+      let k = base + if i < extra then 1 else 0 in
+      go (i + 1) (List.filteri (fun j _ -> j >= k) xs)
+        (List.filteri (fun j _ -> j < k) xs :: acc)
+  in
+  go 0 xs []
 
 (* Cut sorted disjoint [lo, hi) ranges into chunks of roughly [per] slots. A
    cut may fall inside a range: every used slot of a pruned context's region
@@ -145,12 +108,10 @@ module Make (S : Storage_intf.S) = struct
     match S.kind t pre with
     | Kind.Text | Kind.Comment | Kind.Pi -> S.content t pre
     | Kind.Element ->
-      let b = Buffer.create 32 in
-      Sj.iter_descendants t pre (fun d ->
-          match S.kind t d with
-          | Kind.Text -> Buffer.add_string b (S.content t d)
-          | Kind.Element | Kind.Comment | Kind.Pi -> ());
-      Buffer.contents b
+      Sj.fold_used t ~test:(Of_kind (Kind.to_int Kind.Text)) ~lo:(pre + 1)
+        ~hi:(Sj.subtree_end t pre) ~init:[] (fun acc r i ->
+          S.content t (Storage_intf.run_pre r i) :: acc)
+      |> List.rev |> String.concat ""
 
   let item_string t = function
     | Node pre -> string_value t pre
@@ -158,24 +119,29 @@ module Make (S : Storage_intf.S) = struct
 
   let is_element t pre = pre <> doc_node && Kind.equal (S.kind t pre) Kind.Element
 
-  (* A node test compiled for one step: a name is looked up in the
-     dictionary once, so each candidate costs an integer comparison. A name
-     the dictionary lacks matches nothing. *)
-  let compile_test t test : int -> bool =
+  (* A node test compiled once per step into the one matcher that the run
+     scan and the per-node steps both apply: a name is looked up in the
+     dictionary once, so each candidate costs integer comparisons, and a
+     name the dictionary lacks matches nothing. *)
+  let compile_test t : _ -> Staircase.test = function
+    | Kind_node -> Any
+    | Wildcard -> Of_kind (Kind.to_int Kind.Element)
+    | Name q -> ( match S.qn_id t q with Some id -> Named id | None -> Nothing)
+    | Kind_text -> Of_kind (Kind.to_int Kind.Text)
+    | Kind_comment -> Of_kind (Kind.to_int Kind.Comment)
+    | Kind_pi None -> Of_kind (Kind.to_int Kind.Pi)
+    | Kind_pi (Some target) -> Pi_named target
+
+  (* What [Staircase.cells_match] leaves to the caller. *)
+  let target_ok t (test : Staircase.test) pre =
     match test with
-    | Kind_node -> fun _ -> true
-    | Wildcard -> fun pre -> Kind.equal (S.kind t pre) Kind.Element
-    | Name q -> (
-      match S.qn_id t q with
-      | Some id ->
-        fun pre -> Kind.equal (S.kind t pre) Kind.Element && S.name_id t pre = id
-      | None -> fun _ -> false)
-    | Kind_text -> fun pre -> Kind.equal (S.kind t pre) Kind.Text
-    | Kind_comment -> fun pre -> Kind.equal (S.kind t pre) Kind.Comment
-    | Kind_pi None -> fun pre -> Kind.equal (S.kind t pre) Kind.Pi
-    | Kind_pi (Some target) ->
-      fun pre ->
-        Kind.equal (S.kind t pre) Kind.Pi && String.equal (S.pi_target t pre) target
+    | Pi_named target -> String.equal (S.pi_target t pre) target
+    | Any | Of_kind _ | Named _ | Nothing -> true
+
+  let matches_node t test pre =
+    Staircase.cells_match test ~kind:(Kind.to_int (S.kind t pre))
+      ~name:(S.name_id t pre)
+    && target_ok t test pre
 
   (* Axis application for one context, handling the virtual document node.
      Results come back in axis order. *)
@@ -199,9 +165,8 @@ module Make (S : Storage_intf.S) = struct
     if List.mem doc_node ctxs then [ (S.root_pre t, S.extent t) ]
     else
       List.filter_map
-        (fun c ->
+        (fun (c, hi) ->
           let lo = if or_self then c else c + 1 in
-          let hi = Sj.subtree_end t c in
           if lo < hi then Some (lo, hi) else None)
         (Sj.prune_covered t ctxs)
 
@@ -237,7 +202,7 @@ module Make (S : Storage_intf.S) = struct
     match steps with
     | [] -> List.map (fun c -> Node c) ctxs
     | [ ({ axis = Attribute; test; preds } as step) ] ->
-      Obs.add m_ax_attribute (List.length ctxs);
+      Obs.add (counter_of_axis Attribute) (List.length ctxs);
       let plan = ref Profile.Seq and partitions = ref 1 in
       let scanned = Atomic.make 0 in
       let note =
@@ -318,22 +283,19 @@ module Make (S : Storage_intf.S) = struct
           let span = List.fold_left (fun a (lo, hi) -> a + (hi - lo)) 0 ranges in
           (* one note for the whole scan: the inner loop stays branch-free *)
           note span;
-          let keep pre =
-            test pre && List.for_all (fun p -> eval_pred t (Node pre) p) preds
+          let keep acc r i =
+            let pre = Storage_intf.run_pre r i in
+            if
+              target_ok t test pre
+              && List.for_all (fun p -> eval_pred t (Node pre) p) preds
+            then pre :: acc
+            else acc
           in
           let scan chunk () =
-            let out = ref [] in
-            List.iter
-              (fun (lo, hi) ->
-                let rec go pre =
-                  if pre < hi then begin
-                    if keep pre then out := pre :: !out;
-                    go (S.next_used t (pre + 1))
-                  end
-                in
-                go (S.next_used t lo))
-              chunk;
-            List.rev !out
+            List.rev
+              (List.fold_left
+                 (fun acc (lo, hi) -> Sj.fold_used t ~test ~lo ~hi ~init:acc keep)
+                 [] chunk)
           in
           (match pool with
           | Some pool when span >= Par.range_cutoff pool ->
@@ -353,7 +315,9 @@ module Make (S : Storage_intf.S) = struct
             let all = axis_one t axis ctx in
             note (List.length all);
             let items =
-              List.filter_map (fun c -> if test c then Some (Node c) else None) all
+              List.filter_map
+                (fun c -> if matches_node t test c then Some (Node c) else None)
+                all
             in
             let survivors =
               List.fold_left (fun items p -> apply_pred_items t items p) items preds

@@ -264,6 +264,21 @@ let pi_target t pre =
 
 let root_pre t = next_used t 0
 
+(* One run per logical page, swizzled once. *)
+let fold_runs t ~lo ~hi ~init f =
+  let level = column_data t Clevel and size = column_data t Csize in
+  let kind = column_data t Ckind and name = column_data t Cname in
+  Storage_intf.fold_pages ~page_size:(page_size t) ~lo ~hi:(min hi (extent t))
+    ~init (fun acc first last ->
+      f acc
+        { Storage_intf.level;
+          size;
+          kind;
+          name;
+          phys = pos_of_pre t first;
+          pre = first;
+          len = last - first })
+
 (* ------------------------------------------------------- node identity *)
 
 let node_ids t = Varray.length t.node_pos

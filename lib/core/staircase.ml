@@ -1,5 +1,58 @@
+(* A node test compiled for one step (see Engine) into what a scan decides
+   from a slot's kind and name cells. [cells_match] passes every PI for
+   [Pi_named]; the caller compares the target. *)
+type test = Any | Of_kind of int | Named of int | Pi_named of string | Nothing
+
+let k_element, k_pi = Kind.(to_int Element, to_int Pi)
+
+let[@inline] cells_match test ~kind ~name =
+  match test with
+  | Any -> true
+  | Of_kind k -> kind = k
+  | Named id -> kind = k_element && name = id
+  | Pi_named _ -> kind = k_pi
+  | Nothing -> false
+
+(* Counted once per run, never per slot. *)
+let m_runs = Obs.counter ~help:"storage runs folded by scans" "engine.runs"
+
+let m_slots =
+  Obs.counter ~help:"view slots covered by the runs scans folded"
+    "engine.slots_scanned"
+
 module Make (S : Storage_intf.S) = struct
   let sort_uniq l = List.sort_uniq Int.compare l
+
+  (* The one scan loop: [f acc r i] for every used slot of [lo, hi) that
+     passes [test], with [r] the slot's storage run and [i] its cell. A free
+     run is hopped with [i + size + 1]; as in [sibling_hop] below, a
+     negative size (a corrupt plane) raises instead of spinning. *)
+  let fold_used t ?(test = Any) ~lo ~hi ~init f =
+    S.fold_runs t ~lo ~hi ~init (fun acc (r : Storage_intf.run) ->
+        Obs.inc m_runs;
+        Obs.add m_slots r.len;
+        let stop = r.phys + r.len in
+        let rec go i acc =
+          if i >= stop then acc
+          else if r.level.(i) <> Column.Varray.null then
+            go (i + 1)
+              (if cells_match test ~kind:r.kind.(i) ~name:r.name.(i) then f acc r i
+               else acc)
+          else
+            let size = r.size.(i) in
+            if size < 0 then
+              failwith
+                (Printf.sprintf "Staircase: unused slot at pre %d has size %d"
+                   (Storage_intf.run_pre r i) size);
+            go (i + size + 1) acc
+        in
+        go r.phys acc)
+
+  let used_in t ~lo ~hi keep =
+    List.rev
+      (fold_used t ~lo ~hi ~init:[] (fun acc r i ->
+           let pre = Storage_intf.run_pre r i in
+           if keep pre then pre :: acc else acc))
 
   (* Hop from a used node towards its next sibling: [pre + size + 1] skips at
      least the node's own descendants (undershoot lands on a descendant of a
@@ -62,17 +115,6 @@ module Make (S : Storage_intf.S) = struct
       | parent :: _ -> Some parent
       | [] -> None
 
-  let iter_descendants t ctx f =
-    let lvl = S.level t ctx in
-    let stop = S.extent t in
-    let rec go pre =
-      if pre < stop && S.level t pre > lvl then begin
-        f pre;
-        go (S.next_used t (pre + 1))
-      end
-    in
-    go (S.next_used t (ctx + 1))
-
   let self _t ctxs = sort_uniq ctxs
 
   let children_of t ctx =
@@ -87,35 +129,26 @@ module Make (S : Storage_intf.S) = struct
 
   let children t ctxs = sort_uniq (List.concat_map (children_of t) ctxs)
 
-  let descendants t ?(or_self = false) ctxs =
-    let ctxs = sort_uniq ctxs in
-    let acc = ref [] in
-    (* Staircase pruning: a context inside the previously scanned subtree
-       contributes nothing new. *)
-    let scanned_to = ref (-1) in
-    List.iter
-      (fun ctx ->
-        if ctx >= !scanned_to then begin
-          if or_self then acc := ctx :: !acc;
-          iter_descendants t ctx (fun pre -> acc := pre :: !acc);
-          scanned_to := subtree_end t ctx
-        end)
-      ctxs;
-    List.rev !acc
-
-  (* The same pruning [descendants] applies inline, exposed for callers that
-     partition the scan: on the surviving contexts the subtree regions
-     [ (ctx, subtree_end ctx) ] are pairwise disjoint and sorted. *)
+  (* Staircase pruning: a context inside the previously scanned subtree
+     contributes nothing new. The surviving regions [(ctx, subtree_end ctx)]
+     are pairwise disjoint and sorted. *)
   let prune_covered t ctxs =
     let scanned_to = ref (-1) in
-    List.filter
+    List.filter_map
       (fun ctx ->
-        if ctx >= !scanned_to then begin
+        if ctx < !scanned_to then None
+        else begin
           scanned_to := subtree_end t ctx;
-          true
-        end
-        else false)
+          Some (ctx, !scanned_to)
+        end)
       (sort_uniq ctxs)
+
+  let descendants t ?(or_self = false) ctxs =
+    List.concat_map
+      (fun (ctx, hi) ->
+        let below = used_in t ~lo:(ctx + 1) ~hi (fun _ -> true) in
+        if or_self then ctx :: below else below)
+      (prune_covered t ctxs)
 
   let parent t ctxs = sort_uniq (List.filter_map (parent_of t) ctxs)
 
@@ -125,20 +158,13 @@ module Make (S : Storage_intf.S) = struct
          (fun c -> if or_self then c :: ancestors_of t c else ancestors_of t c)
          ctxs)
 
-  let all_used_from t start =
-    let stop = S.extent t in
-    let rec go pre acc =
-      if pre >= stop then List.rev acc else go (S.next_used t (pre + 1)) (pre :: acc)
-    in
-    go (S.next_used t start) []
-
   let following t ctxs =
     (* union over contexts = everything after the earliest subtree end *)
     match sort_uniq ctxs with
     | [] -> []
     | ctxs ->
       let e = List.fold_left (fun acc c -> min acc (subtree_end t c)) max_int ctxs in
-      all_used_from t e
+      used_in t ~lo:e ~hi:(S.extent t) (fun _ -> true)
 
   let preceding t ctxs =
     (* union over contexts = preceding of the last context (nested contexts
@@ -147,14 +173,7 @@ module Make (S : Storage_intf.S) = struct
     | [] -> []
     | cmax :: _ ->
       let anc = ancestors_of t cmax in
-      let stop = cmax in
-      let rec go pre acc =
-        if pre >= stop then List.rev acc
-        else
-          let acc = if List.mem pre anc then acc else pre :: acc in
-          go (S.next_used t (pre + 1)) acc
-      in
-      go (S.next_used t 0) []
+      used_in t ~lo:0 ~hi:cmax (fun pre -> not (List.mem pre anc))
 
   let following_siblings_of t ctx =
     let lvl = S.level t ctx in

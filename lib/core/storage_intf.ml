@@ -9,7 +9,52 @@
     (document-) ordered view.  For {!Schema_ro} that view {e is} the table;
     for {!Schema_up} every access swizzles [pre] to a physical [pos] through
     the pageOffset permutation, and the view may contain {e unused} slots
-    that [is_used]/[next_used] let traversals skip in O(1) per free run. *)
+    that [is_used]/[next_used] let traversals skip in O(1) per free run.
+
+    Two kinds of access share the signature. A {e scan} (every used slot of
+    a region, in document order) folds {!S.fold_runs}: the storage resolves
+    pre to pos once per physically contiguous run and the caller loops over
+    plain arrays. The per-node accessors serve {e point lookups} only:
+    child, sibling and ancestor steps, and predicates. *)
+
+(** A maximal stretch of the pre view that is physically contiguous: the
+    slots [pre .. pre + len - 1] are the array cells [phys .. phys + len - 1]
+    of [level], [size], [kind] and [name]. The arrays belong to the storage
+    and are read-only to the caller; they may extend beyond the run on both
+    sides.
+
+    An unused slot has [level = Column.Varray.null], and its [size] counts
+    the unused slots directly after it within its page. A run of a paged
+    store never crosses a page boundary, so a scan hops over a free run
+    with [i + size + 1] and at most overshoots the run's end. A used slot's
+    [size] is its stored descendant count: a staged transaction's pending
+    ancestor deltas are not applied, so a caller that needs a used node's
+    size asks {!S.size}. [kind] holds {!Kind.to_int} codes and [name] the
+    {!S.name_id} of each slot. *)
+type run = {
+  level : int array;
+  size : int array;
+  kind : int array;
+  name : int array;
+  phys : int;
+  pre : int;
+  len : int;
+}
+
+(** The pre of array cell [i] of a run. *)
+let[@inline] run_pre r i = r.pre + (i - r.phys)
+
+(** [fold_pages ~page_size ~lo ~hi ~init f] folds [f acc first last] over
+    the pieces [\[first, last)] of [\[max lo 0, hi)] cut at multiples of
+    [page_size] (a power of two): the runs of a paged store. *)
+let fold_pages ~page_size ~lo ~hi ~init f =
+  let rec go acc first =
+    if first >= hi then acc
+    else
+      let last = min hi ((first lor (page_size - 1)) + 1) in
+      go (f acc first last) last
+  in
+  go init (max lo 0)
 
 module type S = sig
   type t
@@ -68,4 +113,13 @@ module type S = sig
 
   val root_pre : t -> int
   (** Pre of the document's root element. *)
+
+  val fold_runs : t -> lo:int -> hi:int -> init:'a -> ('a -> run -> 'a) -> 'a
+  (** [fold_runs t ~lo ~hi ~init f] folds [f] over the runs that cover
+      [\[max lo 0, min hi (extent t))], in document order, each non-empty.
+      A snapshot's runs are validated {e after} [f] has read them, seqlock
+      style: the accumulator [f] returns for a run that a commit overtook
+      is discarded and [f] reads the run again from the snapshot's image,
+      so [f] must keep its result in the accumulator and may run more than
+      once per run. *)
 end

@@ -231,9 +231,8 @@ let delete v ~pre =
   if not (View.is_used v pre) then fail "delete: pre %d is unused" pre;
   if View.level v pre = 0 then fail "delete: cannot remove the document root";
   let ancestors = ancestor_nodes v pre in
-  let subtree = ref [ pre ] in
-  Sj.iter_descendants v pre (fun d -> subtree := d :: !subtree);
-  let positions = List.map (View.pos_of_pre v) !subtree in
+  let subtree = List.rev_append (Sj.descendants v [ pre ]) [ pre ] in
+  let positions = List.map (View.pos_of_pre v) subtree in
   let touched = Hashtbl.create 8 in
   let bits = View.page_bits v in
   let mask = View.page_size v - 1 in

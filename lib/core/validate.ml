@@ -67,21 +67,15 @@ let check_element v pre r name =
       List.fold_left check_kid (Ok ()) kids
 
 let check_view t v =
-  let rec walk pre =
-    if pre >= View.extent v then Ok ()
-    else
-      let next () = walk (View.next_used v (pre + 1)) in
-      match View.kind v pre with
-      | Kind.Text | Kind.Comment | Kind.Pi -> next ()
-      | Kind.Element -> (
+  Sj.fold_used v ~test:(Of_kind (Kind.to_int Kind.Element)) ~lo:0
+    ~hi:(View.extent v) ~init:(Ok ()) (fun acc r i ->
+      match acc with
+      | Error _ -> acc
+      | Ok () -> (
+        let pre = Storage_intf.run_pre r i in
         let name = Xml.Qname.to_string (View.qname v pre) in
         match Hashtbl.find_opt t name with
-        | None -> next ()
-        | Some r -> (
-          match check_element v pre r name with
-          | Ok () -> next ()
-          | Error _ as e -> e))
-  in
-  walk (View.next_used v 0)
+        | None -> acc
+        | Some rule -> check_element v pre rule name))
 
 let checker t v = check_view t v

@@ -54,6 +54,13 @@ let m_overtaken =
        version chain)"
     "mvcc.overtaken_reads"
 
+let m_overtaken_runs =
+  Obs.counter
+    ~help:
+      "snapshot runs a commit or vacuum overtook (read again through the \
+       version chain)"
+    "mvcc.overtaken_runs"
+
 let snap vs =
   let b = Version.base vs in
   let col c = Schema_up.column_data b c in
@@ -133,13 +140,16 @@ let snap_pos s pre = (s.l2p.(pre lsr s.bits) lsl s.bits) lor (pre land s.mask)
 (* A snapshot read a commit or vacuum overtook, redone through the version
    chain inside the store seqlock. Only a writer's pin survives a vacuum,
    which leaves no chain to walk: the read conflicts. *)
-let overtaken s f =
-  Obs.inc m_overtaken;
+let in_seqlock s f =
   Version.stable s.vs (fun () ->
       let lsn = Version.vacuumed s.vs in
       if lsn > 0 then
         raise (Conflict { page = -1; stamp = lsn; snapshot = Version.epoch s.vs });
       f ())
+
+let overtaken s f =
+  Obs.inc m_overtaken;
+  in_seqlock s f
 
 (* The first chain overlay capturing a page has its content as of the
    pinned epoch; otherwise no commit since has touched it and the base still
@@ -554,3 +564,56 @@ let attribute_id v pre qid =
 let attribute v pre q = Option.bind (qn_id v q) (attribute_id v pre)
 
 let root_pre v = next_used v 0
+
+(* ------------------------------------------------------------------ runs -- *)
+
+let run_of col ~phys ~pre ~len =
+  { Storage_intf.level = col Schema_up.Clevel;
+    size = col Schema_up.Csize;
+    kind = col Schema_up.Ckind;
+    name = col Schema_up.Cname;
+    phys;
+    pre;
+    len }
+
+let image_col page c = page.(Schema_up.col_index c)
+
+(* Page [phys] of the pinned snapshot as one run, validated seqlock style:
+   [f] reads the cached arrays, and its result counts only if no commit has
+   begun since. Otherwise [f] reads the run again inside the seqlock, from
+   the chain's image of the page, or from the base when no commit since has
+   touched the page. A raise from a read that turns out overtaken was a
+   torn read, so it is read again too. *)
+let snap_run v s phys ~pre ~len acc f =
+  let off = pre land s.mask in
+  let pos = (phys lsl s.bits) lor off in
+  let again () =
+    Obs.inc m_overtaken_runs;
+    in_seqlock s (fun () ->
+        f acc
+          (match Version.find_page s.vs phys with
+          | Some page -> run_of (image_col page) ~phys:off ~pre ~len
+          | None -> run_of (Schema_up.column_data v.b) ~phys:pos ~pre ~len))
+  in
+  match f acc (run_of (snap_col s) ~phys:pos ~pre ~len) with
+  | acc -> if Version.is_current s.vs then acc else again ()
+  | exception e -> if Version.is_current s.vs then raise e else again ()
+
+(* One run per logical page. A staged view's pagemap places its pages (a
+   splice moves them); a page it wrote is its private image, any other a
+   snapshot page. *)
+let fold_runs v ~lo ~hi ~init f =
+  let s = match v.fl with Snapshot s | Staged (s, _) -> s in
+  Storage_intf.fold_pages ~page_size:(s.mask + 1) ~lo ~hi:(min hi (extent v))
+    ~init (fun acc first last ->
+      Fault.hit "view.run";
+      let len = last - first and lp = first lsr s.bits in
+      match v.fl with
+      | Snapshot _ -> snap_run v s s.l2p.(lp) ~pre:first ~len acc f
+      | Staged (_, st) -> (
+        let phys = Pagemap.phys_of_logical st.pmap lp in
+        match Hashtbl.find_opt st.pages phys with
+        | Some page -> f acc (run_of (image_col page) ~phys:(first land s.mask) ~pre:first ~len)
+        | None ->
+          check_base st phys "fold_runs";
+          snap_run v s phys ~pre:first ~len acc f))

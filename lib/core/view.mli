@@ -10,7 +10,12 @@
     a read is a plain array read of the base, checked afterwards; a read
     that a commit overtook is redone through the version chain's pre-image
     overlays inside the store seqlock and counted in [mvcc.overtaken_reads].
-    Snapshot views reject every mutating operation with [Invalid_argument]:
+    A scan reads a whole logical page per {!fold_runs} run the same way: it
+    reads the cached column arrays and checks once after the run; a run a
+    commit overtook is read again inside the seqlock from the chain's image
+    of the page (or the base, when no commit since touched the page) and
+    counted in [mvcc.overtaken_runs]. The [view.run] failpoint sits at the
+    start of every run. Snapshot views reject every mutating operation with [Invalid_argument]:
     every change to the plane goes through a transaction
     ({!Txn.with_write}).
 

@@ -171,6 +171,53 @@ let dump v =
                 (fun (q, x) -> Xml.Qname.to_string q ^ "=" ^ x)
                 (View.attributes v pre))))
 
+(* The cells a run carries, one line per slot of the extent: through
+   [View.fold_runs], and through the per-node accessors. A used slot's size
+   is left out: a staged view adds its pending deltas per node only. *)
+let slot_line pre ~level ~size ~kind ~name =
+  if level = Column.Varray.null then Printf.sprintf "%d: free %d" pre size
+  else Printf.sprintf "%d: level=%d kind=%d name=%d" pre level kind name
+
+let run_dump v =
+  List.rev
+    (View.fold_runs v ~lo:0 ~hi:(View.extent v) ~init:[]
+       (fun acc (r : Core.Storage_intf.run) ->
+         let acc = ref acc in
+         for i = r.phys to r.phys + r.len - 1 do
+           acc :=
+             slot_line (Core.Storage_intf.run_pre r i) ~level:r.level.(i)
+               ~size:r.size.(i) ~kind:r.kind.(i) ~name:r.name.(i)
+             :: !acc
+         done;
+         !acc))
+
+let node_dump v =
+  List.init (View.extent v) (fun pre ->
+      let level = View.level v pre in
+      if level = Column.Varray.null then
+        slot_line pre ~level ~size:(View.size v pre) ~kind:0 ~name:0
+      else
+        slot_line pre ~level ~size:0
+          ~kind:(Core.Kind.to_int (View.kind v pre))
+          ~name:(View.name_id v pre))
+
+let overtaken_runs () = counter_value "mvcc.overtaken_runs" []
+
+(* The run dump of a view against its per-node dump (and against [expect],
+   an earlier run dump of the same snapshot, when given). *)
+let check_runs ?expect what v =
+  let runs = run_dump v in
+  let diff a b = List.find_opt (fun (x, y) -> x <> y) (List.combine a b) in
+  let nodes = node_dump v in
+  (match diff runs nodes with
+  | None -> ()
+  | Some (a, b) ->
+    QCheck2.Test.fail_reportf "%s: runs differ from nodes\nruns:  %s\nnodes: %s" what a b);
+  match Option.bind expect (diff runs) with
+  | None -> runs
+  | Some (a, b) ->
+    QCheck2.Test.fail_reportf "%s: runs moved\nnow:    %s\nbefore: %s" what a b
+
 let tombstones st = Up.attr_table_len st - Up.attr_live_count st
 
 (* How often the property's commits did what the fast path must survive:
@@ -188,6 +235,7 @@ let check_overtaken (d, scripts) =
          let v = Session.view s in
          let vs = Option.get (View.snapshot_version v) in
          let first = dump v in
+         let first_runs = check_runs "current" v in
          let pages = Up.npages st and nodes = Up.node_count st in
          let dead = tombstones st in
          List.iter
@@ -205,6 +253,11 @@ let check_overtaken (d, scripts) =
          if Version.is_current vs = moved then
            QCheck2.Test.fail_reportf "current=%b but overtaken reads moved=%b"
              (Version.is_current vs) moved;
+         let r0 = overtaken_runs () in
+         ignore (check_runs ~expect:first_runs "overtaken" v);
+         if Version.is_current vs = (overtaken_runs () > r0) then
+           QCheck2.Test.fail_reportf "current=%b but overtaken runs moved=%b"
+             (Version.is_current vs) (overtaken_runs () > r0);
          match List.find_opt (fun (a, b) -> a <> b) (List.combine first second) with
          | None -> true
          | Some (a, b) ->
@@ -246,8 +299,9 @@ let overtaken_case =
 (* The staged mirror: a write transaction renames the root (copying the
    root's page), then 1-5 random commits overtake its snapshot. Its reads of
    every page it did not write equal a snapshot view's reads of its pinned
-   version. *)
-let staged_overtaken = ref 0
+   version. Its runs equal its per-node reads on every page, before the
+   commits, after them, and after it splices fresh pages in. *)
+let staged_overtaken = ref 0 and staged_spliced = ref 0
 
 let check_staged_reads (d, scripts) =
   let m = Txn.manager (Up.of_dom ~page_bits:4 ~fill:0.9 d) in
@@ -256,6 +310,7 @@ let check_staged_reads (d, scripts) =
       let t = Txn.begin_write m in
       let v = Txn.view t in
       U.rename_element v ~pre:(View.root_pre v) (Xml.Qname.make "renamed");
+      ignore (check_runs "staged" v);
       List.iter
         (fun cmds ->
           try Txn.with_write m (fun w -> ignore (Core.Xupdate.apply w cmds))
@@ -271,6 +326,13 @@ let check_staged_reads (d, scripts) =
           lines
       in
       let staged = unwritten (dump v) and snapshot = unwritten (dump snap) in
+      ignore (check_runs "staged, overtaken" v);
+      (* 20 children overflow the root's page: fresh pages are spliced in *)
+      let pages = View.npages v in
+      U.insert v (U.First_child (View.root_pre v))
+        (List.init 20 (fun _ -> Xml.Dom.element "fresh"));
+      if View.npages v > pages then incr staged_spliced;
+      ignore (check_runs "staged, spliced" v);
       Txn.abort t;
       match List.find_opt (fun (a, b) -> a <> b) (List.combine staged snapshot) with
       | None -> true
@@ -288,7 +350,8 @@ let staged_reads_case =
     fun () ->
       run ();
       Alcotest.(check bool) "commits overtook the staged snapshot" true
-        (!staged_overtaken > 0) )
+        (!staged_overtaken > 0);
+      Alcotest.(check bool) "staged views spliced pages" true (!staged_spliced > 0) )
 
 (* ------------------------------------------------------- lock-free reads -- *)
 
@@ -458,6 +521,70 @@ let test_session_api () =
     (Db.get_exn (Db.query_count db "/root/c"));
   check_integrity db
 
+(* A scan on a pinned snapshot is held between two runs (the [view.run]
+   failpoint) while a commit rewrites a page it has not reached yet: the
+   runs after the commit are read again through the version chain, and the
+   scan returns the snapshot's answer. *)
+let test_scan_overtaken_between_runs () =
+  let xml = "<root>" ^ String.concat "" (List.init 64 (fun _ -> "<x/>")) ^ "</root>" in
+  let db = Db.of_xml ~page_bits:2 xml in
+  let remove_last =
+    {|<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
+        <xupdate:remove select="/root/x[64]"/>
+      </xupdate:modifications>|}
+  in
+  let r0 = overtaken_runs () in
+  let n =
+    Db.get_exn
+      (Db.read_txn db (fun s ->
+           Fault.arm "view.run" ~policy:(Fault.Hit 2) ~action:(Fault.Delay 0.3);
+           Fun.protect ~finally:Fault.reset (fun () ->
+               let writer =
+                 Thread.create
+                   (fun () ->
+                     Thread.delay 0.1;
+                     ignore (update_retry db remove_last))
+                   ()
+               in
+               let n = Db.get_exn (Session.count s "//x") in
+               Thread.join writer;
+               n)))
+  in
+  Alcotest.(check int) "the scan returns the snapshot's answer" 64 n;
+  Alcotest.(check int) "a fresh snapshot sees the commit" 63
+    (Db.get_exn (Db.query_count db "//x"));
+  Alcotest.(check bool) "mvcc.overtaken_runs moved" true (overtaken_runs () > r0);
+  check_integrity db
+
+(* A `//x` scan folds one run per logical page on a snapshot and one run on
+   the read-only schema, and counts each run and its slots once. *)
+let test_scan_counters () =
+  let xml = "<root>" ^ String.concat "" (List.init 40 (fun _ -> "<x/>")) ^ "</root>" in
+  let runs () = counter_value "engine.runs" [] in
+  let slots () = counter_value "engine.slots_scanned" [] in
+  let path = Xpath.Xpath_parser.parse "//x" in
+  let moved f =
+    let r0 = runs () and s0 = slots () in
+    f ();
+    (runs () - r0, slots () - s0)
+  in
+  let ro = Core.Schema_ro.of_dom (P.parse xml) in
+  let module E_ro = Core.Engine.Make (Core.Schema_ro) in
+  Alcotest.(check (pair int int)) "read-only: one run over the root's descendants"
+    (1, 40) (moved (fun () -> ignore (E_ro.count ro path)));
+  let db = Db.of_xml ~page_bits:3 xml in
+  Db.get_exn
+    (Db.read_txn db (fun s ->
+         let v = Session.view s in
+         let lo = View.root_pre v + 1 and hi = View.extent v in
+         let pages = ((hi - 1) lsr 3) - (lo lsr 3) + 1 in
+         Alcotest.(check (pair int int)) "snapshot: one run per page" (pages, hi - lo)
+           (moved (fun () -> ignore (Db.get_exn (Session.count s "//x"))))));
+  let rendered = Obs.render_prometheus (Obs.snapshot ()) in
+  List.iter
+    (fun n -> Alcotest.(check bool) (n ^ " in METRICS") true (contains rendered n))
+    [ "engine_runs"; "engine_slots_scanned"; "mvcc_overtaken_runs" ]
+
 (* mvcc instruments are registered and move under load *)
 let test_mvcc_metrics () =
   let db = Db.of_xml "<root><left></left><right></right></root>" in
@@ -495,4 +622,8 @@ let () =
       ( "result api",
         [ Alcotest.test_case "error values" `Quick test_error_values;
           Alcotest.test_case "sessions" `Quick test_session_api;
-          Alcotest.test_case "metrics" `Quick test_mvcc_metrics ] ) ]
+          Alcotest.test_case "metrics" `Quick test_mvcc_metrics ] );
+      ( "runs",
+        [ Alcotest.test_case "scan overtaken between runs" `Quick
+            test_scan_overtaken_between_runs;
+          Alcotest.test_case "scan counters" `Quick test_scan_counters ] ) ]

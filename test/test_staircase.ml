@@ -10,6 +10,7 @@ module Up = Core.Schema_up
 module View = Core.View
 module U = Core.Update
 module Sj = Core.Staircase.Make (Core.View)
+module E = Core.Engine.Make (Core.View)
 module Ord = Testsupport.Ord (Core.View)
 
 (*   <r>                          ordinals:
@@ -102,7 +103,7 @@ let test_empty_pages () =
 let test_prune_covered_units () =
   let _, v = slack_store () in
   let p = pre_of v in
-  let prune ords_in = ords v (Sj.prune_covered v (List.map p ords_in)) in
+  let prune ords_in = ords v (List.map fst (Sj.prune_covered v (List.map p ords_in))) in
   li "root covers everything" [ 0 ] (prune [ 0; 2; 5; 6 ]);
   li "disjoint contexts all survive" [ 2; 5; 6 ] (prune [ 2; 5; 6 ]);
   li "nested contexts collapse to ancestors" [ 1; 6 ] (prune [ 1; 2; 4; 6; 7 ]);
@@ -110,7 +111,7 @@ let test_prune_covered_units () =
   li "unsorted input is sorted first" [ 1; 6 ] (prune [ 7; 1; 4; 6 ]);
   li "empty input" [] (prune []);
   (* disjointness: consecutive survivors never overlap *)
-  let pruned = Sj.prune_covered v (List.map p [ 2; 5; 6; 8 ]) in
+  let pruned = List.map fst (Sj.prune_covered v (List.map p [ 2; 5; 6; 8 ])) in
   let rec disjoint = function
     | a :: (b :: _ as rest) -> Sj.subtree_end v a <= b && disjoint rest
     | _ -> true
@@ -134,7 +135,8 @@ let prop_prune_covered =
       let _, rev = Ord.mapping v in
       let count = Hashtbl.length rev in
       let ctxs = List.map (fun k -> Hashtbl.find rev (k mod count)) picks in
-      let pruned = Sj.prune_covered v ctxs in
+      let regions = Sj.prune_covered v ctxs in
+      let pruned = List.map fst regions in
       (* survivors are a sorted duplicate-free subset of the input *)
       let sorted_subset =
         pruned = List.sort_uniq compare pruned
@@ -144,16 +146,14 @@ let prop_prune_covered =
         | a :: (b :: _ as rest) -> Sj.subtree_end v a <= b && disjoint rest
         | _ -> true
       in
-      (* the pruned regions produce the same union, region by region *)
+      (* the pruned regions produce the same union, region by region, and
+         each region ends at its context's subtree end *)
       let by_regions =
-        List.concat_map
-          (fun c ->
-            let acc = ref [] in
-            Sj.iter_descendants v c (fun pre -> acc := pre :: !acc);
-            List.rev !acc)
-          pruned
+        List.concat_map (fun c -> Sj.descendants v [ c ]) pruned
       in
-      sorted_subset && disjoint pruned && by_regions = Sj.descendants v ctxs)
+      sorted_subset && disjoint pruned
+      && List.for_all (fun (c, hi) -> hi = Sj.subtree_end v c) regions
+      && by_regions = Sj.descendants v ctxs)
 
 (* A node whose size is negative (an ancestor delta applied with the wrong
    sign or count) makes [pre + size + 1] stand still; every hopping scan
@@ -180,6 +180,25 @@ let test_negative_size_raises () =
       ignore (Sj_corrupt.following_siblings t [ 1 ]));
   raises "parent" (fun () -> ignore (Sj_corrupt.parent_of t 2))
 
+(* The run scan hops a free run with [i + size + 1]: a negative free-run
+   length would stand still or step back forever. After deleting <c/> from
+   a full page, its slot is a free run inside a's subtree that no sibling
+   hop reads, so only the scan meets the corrupted cell — and must raise. *)
+let test_negative_free_run_raises () =
+  let d = Xml.Xml_parser.parse "<r><a><b/><c/><x/></a><e/></r>" in
+  let t = Up.of_dom ~page_bits:3 ~fill:1.0 d in
+  Core.Txn.with_write (Core.Txn.manager t) (fun w -> U.delete w ~pre:3);
+  check_integrity t;
+  let v = Testsupport.view t in
+  Alcotest.(check bool) "c's slot is unused" false (View.is_used v 3);
+  Alcotest.(check int) "//x before" 1 (E.count v (Xpath.Xpath_parser.parse "//x"));
+  Up.set_cell t Up.Csize (Up.pos_of_pre t 3) (-1);
+  match E.count v (Xpath.Xpath_parser.parse "//x") with
+  | n -> Alcotest.failf "expected Failure on a negative free run, got %d" n
+  | exception Failure m ->
+    Alcotest.(check string) "names the pre"
+      "Staircase: unused slot at pre 3 has size -1" m
+
 let () =
   Alcotest.run "staircase"
     [ ( "slack",
@@ -189,7 +208,9 @@ let () =
             test_context_adjacent_to_free_run;
           Alcotest.test_case "axes across empty pages" `Quick test_empty_pages;
           Alcotest.test_case "negative size raises instead of looping" `Quick
-            test_negative_size_raises
+            test_negative_size_raises;
+          Alcotest.test_case "negative free run raises in the run scan" `Quick
+            test_negative_free_run_raises
         ] );
       ( "prune_covered",
         [ Alcotest.test_case "unit cases" `Quick test_prune_covered_units;
