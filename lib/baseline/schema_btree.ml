@@ -6,7 +6,6 @@ type row = { rsize : int; rlevel : int; rkind : int; rname : int }
 type t = {
   page_bits : int;
   slots : int;
-  live : int;
   root : int;
   mutable rows : row Imap.t; (* keyed by materialised pos *)
   mutable log_to_phys : int Imap.t; (* the pageOffset *table* *)
@@ -31,7 +30,6 @@ let of_dom ?page_bits ?fill d =
   let t =
     { page_bits = Up.page_bits up;
       slots = Up.capacity up;
-      live = Up.node_count up;
       root = Up.root_pre up;
       rows = Imap.empty;
       log_to_phys = Imap.empty;
@@ -105,10 +103,6 @@ let row t pre = find t t.rows (pos_of_pre t pre)
 
 let extent t = t.slots
 
-let node_count t = t.live
-
-let is_used t pre = (row t pre).rlevel <> Column.Varray.null
-
 let next_used t pre =
   let stop = t.slots in
   let pre = ref pre in
@@ -117,7 +111,7 @@ let next_used t pre =
     &&
     let r = row t !pre in
     if r.rlevel = Column.Varray.null then begin
-      pre := !pre + r.rsize + 1;
+      pre := Core.Storage_intf.skip_free !pre r.rsize;
       true
     end
     else false
@@ -125,23 +119,6 @@ let next_used t pre =
     ()
   done;
   min !pre stop
-
-let prev_used t pre =
-  let mask = (1 lsl t.page_bits) - 1 in
-  let pre = ref (min pre (t.slots - 1)) in
-  let continue = ref true in
-  while !pre >= 0 && !continue do
-    let r = row t !pre in
-    if r.rlevel <> Column.Varray.null then continue := false
-    else begin
-      let page_first = !pre land lnot mask in
-      let first = row t page_first in
-      if first.rlevel = Column.Varray.null && page_first + first.rsize >= !pre then
-        pre := page_first - 1
-      else decr pre
-    end
-  done;
-  if !pre < 0 then -1 else !pre
 
 let size t pre = (row t pre).rsize
 

@@ -1,5 +1,5 @@
-(** The strawman the paper argues against (§2.2): pre/size/level storage with
-    a {e materialised} pre column and no logical pages.
+(** The strawman the paper argues against (§2.2): {!Core.Schema_ro}'s table
+    plus a {e materialised} pre column, with no logical pages.
 
     A structural insert must physically move every tuple after the insert
     point, rewrite their stored pre values, and rewrite the attribute table's
@@ -7,8 +7,9 @@
     even expressible, because a void column can never be modified; this
     module plays the role of "pre stored in an ordinary RDBMS column".)
 
-    Queries work identically to {!Core.Schema_ro} — the point of the baseline
-    is the update cost, which the shift-cost bench measures. *)
+    Queries read the wrapped {!Core.Schema_ro} table through its own
+    accessors, so they work identically; the point of the baseline is the
+    update cost, which the shift-cost bench measures. *)
 
 type t
 

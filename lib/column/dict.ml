@@ -18,8 +18,6 @@ let to_string d id =
     invalid_arg (Printf.sprintf "Dict.to_string: unknown id %d" id);
   Strpool.get d.strings id
 
-let mem d s = Hashtbl.mem d.ids s
-
 let force d id s =
   if id < Strpool.length d.strings then begin
     let cur = Strpool.get d.strings id in
@@ -38,8 +36,4 @@ let force d id s =
 
 let cardinal d = Strpool.length d.strings
 
-let copy d = { ids = Hashtbl.copy d.ids; strings = Strpool.copy d.strings }
-
 let iteri f d = Strpool.iteri f d.strings
-
-let equal a b = Strpool.equal a.strings b.strings

@@ -18,8 +18,6 @@ val find_opt : t -> string -> int option
 val to_string : t -> int -> string
 (** Inverse mapping. Raises [Invalid_argument] on an unknown id. *)
 
-val mem : t -> string -> bool
-
 val force : t -> int -> string -> unit
 (** [force d id s] makes [s] interned at exactly [id] (extending the table
     with placeholders if needed) — idempotent, used by WAL recovery to replay
@@ -29,9 +27,5 @@ val force : t -> int -> string -> unit
 val cardinal : t -> int
 (** Number of distinct interned strings. *)
 
-val copy : t -> t
-
 val iteri : (int -> string -> unit) -> t -> unit
 (** Iterate in id order. *)
-
-val equal : t -> t -> bool

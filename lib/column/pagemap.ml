@@ -25,8 +25,6 @@ let create ~bits =
 
 let bits m = m.pbits
 
-let page_size m = 1 lsl m.pbits
-
 let npages m = Varray.length m.log_to_phys
 
 let capacity m = npages m lsl m.pbits
@@ -126,8 +124,3 @@ let of_array ~bits a =
   in
   Array.iteri (fun logical phys -> Varray.set m.phys_to_log phys logical) a;
   m
-
-let equal a b = a.pbits = b.pbits && Varray.equal a.log_to_phys b.log_to_phys
-
-let pp ppf m =
-  Format.fprintf ppf "pageOffset(bits=%d) %a" m.pbits Varray.pp m.log_to_phys

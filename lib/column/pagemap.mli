@@ -23,9 +23,6 @@ val create : bits:int -> t
 
 val bits : t -> int
 
-val page_size : t -> int
-(** Tuples per logical page, [2^bits]. *)
-
 val npages : t -> int
 (** Number of pages (physical = logical; the map is a permutation). *)
 
@@ -81,7 +78,3 @@ val to_array : t -> int array
 val of_array : bits:int -> int array -> t
 (** Rebuild from a permutation. Raises [Invalid_argument] if the array is
     not a permutation of [0..n-1]. *)
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -44,27 +44,7 @@ let force_set p i s =
   end;
   Array.unsafe_set p.data i s
 
-let truncate p n =
-  if n < 0 || n > p.len then invalid_arg "Strpool.truncate";
-  p.len <- n
-
-let copy p = { data = Array.copy p.data; len = p.len }
-
-let to_array p = Array.sub p.data 0 p.len
-
-let of_array a =
-  { data = (if Array.length a = 0 then [| "" |] else Array.copy a);
-    len = Array.length a }
-
 let iteri f p =
   for i = 0 to p.len - 1 do
     f i (Array.unsafe_get p.data i)
   done
-
-let equal a b =
-  a.len = b.len
-  &&
-  let rec loop i =
-    i >= a.len || (String.equal a.data.(i) b.data.(i) && loop (i + 1))
-  in
-  loop 0

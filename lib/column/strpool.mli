@@ -14,18 +14,8 @@ val set : t -> int -> string -> unit
 val push : t -> string -> int
 (** Append one string, return its index. *)
 
-val truncate : t -> int -> unit
-
 val force_set : t -> int -> string -> unit
 (** [force_set p i s] sets slot [i], extending the pool with empty strings if
     needed — the idempotent "write at id" primitive WAL recovery uses. *)
 
-val copy : t -> t
-
-val to_array : t -> string array
-
-val of_array : string array -> t
-
 val iteri : (int -> string -> unit) -> t -> unit
-
-val equal : t -> t -> bool

@@ -14,8 +14,6 @@ let of_array a = { data = (if Array.length a = 0 then [| 0 |] else Array.copy a)
 
 let length v = v.len
 
-let capacity v = Array.length v.data
-
 let check v i =
   if i < 0 || i >= v.len then
     invalid_arg (Printf.sprintf "Varray: index %d out of bounds [0,%d)" i v.len)
@@ -74,10 +72,6 @@ let fill v ~pos ~len x =
 
 let copy v = { data = Array.copy v.data; len = v.len }
 
-let sub v ~pos ~len =
-  if len < 0 || pos < 0 || pos + len > v.len then invalid_arg "Varray.sub";
-  Array.sub v.data pos len
-
 let to_array v = Array.sub v.data 0 v.len
 
 let iteri f v =
@@ -99,12 +93,3 @@ let equal a b =
   &&
   let rec loop i = i >= a.len || (a.data.(i) = b.data.(i) && loop (i + 1)) in
   loop 0
-
-let pp ppf v =
-  Format.fprintf ppf "[|";
-  iteri
-    (fun i x ->
-      if i > 0 then Format.fprintf ppf "; ";
-      if x = null then Format.fprintf ppf "NULL" else Format.fprintf ppf "%d" x)
-    v;
-  Format.fprintf ppf "|]"

@@ -22,8 +22,6 @@ val of_array : int array -> t
 
 val length : t -> int
 
-val capacity : t -> int
-
 val get : t -> int -> int
 (** [get v i] is element [i]. Bounds-checked; raises [Invalid_argument]. *)
 
@@ -55,9 +53,6 @@ val fill : t -> pos:int -> len:int -> int -> unit
 val copy : t -> t
 (** Deep copy. *)
 
-val sub : t -> pos:int -> len:int -> int array
-(** Extract a slice as a fresh array. *)
-
 val to_array : t -> int array
 
 val iteri : (int -> int -> unit) -> t -> unit
@@ -70,5 +65,3 @@ val unsafe_data : t -> int array
     identity is invalidated by any growth operation. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

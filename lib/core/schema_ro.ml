@@ -17,6 +17,23 @@ type t = {
   attr_prop : Varray.t;
 }
 
+let encode t payload ~attr =
+  match payload with
+  | Shred.El (q, attrs) ->
+    let qid = Dict.intern t.qn (Xml.Qname.to_string q) in
+    List.iter
+      (fun (aq, av) ->
+        let qn = Dict.intern t.qn (Xml.Qname.to_string aq) in
+        attr ~qn ~prop:(Dict.intern t.props av))
+      attrs;
+    (Kind.Element, qid)
+  | Shred.Tx s -> (Kind.Text, Strpool.push t.text_pool s)
+  | Shred.Cm s -> (Kind.Comment, Strpool.push t.comment_pool s)
+  | Shred.Pr (target, data) ->
+    let r = Strpool.push t.pi_target_pool target in
+    let _ = Strpool.push t.pi_data_pool data in
+    (Kind.Pi, r)
+
 let of_dom d =
   let items = Shred.sequence d in
   let n = Array.length items in
@@ -38,23 +55,11 @@ let of_dom d =
   Array.iteri
     (fun pre { Shred.size; level; payload } ->
       let kind, name =
-        match payload with
-        | Shred.El (q, attrs) ->
-          let qid = Dict.intern t.qn (Xml.Qname.to_string q) in
-          List.iter
-            (fun (aq, av) ->
-              let _ = Varray.push t.attr_owner pre in
-              let _ = Varray.push t.attr_qn (Dict.intern t.qn (Xml.Qname.to_string aq)) in
-              let _ = Varray.push t.attr_prop (Dict.intern t.props av) in
-              ())
-            attrs;
-          (Kind.Element, qid)
-        | Shred.Tx s -> (Kind.Text, Strpool.push t.text_pool s)
-        | Shred.Cm s -> (Kind.Comment, Strpool.push t.comment_pool s)
-        | Shred.Pr (target, data) ->
-          let r = Strpool.push t.pi_target_pool target in
-          let _ = Strpool.push t.pi_data_pool data in
-          (Kind.Pi, r)
+        encode t payload ~attr:(fun ~qn ~prop ->
+            let _ = Varray.push t.attr_owner pre in
+            let _ = Varray.push t.attr_qn qn in
+            let _ = Varray.push t.attr_prop prop in
+            ())
       in
       let _ = Varray.push t.size size in
       let _ = Varray.push t.level level in
@@ -66,13 +71,7 @@ let of_dom d =
 
 let extent t = Varray.length t.size
 
-let node_count = extent
-
-let is_used _t _pre = true
-
 let next_used _t pre = pre
-
-let prev_used _t pre = pre
 
 let size t pre = Varray.get t.size pre
 

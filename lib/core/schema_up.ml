@@ -193,8 +193,6 @@ let extent t = capacity t
 
 let node_count t = t.live
 
-let is_used t pre = Varray.get t.level (pos_of_pre t pre) <> Varray.null
-
 let next_used t pre =
   let stop = extent t in
   let level = Varray.unsafe_data t.level in
@@ -206,7 +204,7 @@ let next_used t pre =
     let pos = pos_of_pre t !pre in
     if Array.unsafe_get level pos = Varray.null then begin
       (* Page-local free run: hop over it in one step. *)
-      pre := !pre + Array.unsafe_get size pos + 1;
+      pre := Storage_intf.skip_free !pre (Array.unsafe_get size pos);
       true
     end
     else false
@@ -214,24 +212,6 @@ let next_used t pre =
     ()
   done;
   min !pre stop
-
-let prev_used t pre =
-  let mask = page_size t - 1 in
-  let pre = ref (min pre (extent t - 1)) in
-  let continue = ref true in
-  while !pre >= 0 && !continue do
-    if Varray.get t.level (pos_of_pre t !pre) <> Varray.null then continue := false
-    else begin
-      let page_first = !pre land lnot mask in
-      let first_pos = pos_of_pre t page_first in
-      if
-        Varray.get t.level first_pos = Varray.null
-        && page_first + Varray.get t.size first_pos >= !pre
-      then pre := page_first - 1 (* the whole prefix of this page is unused *)
-      else decr pre
-    end
-  done;
-  if !pre < 0 then -1 else !pre
 
 let size t pre = Array.unsafe_get (Varray.unsafe_data t.size) (pos_of_pre t pre)
 

@@ -46,6 +46,9 @@ val of_dom : ?page_bits:int -> ?fill:float -> Xml.Dom.t -> t
 
 include Storage_intf.S with type t := t
 
+val node_count : t -> int
+(** Number of live document nodes ([extent] minus unused slots). *)
+
 (** {1 Physical layer} *)
 
 val page_bits : t -> int

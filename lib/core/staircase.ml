@@ -25,26 +25,21 @@ module Make (S : Storage_intf.S) = struct
 
   (* The one scan loop: [f acc r i] for every used slot of [lo, hi) that
      passes [test], with [r] the slot's storage run and [i] its cell. A free
-     run is hopped with [i + size + 1]; as in [sibling_hop] below, a
-     negative size (a corrupt plane) raises instead of spinning. *)
+     run is hopped with [Storage_intf.skip_free] in pre space ([off] maps a
+     cell to its pre), so a negative size raises naming the pre instead of
+     spinning. *)
   let fold_used t ?(test = Any) ~lo ~hi ~init f =
     S.fold_runs t ~lo ~hi ~init (fun acc (r : Storage_intf.run) ->
         Obs.inc m_runs;
         Obs.add m_slots r.len;
-        let stop = r.phys + r.len in
+        let stop = r.phys + r.len and off = r.pre - r.phys in
         let rec go i acc =
           if i >= stop then acc
           else if r.level.(i) <> Column.Varray.null then
             go (i + 1)
               (if cells_match test ~kind:r.kind.(i) ~name:r.name.(i) then f acc r i
                else acc)
-          else
-            let size = r.size.(i) in
-            if size < 0 then
-              failwith
-                (Printf.sprintf "Staircase: unused slot at pre %d has size %d"
-                   (Storage_intf.run_pre r i) size);
-            go (i + size + 1) acc
+          else go (Storage_intf.skip_free (i + off) r.size.(i) - off) acc
         in
         go r.phys acc)
 

@@ -1,21 +1,35 @@
-(** The storage access signature shared by both schemas.
+(** The storage access signature shared by every schema.
 
     The staircase join, axis evaluation, query engine and node serialiser are
     functors over this signature, so a read-only-vs-updateable measurement
     (the paper's Figure 9) compares storage representations only — the query
-    code is byte-identical.
+    code is byte-identical. [S] declares only what that functor code reads;
+    a storage's own extras (live node counts, backward skips, update
+    primitives) stay in its own interface.
 
     All accessors address nodes by [pre]: the position in the logically
     (document-) ordered view.  For {!Schema_ro} that view {e is} the table;
     for {!Schema_up} every access swizzles [pre] to a physical [pos] through
     the pageOffset permutation, and the view may contain {e unused} slots
-    that [is_used]/[next_used] let traversals skip in O(1) per free run.
+    that {!S.next_used} skips in O(1) per free run, with {!skip_free}.
 
     Two kinds of access share the signature. A {e scan} (every used slot of
     a region, in document order) folds {!S.fold_runs}: the storage resolves
     pre to pos once per physically contiguous run and the caller loops over
     plain arrays. The per-node accessors serve {e point lookups} only:
     child, sibling and ancestor steps, and predicates. *)
+
+let negative_free_run pre size =
+  failwith (Printf.sprintf "Storage: unused slot at pre %d has size %d" pre size)
+
+(** [skip_free pre size] is the slot after the free run whose head, at
+    [pre], holds the run length [size]: [pre + size + 1]. Every hop over a
+    free run goes through it. A negative length (a corrupt plane) would
+    stand still or step back forever, so it raises [Failure] naming [pre]
+    instead. *)
+let[@inline] skip_free pre size =
+  if size < 0 then negative_free_run pre size;
+  pre + size + 1
 
 (** A maximal stretch of the pre view that is physically contiguous: the
     slots [pre .. pre + len - 1] are the array cells [phys .. phys + len - 1]
@@ -26,7 +40,7 @@
     An unused slot has [level = Column.Varray.null], and its [size] counts
     the unused slots directly after it within its page. A run of a paged
     store never crosses a page boundary, so a scan hops over a free run
-    with [i + size + 1] and at most overshoots the run's end. A used slot's
+    with {!skip_free} and at most overshoots the run's end. A used slot's
     [size] is its stored descendant count: a staged transaction's pending
     ancestor deltas are not applied, so a caller that needs a used node's
     size asks {!S.size}. [kind] holds {!Kind.to_int} codes and [name] the
@@ -63,21 +77,12 @@ module type S = sig
   (** Number of slots in the pre view, {e including} unused slots.  Valid
       pre values are [0 .. extent - 1]. *)
 
-  val node_count : t -> int
-  (** Number of live document nodes ([extent] minus unused slots). *)
-
-  val is_used : t -> int -> bool
-  (** False on an unused (deleted / never filled) slot. *)
-
   val next_used : t -> int -> int
   (** [next_used t pre] is the smallest used position [>= pre], or
       [extent t] when the suffix is all unused.  O(1) per free run thanks to
-      the run-length convention on unused [size] cells. *)
-
-  val prev_used : t -> int -> int
-  (** Largest used position [<= pre], or [-1] when the prefix is all unused.
-      Empty pages are skipped in O(1) via the free run anchored at the page's
-      first slot; interior holes are stepped over slot-by-slot. *)
+      the run-length convention on unused [size] cells ({!skip_free}); a
+      negative run length raises [Failure]. Each storage keeps its own: on
+      {!Schema_ro} it is the identity. *)
 
   val size : t -> int -> int
   (** Subtree size (number of descendants) of a {e used} node. *)

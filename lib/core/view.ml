@@ -448,7 +448,7 @@ let next_used_cells v pre =
     &&
     let pos = pos_of_pre v !pre in
     if read_cell v Clevel pos = Varray.null then begin
-      pre := !pre + read_cell v Csize pos + 1;
+      pre := Storage_intf.skip_free !pre (read_cell v Csize pos);
       true
     end
     else false
@@ -457,33 +457,39 @@ let next_used_cells v pre =
   done;
   min !pre stop
 
+let next_used_overtaken v pre =
+  Obs.inc m_overtaken;
+  next_used_cells v pre
+
 (* The staircase join's skip primitive: on a snapshot, the whole hop runs
    on the cached arrays and is validated once. Whatever a racing commit
-   makes it read, [p] strictly grows, so the loop ends; a hop a commit
-   overtook is then redone read by read. *)
+   makes it read, [p] strictly grows or the hop raises, so the loop ends; a
+   hop a commit overtook, or a raise from one (a torn read), is then redone
+   read by read, as [snap_run] does. *)
 let next_used v pre =
   match v.fl with
   | Staged _ -> next_used_cells v pre
-  | Snapshot s ->
+  | Snapshot s -> (
     let stop = Version.npages s.vs lsl s.bits in
-    let p = ref pre in
-    while
-      !p < stop
-      &&
-      let pos = snap_pos s !p in
-      s.level_a.(pos) = Varray.null
-      && begin
-           p := !p + s.size_a.(pos) + 1;
-           true
-         end
-    do
-      ()
-    done;
-    if Version.is_current s.vs then min !p stop
-    else begin
-      Obs.inc m_overtaken;
-      next_used_cells v pre
-    end
+    match
+      let p = ref pre in
+      while
+        !p < stop
+        &&
+        let pos = snap_pos s !p in
+        s.level_a.(pos) = Varray.null
+        && begin
+             p := Storage_intf.skip_free !p s.size_a.(pos);
+             true
+           end
+      do
+        ()
+      done;
+      min !p stop
+    with
+    | p -> if Version.is_current s.vs then p else next_used_overtaken v pre
+    | exception e ->
+      if Version.is_current s.vs then raise e else next_used_overtaken v pre)
 
 let prev_used v pre =
   let mask = page_size v - 1 in

@@ -108,6 +108,17 @@ val write_set : t -> int list
 
 include Storage_intf.S with type t := t
 
+val node_count : t -> int
+(** Number of live document nodes ([extent] minus unused slots). *)
+
+val is_used : t -> int -> bool
+(** False on an unused (deleted / never filled) slot. *)
+
+val prev_used : t -> int -> int
+(** Largest used position [<= pre], or [-1] when the prefix is all unused.
+    Empty pages are skipped in O(1) via the free run anchored at the page's
+    first slot; interior holes are stepped over slot by slot. *)
+
 (** {1 Physical operations (used by the update algorithms)} *)
 
 val page_size : t -> int

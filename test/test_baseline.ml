@@ -67,6 +67,155 @@ let test_naive_cost_grows_with_document () =
     true
     (c2 > 8 * c1)
 
+(* A seeded random sequence of inserts and deletes, mirrored on the DOM.
+   The naive store must then hold exactly the table a fresh read-only shred
+   of the resulting document holds (its runs and its per-node answers, with
+   dictionary ids decoded, since dead pool entries shift them), and every
+   update must report the shifting strawman's cost: the tuples after the
+   update point, plus the attribute owner references rewritten, plus, on
+   insert, the attribute rows each new row is inserted in front of. *)
+module Dump (S : Core.Storage_intf.S) = struct
+  let label t pre =
+    match S.kind t pre with
+    | Core.Kind.Element -> Xml.Qname.to_string (S.qname t pre)
+    | Core.Kind.Pi -> S.pi_target t pre ^ " " ^ S.content t pre
+    | Core.Kind.Text | Core.Kind.Comment -> S.content t pre
+
+  let runs t =
+    List.rev
+      (S.fold_runs t ~lo:0 ~hi:(S.extent t) ~init:[]
+         (fun acc (r : Core.Storage_intf.run) ->
+           let acc = ref acc in
+           for i = r.phys to r.phys + r.len - 1 do
+             let pre = Core.Storage_intf.run_pre r i in
+             acc :=
+               Printf.sprintf "%d: level %d size %d kind %d name=id %b %s" pre
+                 r.level.(i) r.size.(i) r.kind.(i)
+                 (r.name.(i) = S.name_id t pre)
+                 (label t pre)
+               :: !acc
+           done;
+           !acc))
+
+  let nodes t =
+    let rec go pre acc =
+      if pre >= S.extent t then List.rev acc
+      else
+        let attrs = if S.kind t pre = Core.Kind.Element then S.attributes t pre else [] in
+        let by_id =
+          List.map
+            (fun (q, _) ->
+              let by_name = S.attribute t pre q in
+              (by_name, Option.bind (S.qn_id t q) (S.attribute_id t pre)))
+            attrs
+        in
+        let line =
+          Printf.sprintf "%d: level %d size %d %s [%s] %b" pre (S.level t pre)
+            (S.size t pre) (label t pre)
+            (String.concat "; "
+               (List.map (fun (q, v) -> Xml.Qname.to_string q ^ "=" ^ v) attrs))
+            (List.for_all2 (fun (_, v) (a, b) -> a = Some v && b = Some v) attrs by_id)
+        in
+        go (S.next_used t (pre + 1)) (line :: acc)
+    in
+    go (S.next_used t 0) []
+end
+
+module Dump_ro = Dump (Core.Schema_ro)
+module Dump_nv = Dump (Baseline.Schema_naive)
+
+type naive_op = Ins of int * int * Dom.node | Del of int
+
+let gen_naive_ops =
+  let open QCheck2.Gen in
+  list_size (int_range 1 8)
+    (frequency
+       [ ( 3,
+           let* parent = nat and* at = nat and* n = Testsupport.gen_content_node in
+           return (Ins (parent, at, n)) );
+         (2, map (fun k -> Del k) nat) ])
+
+let print_naive_ops (d, ops) =
+  Testsupport.print_doc d ^ " / "
+  ^ String.concat "; "
+      (List.map
+         (function
+           | Ins (p, at, n) ->
+             let wrap = { Dom.name = Xml.Qname.make "f"; attrs = []; children = [ n ] } in
+             Printf.sprintf "ins %d %d %s" p at
+               (Xml.Xml_serialize.to_string (Dom.doc wrap))
+           | Del k -> Printf.sprintf "del %d" k)
+         ops)
+
+(* Attribute rows owned at or after [pre] in the document. *)
+let attrs_from d pre =
+  List.fold_left
+    (fun (i, acc) (_, n) ->
+      match n with
+      | Dom.Element e when i >= pre -> (i + 1, acc + List.length e.Dom.attrs)
+      | _ -> (i + 1, acc))
+    (0, 0) (Dom.nodes_pre_order d)
+  |> snd
+
+(* Attribute rows of a subtree. *)
+let rec attr_rows (n : Dom.node) =
+  match n with
+  | Dom.Element e ->
+    List.fold_left (fun a c -> a + attr_rows c) (List.length e.Dom.attrs) e.children
+  | Dom.Text _ | Dom.Comment _ | Dom.Pi _ -> 0
+
+let prop_naive_matches_fresh_ro =
+  QCheck2.Test.make ~name:"naive updates = fresh ro shred, at the strawman's cost"
+    ~count:200 ~print:print_naive_ops
+    QCheck2.Gen.(pair Testsupport.gen_doc gen_naive_ops)
+    (fun (d, ops) ->
+      let nv = Naive.of_dom d in
+      let apply d op =
+        let nodes = Array.of_list (Dom.nodes_pre_order d) in
+        let count = Array.length nodes in
+        match op with
+        | Ins (pick, at, node) ->
+          let elements =
+            List.filter
+              (fun i -> match snd nodes.(i) with Dom.Element _ -> true | _ -> false)
+              (List.init count Fun.id)
+          in
+          let parent = List.nth elements (pick mod List.length elements) in
+          let path = Testsupport.path_of_ordinal d parent in
+          let kids = match snd nodes.(parent) with Dom.Element e -> e.children | _ -> [] in
+          let at = at mod (List.length kids + 1) in
+          let at_pre =
+            List.fold_left
+              (fun pre k -> pre + 1 + Dom.subtree_size k)
+              (parent + 1) (List.filteri (fun i _ -> i < at) kids)
+          in
+          Naive.insert nv ~parent_pre:parent ~at_pre [ node ];
+          let moved = attrs_from d at_pre in
+          let expect = count - at_pre + ((1 + attr_rows node) * moved) in
+          (Dom.insert_children d path ~at [ node ], expect)
+        | Del _ when count = 1 -> (d, Naive.last_shifted nv)
+        | Del k ->
+          let pre = 1 + (k mod (count - 1)) in
+          let m = 1 + Dom.subtree_size (snd nodes.(pre)) in
+          Naive.delete nv ~pre;
+          let expect = count - pre - m + attrs_from d (pre + m) in
+          (Dom.remove_at d (Testsupport.path_of_ordinal d pre), expect)
+      in
+      let d =
+        List.fold_left
+          (fun d op ->
+            let d, expect = apply d op in
+            if Naive.last_shifted nv <> expect then
+              QCheck2.Test.fail_reportf "shifted %d, expected %d"
+                (Naive.last_shifted nv) expect;
+            d)
+          d ops
+      in
+      let ro = Ro.of_dom d in
+      if not (Dom.equal d (Ser_nv.to_dom nv)) then
+        QCheck2.Test.fail_report "serialised store differs from the DOM";
+      Dump_nv.runs nv = Dump_ro.runs ro && Dump_nv.nodes nv = Dump_ro.nodes ro)
+
 (* --------------------------------------------------------------- btree -- *)
 
 module Bt = Baseline.Schema_btree
@@ -187,7 +336,8 @@ let () =
         [ Alcotest.test_case "queries match ro" `Quick test_naive_queries_match_ro;
           Alcotest.test_case "insert/delete" `Quick test_naive_insert_delete;
           Alcotest.test_case "attr table maintenance" `Quick test_naive_attr_maintenance;
-          Alcotest.test_case "cost grows with N" `Quick test_naive_cost_grows_with_document ] );
+          Alcotest.test_case "cost grows with N" `Quick test_naive_cost_grows_with_document;
+          Testsupport.qcheck_case prop_naive_matches_fresh_ro ] );
       ( "btree (SQL host)",
         [ Alcotest.test_case "roundtrip" `Quick test_btree_roundtrip;
           Alcotest.test_case "queries match ro" `Quick test_btree_queries_match;

@@ -197,7 +197,31 @@ let test_negative_free_run_raises () =
   | n -> Alcotest.failf "expected Failure on a negative free run, got %d" n
   | exception Failure m ->
     Alcotest.(check string) "names the pre"
-      "Staircase: unused slot at pre 3 has size -1" m
+      "Storage: unused slot at pre 3 has size -1" m
+
+(* A sibling hop that lands on the head of a free run hops it in
+   [next_used]: after deleting <c/>, a's size is 0, so the hop from a lands
+   on c's slot. A negative run length there would make the hop stand still
+   or step back forever; [next_used] must raise, on the store and on a
+   snapshot. *)
+module Sj_up = Core.Staircase.Make (Core.Schema_up)
+
+let test_negative_free_run_hop_raises () =
+  let d = Xml.Xml_parser.parse "<r><a><c/></a><b/></r>" in
+  let t = Up.of_dom ~page_bits:3 ~fill:1.0 d in
+  Core.Txn.with_write (Core.Txn.manager t) (fun w -> U.delete w ~pre:2);
+  check_integrity t;
+  Up.set_cell t Up.Csize (Up.pos_of_pre t 2) (-1);
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Failure on a negative free run" name
+    | exception Failure m ->
+      Alcotest.(check string) (name ^ " names the pre")
+        "Storage: unused slot at pre 2 has size -1" m
+  in
+  raises "Schema_up" (fun () -> Sj_up.children t [ 0 ]);
+  let v = Testsupport.view t in
+  raises "snapshot" (fun () -> Sj.children v [ 0 ])
 
 let () =
   Alcotest.run "staircase"
@@ -210,7 +234,9 @@ let () =
           Alcotest.test_case "negative size raises instead of looping" `Quick
             test_negative_size_raises;
           Alcotest.test_case "negative free run raises in the run scan" `Quick
-            test_negative_free_run_raises
+            test_negative_free_run_raises;
+          Alcotest.test_case "negative free run raises in a sibling hop" `Quick
+            test_negative_free_run_hop_raises
         ] );
       ( "prune_covered",
         [ Alcotest.test_case "unit cases" `Quick test_prune_covered_units;

@@ -5,6 +5,7 @@ module Dom = Xml.Dom
 module Qname = Xml.Qname
 module Ro = Core.Schema_ro
 module Up = Core.Schema_up
+module View = Core.View
 module Ser_ro = Core.Node_serialize.Make (Core.Schema_ro)
 module Ser_up = Core.Node_serialize.Make (Core.Schema_up)
 
@@ -99,12 +100,13 @@ let test_up_shred_geometry () =
 let test_up_free_runs () =
   let t = up_of ~page_bits:3 ~fill:0.5 paper in
   (* 4 used per page; slots 4..7 of each page unused with run sizes 3,2,1,0 *)
-  Alcotest.(check bool) "slot 4 unused" false (Up.is_used t 4);
+  let v = Testsupport.view t in
+  Alcotest.(check bool) "slot 4 unused" false (View.is_used v 4);
   Alcotest.(check int) "run length at 4" 3 (Up.size t 4);
   Alcotest.(check int) "run length at 7" 0 (Up.size t 7);
   Alcotest.(check int) "next_used skips run" 8 (Up.next_used t 4);
   Alcotest.(check int) "next_used on used" 3 (Up.next_used t 3);
-  Alcotest.(check int) "prev_used skips run" 3 (Up.prev_used t 7);
+  Alcotest.(check int) "prev_used skips run" 3 (View.prev_used v 7);
   check_integrity t
 
 let test_up_node_ids_equal_pos_at_shred () =
@@ -189,12 +191,12 @@ let test_up_set_pagemap_guard () =
 let test_up_skip_edges () =
   (* crafted geometries: empty interior pages, holes from deletes, full pages *)
   let module U = Core.Update in
-  let module View = Core.View in
   let t = up_of ~page_bits:2 ~fill:1.0 (Xml.Xml_parser.parse
             "<r><a/><b/><c/><d/><e/><f/><g/></r>") in
   (* 8 nodes on pages of 4, both full *)
   Alcotest.(check int) "full page: next_used identity" 5 (Up.next_used t 5);
-  Alcotest.(check int) "full page: prev_used identity" 5 (Up.prev_used t 5);
+  Alcotest.(check int) "full page: prev_used identity" 5
+    (View.prev_used (Testsupport.view t) 5);
   (* delete b..f (pres 2..6): page 1 becomes fully empty, page 0 gets a hole *)
   Core.Txn.with_write (Core.Txn.manager t) (fun w ->
       List.iter
@@ -206,18 +208,19 @@ let test_up_skip_edges () =
         [ "b"; "c"; "d"; "e"; "f" ]);
   check_integrity t;
   (* view now: r(0) a(1) _ _ | _ _ _ _ (empty page) | g somewhere *)
+  let v = Testsupport.view t in
   let g =
     let module E = Core.Engine.Make (Core.View) in
-    match E.parse_eval (Testsupport.view t) "//g" with
+    match E.parse_eval v "//g" with
     | [ E.Node pre ] -> pre
     | _ -> Alcotest.fail "g"
   in
   Alcotest.(check int) "next_used skips hole + empty page" g (Up.next_used t 2);
-  Alcotest.(check int) "prev_used skips empty page backwards" 1 (Up.prev_used t (g - 1));
-  Alcotest.(check int) "prev_used from extent end" g (Up.prev_used t (Up.extent t - 1));
+  Alcotest.(check int) "prev_used skips empty page backwards" 1 (View.prev_used v (g - 1));
+  Alcotest.(check int) "prev_used from extent end" g (View.prev_used v (View.extent v - 1));
   (* boundary conventions *)
   Alcotest.(check int) "next_used at extent" (Up.extent t) (Up.next_used t (Up.extent t));
-  Alcotest.(check int) "prev_used below zero" 0 (Up.prev_used t 0)
+  Alcotest.(check int) "prev_used below zero" 0 (View.prev_used v 0)
 
 let prop_up_roundtrip =
   QCheck2.Test.make ~name:"up-schema shred/serialise roundtrip (random docs)"
