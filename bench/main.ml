@@ -682,13 +682,13 @@ let run_storage ~scales =
       let d = Xmark.Gen.of_scale scale in
       let ro = Ro.of_dom d and up = Up.of_dom ~fill:0.8 d in
       let sro = Ro.stats ro and sup = Up.stats up in
+      let open Core.Storage_intf in
       Printf.printf "%8.4f | %10d %10d %+7.1f%% | %12d %12d %+8.1f%% | %8d\n" scale
-        sro.Ro.nodes sup.Up.slots
-        (100.0 *. (float_of_int sup.Up.slots /. float_of_int sup.Up.nodes -. 1.0))
-        sro.Ro.approx_bytes sup.Up.approx_bytes
+        sro.nodes sup.slots
+        (100.0 *. (float_of_int sup.slots /. float_of_int sup.nodes -. 1.0))
+        sro.approx_bytes sup.approx_bytes
         (100.0
-        *. (float_of_int sup.Up.approx_bytes /. float_of_int sro.Ro.approx_bytes
-           -. 1.0))
+        *. (float_of_int sup.approx_bytes /. float_of_int sro.approx_bytes -. 1.0))
         (Up.npages up))
     scales;
   print_endline

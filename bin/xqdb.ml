@@ -365,16 +365,14 @@ let stats_cmd =
     let sro = Core.Schema_ro.stats ro and sup = Core.Schema_up.stats up in
     Printf.printf "%-24s %12s %12s\n" "" "read-only" "updateable";
     let row name a b = Printf.printf "%-24s %12d %12d\n" name a b in
-    row "nodes" sro.Core.Schema_ro.nodes sup.Core.Schema_up.nodes;
-    row "slots" sro.Core.Schema_ro.slots sup.Core.Schema_up.slots;
-    row "attributes" sro.Core.Schema_ro.attrs sup.Core.Schema_up.attrs;
-    row "distinct qnames" sro.Core.Schema_ro.distinct_qnames sup.Core.Schema_up.distinct_qnames;
-    row "approx bytes" sro.Core.Schema_ro.approx_bytes sup.Core.Schema_up.approx_bytes;
+    let open Core.Storage_intf in
+    row "nodes" sro.nodes sup.nodes;
+    row "slots" sro.slots sup.slots;
+    row "attributes" sro.attrs sup.attrs;
+    row "distinct qnames" sro.distinct_qnames sup.distinct_qnames;
+    row "approx bytes" sro.approx_bytes sup.approx_bytes;
     Printf.printf "%-24s %12s %11.1f%%\n" "storage overhead" ""
-      (100.0
-      *. (float_of_int sup.Core.Schema_up.approx_bytes
-          /. float_of_int sro.Core.Schema_ro.approx_bytes
-         -. 1.0));
+      (100.0 *. (float_of_int sup.approx_bytes /. float_of_int sro.approx_bytes -. 1.0));
     Printf.printf "%-24s %12s %12d\n" "logical pages" "" (Core.Schema_up.npages up);
     0
   in

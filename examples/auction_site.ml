@@ -24,10 +24,10 @@ let () =
   let up, t_up = time (fun () -> Up.of_dom ~fill:0.8 d) in
   Printf.printf "shredding: read-only %.3fs, updateable %.3fs\n" t_ro t_up;
 
-  let sro = Ro.stats ro and sup = Up.stats up in
-  Printf.printf "storage: ro %d bytes, up %d bytes (%.0f%% more)\n"
-    sro.Ro.approx_bytes sup.Up.approx_bytes
-    (100.0 *. (float_of_int sup.Up.approx_bytes /. float_of_int sro.Ro.approx_bytes -. 1.0));
+  let ro_bytes = (Ro.stats ro).Core.Storage_intf.approx_bytes
+  and up_bytes = (Up.stats up).Core.Storage_intf.approx_bytes in
+  Printf.printf "storage: ro %d bytes, up %d bytes (%.0f%% more)\n" ro_bytes up_bytes
+    (100.0 *. (float_of_int up_bytes /. float_of_int ro_bytes -. 1.0));
 
   print_endline "\nquery        ro [ms]    up [ms]   overhead   (identical answers)";
   List.iter

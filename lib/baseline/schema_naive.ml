@@ -134,7 +134,7 @@ let insert t ~parent_pre ~at_pre nodes =
       (fun i { Core.Shred.size; level; payload } ->
         let pre = at_pre + i in
         let kind, name =
-          Ro.encode t.ro payload ~attr:(fun ~qn ~prop ->
+          Core.Values.encode t.ro.values payload ~attr:(fun ~qn ~prop ->
               attr_rows := (pre, qn, prop) :: !attr_rows)
         in
         Varray.set t.ro.size pre size;

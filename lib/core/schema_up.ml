@@ -13,12 +13,7 @@ type t = {
   node_pos : Varray.t; (* node id -> pos, NULL when freed *)
   mutable free_nodes : int list; (* recyclable node ids *)
   mutable live : int; (* used slots *)
-  qn : Dict.t;
-  props : Dict.t;
-  text_pool : Strpool.t;
-  comment_pool : Strpool.t;
-  pi_target_pool : Strpool.t;
-  pi_data_pool : Strpool.t;
+  values : Values.t;
   attr_node : Varray.t; (* owner node id, NULL = tombstone *)
   attr_qn : Varray.t;
   attr_prop : Varray.t;
@@ -28,8 +23,8 @@ type t = {
   bulk_stamps : Varray.t;
   delta_stamps : Varray.t;
   shared_mu : Mutex.t;
-      (* guards the appenders shared by concurrent staging transactions:
-         node-id allocator, dictionaries, value pools *)
+      (* guards what concurrent staging transactions and snapshot readers
+         share here: the node-id allocator and the attribute index *)
 }
 
 let default_page_bits = 12
@@ -57,12 +52,7 @@ let create ?(page_bits = default_page_bits) () =
     node_pos = Varray.create ();
     free_nodes = [];
     live = 0;
-    qn = Dict.create ();
-    props = Dict.create ();
-    text_pool = Strpool.create ();
-    comment_pool = Strpool.create ();
-    pi_target_pool = Strpool.create ();
-    pi_data_pool = Strpool.create ();
+    values = Values.create ();
     attr_node = Varray.create ();
     attr_qn = Varray.create ();
     attr_prop = Varray.create ();
@@ -222,25 +212,15 @@ let kind t pre =
 
 let name_id t pre = Array.unsafe_get (Varray.unsafe_data t.name) (pos_of_pre t pre)
 
-let qname t pre =
-  match kind t pre with
-  | Kind.Element -> Xml.Qname.of_string (Dict.to_string t.qn (name_id t pre))
-  | Kind.Text | Kind.Comment | Kind.Pi ->
-    invalid_arg "Schema_up.qname: not an element"
+let qname t pre = Values.qname t.values (kind t pre) (name_id t pre)
 
-let content t pre =
-  let r = name_id t pre in
-  match kind t pre with
-  | Kind.Text -> Strpool.get t.text_pool r
-  | Kind.Comment -> Strpool.get t.comment_pool r
-  | Kind.Pi -> Strpool.get t.pi_data_pool r
-  | Kind.Element -> invalid_arg "Schema_up.content: element node"
+let content t pre = Values.content t.values (kind t pre) (name_id t pre)
 
-let pi_target t pre =
-  match kind t pre with
-  | Kind.Pi -> Strpool.get t.pi_target_pool (name_id t pre)
-  | Kind.Element | Kind.Text | Kind.Comment ->
-    invalid_arg "Schema_up.pi_target: not a PI"
+let pi_target t pre = Values.pi_target t.values (kind t pre) (name_id t pre)
+
+let qn_id t q = Values.qn_id t.values q
+
+let values t = t.values
 
 let root_pre t = next_used t 0
 
@@ -298,47 +278,11 @@ let pre_of_node t id =
     let pos = Varray.get t.node_pos id in
     if pos = Varray.null then None else Some (pre_of_pos t pos)
 
-(* ------------------------------------------------ dictionaries and pools *)
-
-(* Domain-safety: [Dict] lookups go through a [Hashtbl], which tolerates
-   neither concurrent resize nor concurrent read-during-write. Snapshot
-   readers run on arbitrary domains while writers intern new names, so the
-   read side takes [shared_mu] too (the critical section is a single hash
-   probe — contention is negligible next to evaluation). *)
-let qn_id t q = locked t (fun () -> Dict.find_opt t.qn (Xml.Qname.to_string q))
-
-let intern_qn t q = locked t (fun () -> Dict.intern t.qn (Xml.Qname.to_string q))
-
-let qn_of_id t id = Xml.Qname.of_string (Dict.to_string t.qn id)
-
-let intern_prop t s = locked t (fun () -> Dict.intern t.props s)
-
-let prop_of_id t id = Dict.to_string t.props id
-
-let push_text t s = locked t (fun () -> Strpool.push t.text_pool s)
-
-let push_comment t s = locked t (fun () -> Strpool.push t.comment_pool s)
-
-let push_pi t ~target ~data =
-  locked t (fun () ->
-      let r = Strpool.push t.pi_target_pool target in
-      let r' = Strpool.push t.pi_data_pool data in
-      assert (r = r');
-      r)
-
-let text_of_ref t r = Strpool.get t.text_pool r
-
-let comment_of_ref t r = Strpool.get t.comment_pool r
-
-let pi_target_of_ref t r = Strpool.get t.pi_target_pool r
-
-let pi_data_of_ref t r = Strpool.get t.pi_data_pool r
-
 (* -------------------------------------------------------------- attributes *)
 
-(* The attribute index is a [Hashtbl] keyed by node id; like the dicts it is
-   read by snapshot readers on other domains, so every probe and mutation is
-   a [shared_mu] critical section. *)
+(* The attribute index is a [Hashtbl] keyed by node id, read by snapshot
+   readers on other domains, so every probe and mutation is a [shared_mu]
+   critical section. *)
 let attr_add t ~node ~qn ~prop =
   locked t (fun () ->
       let row = Varray.push t.attr_node node in
@@ -380,7 +324,7 @@ let attributes t pre =
   List.map
     (fun row ->
       let _, qn, prop = attr_row t row in
-      (qn_of_id t qn, prop_of_id t prop))
+      Values.attribute t.values ~qn ~prop)
     (attr_rows_of_node t node)
 
 let attribute_id t pre qid =
@@ -388,7 +332,7 @@ let attribute_id t pre qid =
     | [] -> None
     | row :: rest ->
       let _, qn, prop = attr_row t row in
-      if qn = qid then Some (prop_of_id t prop) else scan rest
+      if qn = qid then Some (Values.get t.values Values.Dprop prop) else scan rest
   in
   scan (attr_rows_of_node t (node_at t ~pre))
 
@@ -405,70 +349,67 @@ let add_live_nodes t d =
   t.live <- t.live + d;
   update_fill_rate t
 
+(* Every node id that maps to no slot is recyclable. *)
+let repool_free_nodes t =
+  t.free_nodes <- [];
+  for id = node_ids t - 1 downto 0 do
+    if Varray.get t.node_pos id = Varray.null then t.free_nodes <- id :: t.free_nodes
+  done
+
+(* The fill-factor layout [of_dom] and [compact] share: the node table
+   becomes [n] tuples in document order on fresh pages, [fill] of each page
+   used, under an identity pageOffset. [place i pos] writes tuple [i] and
+   its node/pos entry at [pos]; every node id it leaves without a slot is
+   re-pooled. *)
+let lay_out t ~what ~fill n place =
+  if fill <= 0.0 || fill > 1.0 then invalid_arg (what ^ ": fill in (0,1]");
+  let p = page_size t in
+  let per_page = max 1 (min p (int_of_float (Float.round (fill *. float_of_int p)))) in
+  let pages = max 1 ((n + per_page - 1) / per_page) in
+  t.map <- Pagemap.create ~bits:t.pbits;
+  Array.iter (fun c -> Varray.truncate (column t c) 0) cols;
+  Varray.truncate t.bulk_stamps 0;
+  Varray.truncate t.delta_stamps 0;
+  Varray.fill t.node_pos ~pos:0 ~len:(node_ids t) Varray.null;
+  ignore (grow_pages t ~count:pages);
+  for i = 0 to n - 1 do
+    place i ((i / per_page * p) + (i mod per_page))
+  done;
+  for page = 0 to pages - 1 do
+    recompute_page_runs t page
+  done;
+  repool_free_nodes t;
+  t.live <- n;
+  update_fill_rate t
+
 (* ----------------------------------------------------------------- shred *)
 
 let of_dom ?(page_bits = default_page_bits) ?(fill = 0.8) d =
-  if fill <= 0.0 || fill > 1.0 then invalid_arg "Schema_up.of_dom: fill in (0,1]";
   let t = create ~page_bits () in
-  let p = page_size t in
-  let used_per_page = max 1 (min p (int_of_float (Float.round (fill *. float_of_int p)))) in
   let items = Shred.sequence d in
-  let n = Array.length items in
-  let pages = (n + used_per_page - 1) / used_per_page in
-  ignore (grow_pages t ~count:(max pages 1));
-  (* Node ids are identical to pos at shredding time (paper §3.1); slack
-     slots register their ids as recyclable. *)
-  Varray.ensure_length t.node_pos (capacity t) Varray.null;
-  let touched = Hashtbl.create 64 in
-  Array.iteri
-    (fun i { Shred.size; level; payload } ->
-      let page = i / used_per_page in
-      let off = i mod used_per_page in
-      let pos = (page * p) + off in
+  (* Node ids are identical to pos at shredding time (paper §3.1): the
+     node/pos table covers every slot (all pages are grown before the first
+     item is placed), so slack slots' ids are recyclable from the start. *)
+  lay_out t ~what:"Schema_up.of_dom" ~fill (Array.length items) (fun i pos ->
+      let { Shred.size; level; payload } = items.(i) in
+      let kind, name =
+        Values.encode t.values payload ~attr:(fun ~qn ~prop ->
+            ignore (attr_add t ~node:pos ~qn ~prop))
+      in
       Varray.set t.size pos size;
       Varray.set t.level pos level;
+      Varray.set t.kind pos (Kind.to_int kind);
+      Varray.set t.name pos name;
       Varray.set t.node pos pos;
-      Varray.set t.node_pos pos pos;
-      Hashtbl.replace touched page ();
-      (match payload with
-      | Shred.El (q, attrs) ->
-        Varray.set t.kind pos (Kind.to_int Kind.Element);
-        Varray.set t.name pos (intern_qn t q);
-        List.iter
-          (fun (aq, av) ->
-            let _ =
-              attr_add t ~node:pos ~qn:(intern_qn t aq) ~prop:(intern_prop t av)
-            in
-            ())
-          attrs
-      | Shred.Tx s ->
-        Varray.set t.kind pos (Kind.to_int Kind.Text);
-        Varray.set t.name pos (push_text t s)
-      | Shred.Cm s ->
-        Varray.set t.kind pos (Kind.to_int Kind.Comment);
-        Varray.set t.name pos (push_comment t s)
-      | Shred.Pr (target, data) ->
-        Varray.set t.kind pos (Kind.to_int Kind.Pi);
-        Varray.set t.name pos (push_pi t ~target ~data)))
-    items;
-  Hashtbl.iter (fun page () -> recompute_page_runs t page) touched;
-  (* Slack node ids (pos slots left unused) are recyclable from the start. *)
-  for pos = capacity t - 1 downto 0 do
-    if Varray.get t.level pos = Varray.null then
-      t.free_nodes <- pos :: t.free_nodes
-  done;
-  t.live <- n;
-  update_fill_rate t;
+      ensure_node_ids t (capacity t);
+      Varray.set t.node_pos pos pos);
   t
 
 (* ------------------------------------------------------------------ vacuum *)
 
 let compact ?(fill = 0.8) t =
-  if fill <= 0.0 || fill > 1.0 then invalid_arg "Schema_up.compact: fill in (0,1]";
   let vacuum_t0 = Obs.monotonic () in
   let slots_before = capacity t in
-  let p = page_size t in
-  let used_per_page = max 1 (min p (int_of_float (Float.round (fill *. float_of_int p)))) in
   (* Collect live tuples in document (pre) order. *)
   let live = t.live in
   let osize = Array.make live 0
@@ -489,38 +430,13 @@ let compact ?(fill = 0.8) t =
     pre := next_used t (!pre + 1)
   done;
   assert (!i = live);
-  (* Fresh identity layout at the fill factor. *)
-  let pages = max 1 ((live + used_per_page - 1) / used_per_page) in
-  t.map <- Pagemap.create ~bits:t.pbits;
-  let cols = [ t.size; t.level; t.kind; t.name; t.node ] in
-  List.iter (fun c -> Varray.truncate c 0) cols;
-  Varray.truncate t.bulk_stamps 0;
-  Varray.truncate t.delta_stamps 0;
-  ignore (grow_pages t ~count:pages);
-  for j = 0 to live - 1 do
-    let page = j / used_per_page in
-    let off = j mod used_per_page in
-    let pos = (page * p) + off in
-    Varray.set t.size pos osize.(j);
-    Varray.set t.level pos olevel.(j);
-    Varray.set t.kind pos okind.(j);
-    Varray.set t.name pos oname.(j);
-    Varray.set t.node pos onode.(j);
-    Varray.set t.node_pos onode.(j) pos
-  done;
-  for page = 0 to pages - 1 do
-    recompute_page_runs t page
-  done;
-  (* Re-pool every node id that no longer maps to a live slot. *)
-  let live_ids = Hashtbl.create live in
-  Array.iter (fun id -> Hashtbl.replace live_ids id ()) onode;
-  t.free_nodes <- [];
-  for id = node_ids t - 1 downto 0 do
-    if not (Hashtbl.mem live_ids id) then begin
-      Varray.set t.node_pos id Varray.null;
-      t.free_nodes <- id :: t.free_nodes
-    end
-  done;
+  lay_out t ~what:"Schema_up.compact" ~fill live (fun j pos ->
+      Varray.set t.size pos osize.(j);
+      Varray.set t.level pos olevel.(j);
+      Varray.set t.kind pos okind.(j);
+      Varray.set t.name pos oname.(j);
+      Varray.set t.node pos onode.(j);
+      Varray.set t.node_pos onode.(j) pos);
   (* Drop tombstoned attribute rows. *)
   let keep = ref [] in
   Varray.iteri
@@ -537,8 +453,7 @@ let compact ?(fill = 0.8) t =
     (List.rev !keep);
   Obs.inc m_vacuums;
   Obs.add m_vacuum_reclaimed (max 0 (slots_before - capacity t));
-  Obs.observe m_vacuum_duration (Obs.monotonic () -. vacuum_t0);
-  update_fill_rate t
+  Obs.observe m_vacuum_duration (Obs.monotonic () -. vacuum_t0)
 
 (* ------------------------------------------------------------- persistence *)
 
@@ -553,12 +468,7 @@ let save t enc =
   varray enc t.node;
   varray enc t.node_pos;
   int enc t.live;
-  dict enc t.qn;
-  dict enc t.props;
-  strpool enc t.text_pool;
-  strpool enc t.comment_pool;
-  strpool enc t.pi_target_pool;
-  strpool enc t.pi_data_pool;
+  Values.save t.values enc;
   varray enc t.attr_node;
   varray enc t.attr_qn;
   varray enc t.attr_prop
@@ -574,10 +484,7 @@ let rebuild_attr_index t =
     t.attr_node
 
 let rebuild_transients t =
-  t.free_nodes <- [];
-  for id = node_ids t - 1 downto 0 do
-    if Varray.get t.node_pos id = Varray.null then t.free_nodes <- id :: t.free_nodes
-  done;
+  repool_free_nodes t;
   let live = ref 0 in
   Varray.iteri (fun _ l -> if l <> Varray.null then incr live) t.level;
   t.live <- !live;
@@ -594,19 +501,13 @@ let load dec =
   let node = varray dec in
   let node_pos = varray dec in
   let live = int dec in
-  let qn = dict dec in
-  let props = dict dec in
-  let text_pool = strpool dec in
-  let comment_pool = strpool dec in
-  let pi_target_pool = strpool dec in
-  let pi_data_pool = strpool dec in
+  let values = Values.load dec in
   let attr_node = varray dec in
   let attr_qn = varray dec in
   let attr_prop = varray dec in
   let t =
     { pbits; map; size; level; kind; name; node; node_pos; free_nodes = []; live;
-      qn; props; text_pool; comment_pool; pi_target_pool; pi_data_pool;
-      attr_node; attr_qn; attr_prop;
+      values; attr_node; attr_qn; attr_prop;
       attr_index = Hashtbl.create 64;
       bulk_stamps = Varray.create ();
       delta_stamps = Varray.create ();
@@ -615,21 +516,6 @@ let load dec =
   rebuild_transients t;
   t.live <- live;
   t
-
-let force_text t id s = Strpool.force_set t.text_pool id s
-
-let force_comment t id s = Strpool.force_set t.comment_pool id s
-
-let force_pi_target t id s = Strpool.force_set t.pi_target_pool id s
-
-let force_pi_data t id s = Strpool.force_set t.pi_data_pool id s
-
-(* Dict.force probes/extends the id Hashtbl; live-commit replay runs it
-   concurrently with snapshot readers' qn lookups, so it locks like the
-   other dictionary entry points. *)
-let force_qn t id s = locked t (fun () -> Dict.force t.qn id s)
-
-let force_prop t id s = locked t (fun () -> Dict.force t.props id s)
 
 (* -------------------------------------------------------------- integrity *)
 
@@ -780,36 +666,15 @@ let check_integrity t =
   in
   Ok ()
 
-type stats = {
-  slots : int;
-  nodes : int;
-  attrs : int;
-  distinct_qnames : int;
-  distinct_props : int;
-  approx_bytes : int;
-}
-
 let stats t =
-  let pool_bytes pool =
-    let b = ref 0 in
-    Strpool.iteri (fun _ s -> b := !b + String.length s + 8) pool;
-    !b
-  in
-  let dict_bytes d =
-    let b = ref 0 in
-    Dict.iteri (fun _ s -> b := !b + String.length s + 16) d;
-    !b
-  in
-  { slots = capacity t;
+  { Storage_intf.slots = capacity t;
     nodes = t.live;
     attrs = attr_live_count t;
-    distinct_qnames = Dict.cardinal t.qn;
-    distinct_props = Dict.cardinal t.props;
+    distinct_qnames = Values.length t.values Values.Dqn;
+    distinct_props = Values.length t.values Values.Dprop;
     approx_bytes =
       (5 * capacity t * 8) (* size, level, kind, name, node *)
       + (Varray.length t.node_pos * 8)
       + (2 * npages t * 8) (* pageOffset both directions *)
       + (3 * Varray.length t.attr_node * 8)
-      + dict_bytes t.qn + dict_bytes t.props
-      + pool_bytes t.text_pool + pool_bytes t.comment_pool
-      + pool_bytes t.pi_target_pool + pool_bytes t.pi_data_pool }
+      + Values.approx_bytes t.values }

@@ -18,7 +18,11 @@
     - every node carries an immutable [node] id; the [node/pos] table maps
       ids back to positions ([NULL] = freed, recyclable);
     - attributes reference their owner's {e node id}, never a position, so
-      attribute storage needs no maintenance when positions shift. *)
+      attribute storage needs no maintenance when positions shift;
+    - names, attribute values and text are not in the node table: the
+      [name] cell and the attribute rows hold ids into the {!Values}
+      tables, the same tables as the read-only schema's (Figure 6 changes
+      the node table only), shared by every transaction. *)
 
 type t
 
@@ -151,30 +155,12 @@ val node_at : t -> pre:int -> int
 val pre_of_node : t -> int -> int option
 (** The paper's swizzle: node → pos (node/pos table) → pre (pageOffset). *)
 
-(** {1 Dictionaries and value pools (shared, append-only)} *)
+(** {1 Value tables} *)
 
-val intern_qn : t -> Xml.Qname.t -> int
-
-val qn_of_id : t -> int -> Xml.Qname.t
-
-val intern_prop : t -> string -> int
-
-val prop_of_id : t -> int -> string
-
-val push_text : t -> string -> int
-
-val push_comment : t -> string -> int
-
-val push_pi : t -> target:string -> data:string -> int
-
-val text_of_ref : t -> int -> string
-(** Content of a text node by its [name]-column ref. *)
-
-val comment_of_ref : t -> int -> string
-
-val pi_target_of_ref : t -> int -> string
-
-val pi_data_of_ref : t -> int -> string
+val values : t -> Values.t
+(** The value tables. Staging transactions append to them directly; a
+    fresh id is unreachable until a commit writes a cell that references
+    it. *)
 
 (** {1 Attribute table (keyed by owner node id)} *)
 
@@ -228,26 +214,5 @@ val rebuild_transients : t -> unit
 (** Recompute the free-node list and live counter from the base tables —
     called once after WAL replay. *)
 
-val force_text : t -> int -> string -> unit
-(** Idempotent pool writes at fixed ids, for WAL replay. *)
-
-val force_comment : t -> int -> string -> unit
-
-val force_pi_target : t -> int -> string -> unit
-
-val force_pi_data : t -> int -> string -> unit
-
-val force_qn : t -> int -> string -> unit
-
-val force_prop : t -> int -> string -> unit
-
-type stats = {
-  slots : int;
-  nodes : int;
-  attrs : int;
-  distinct_qnames : int;
-  distinct_props : int;
-  approx_bytes : int;
-}
-
-val stats : t -> stats
+val stats : t -> Storage_intf.stats
+(** [slots] counts unused slots; [attrs] live attribute rows. *)

@@ -6,12 +6,6 @@ type payload =
 
 type item = { size : int; level : int; payload : payload }
 
-let kind_of_payload = function
-  | El _ -> Kind.Element
-  | Tx _ -> Kind.Text
-  | Cm _ -> Kind.Comment
-  | Pr _ -> Kind.Pi
-
 let rec forest_count nodes =
   List.fold_left
     (fun acc n ->

@@ -21,5 +21,3 @@ val sequence : Xml.Dom.t -> item array
 val sequence_forest : Xml.Dom.node list -> item array
 (** Shred a forest (e.g. the content of an XUpdate insert): levels are
     relative, each forest root at level 0. *)
-
-val kind_of_payload : payload -> Kind.t

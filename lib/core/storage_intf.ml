@@ -70,6 +70,18 @@ let fold_pages ~page_size ~lo ~hi ~init f =
   in
   go init (max lo 0)
 
+(** A storage's footprint, as [xqdb stats] compares the two schemas. *)
+type stats = {
+  slots : int;  (** tuples in the node table, unused slots included *)
+  nodes : int;  (** live document nodes *)
+  attrs : int;  (** live attribute rows *)
+  distinct_qnames : int;
+  distinct_props : int;
+  approx_bytes : int;
+      (** footprint estimate: 8 bytes per int cell, plus the value tables'
+          {!Values.approx_bytes} *)
+}
+
 module type S = sig
   type t
 

@@ -133,14 +133,7 @@ let iter_cell_pages p cells f =
 let apply_wal_record ?lsn b (r : Wal.record) =
   let lsn = Option.value ~default:r.Wal.txn lsn in
   List.iter
-    (fun ((p : View.pool), id, s) ->
-      match p with
-      | View.Ptext -> Schema_up.force_text b id s
-      | View.Pcomment -> Schema_up.force_comment b id s
-      | View.Ppi_target -> Schema_up.force_pi_target b id s
-      | View.Ppi_data -> Schema_up.force_pi_data b id s
-      | View.Dqn -> Schema_up.force_qn b id s
-      | View.Dprop -> Schema_up.force_prop b id s)
+    (fun (pool, id, s) -> Values.force (Schema_up.values b) pool id s)
     (List.rev r.Wal.pool);
   let p = Schema_up.page_size b in
   (* Stamps precede data so a racing snapshot-validating reader can never see

@@ -61,30 +61,16 @@ let blank page off =
    ([null] for a new node). *)
 type run = { cols : int array array; from : int array }
 
-(* Prepare the new tuples of a forest: allocate node ids, intern names, push
-   pool values, register attributes. *)
+(* Prepare the new tuples of a forest: allocate node ids, encode their
+   values, register attributes. *)
 let prepare_forest v ~parent_level nodes =
   let tuples =
     Array.map
       (fun { Shred.size; level; payload } ->
         let node = View.fresh_node_id v in
-        let name =
-          match payload with
-          | Shred.El (q, attrs) ->
-            let qid = View.intern_qn v q in
-            List.iter
-              (fun (aq, av) ->
-                View.attr_add v ~node ~qn:(View.intern_qn v aq)
-                  ~prop:(View.intern_prop v av))
-              attrs;
-            qid
-          | Shred.Tx s -> View.push_text v s
-          | Shred.Cm s -> View.push_comment v s
-          | Shred.Pr (target, data) -> View.push_pi v ~target ~data
-        in
+        let kind, name = View.encode v payload ~attr:(View.attr_add v ~node) in
         (* in [Schema_up.col] order *)
-        [| size; parent_level + 1 + level;
-           Kind.to_int (Shred.kind_of_payload payload); name; node |])
+        [| size; parent_level + 1 + level; Kind.to_int kind; name; node |])
       (Shred.sequence_forest nodes)
   in
   { cols = Array.init 5 (fun c -> Array.map (fun t -> t.(c)) tuples);
@@ -255,26 +241,29 @@ let delete v ~pre =
 
 (* ------------------------------------------------------------ value updates *)
 
+(* A value update writes a fresh payload's [name] cell over the old one. *)
+let set_name v ~pre (payload : Shred.payload) =
+  let _, name = View.encode v payload ~attr:(fun ~qn:_ ~prop:_ -> ()) in
+  View.write_cell v Cname (View.pos_of_pre v pre) name
+
 let set_text v ~pre s =
-  let pos = View.pos_of_pre v pre in
-  match View.kind v pre with
-  | Kind.Text -> View.write_cell v Cname pos (View.push_text v s)
-  | Kind.Comment -> View.write_cell v Cname pos (View.push_comment v s)
-  | Kind.Pi ->
-    let target = View.pi_target v pre in
-    View.write_cell v Cname pos (View.push_pi v ~target ~data:s)
-  | Kind.Element -> fail "set_text: pre %d is an element" pre
+  set_name v ~pre
+    (match View.kind v pre with
+    | Kind.Text -> Tx s
+    | Kind.Comment -> Cm s
+    | Kind.Pi -> Pr (View.pi_target v pre, s)
+    | Kind.Element -> fail "set_text: pre %d is an element" pre)
 
 let rename_element v ~pre q =
   require_element v pre "rename_element";
-  View.write_cell v Cname (View.pos_of_pre v pre) (View.intern_qn v q)
+  set_name v ~pre (El (q, []))
 
 let set_attribute v ~pre q value =
   require_element v pre "set_attribute";
   let node = node_id_at v pre in
-  let qn = View.intern_qn v q in
+  let qn = View.intern v Values.Dqn (Xml.Qname.to_string q) in
   let _ = View.attr_remove_named v ~node ~qn in
-  View.attr_add v ~node ~qn ~prop:(View.intern_prop v value)
+  View.attr_add v ~node ~qn ~prop:(View.intern v Values.Dprop value)
 
 let remove_attribute v ~pre q =
   require_element v pre "remove_attribute";

@@ -15,9 +15,9 @@
    and flips [seq] back even; readers retry any read that overlaps an odd
    or changed [seq] — or, while their version is current ([is_current]),
    read the base and check [seq] once afterwards. Readers therefore never
-   take a lock on the query path (the dictionaries' hash probes take the
-   store's [shared_mu] for domain safety, but that is a point mutex
-   unrelated to commit progress). *)
+   take a lock on the query path (a dictionary probe takes the [Values]
+   mutex for domain safety, but that is a point mutex unrelated to commit
+   progress). *)
 
 open Column
 module IMap = Map.Make (Int)

@@ -1,7 +1,5 @@
 open Column
 
-type pool = Ptext | Pcomment | Ppi_target | Ppi_data | Dqn | Dprop
-
 type anchor = Start | After_phys of int
 
 type splice = { anchor : anchor; pages : int list }
@@ -17,7 +15,7 @@ type staged = {
   mutable attr_adds : (int * int * int) array;
   mutable attr_adds_len : int;
   mutable attr_dels : int list;
-  mutable pool_log : (pool * int * string) list;
+  mutable pool_log : (Values.pool * int * string) list;
   mutable fresh_nodes : int list;
   mutable freed_nodes : int list;
   mutable live_delta : int;
@@ -304,41 +302,22 @@ let add_live v d =
   let st = staged_exn v "add_live" in
   st.live_delta <- st.live_delta + d
 
-(* --------------------------------------------------- dictionaries / pools -- *)
+(* ----------------------------------------------------------------- values -- *)
+
+let values v = Schema_up.values v.b
 
 (* Appends go straight to the shared base (append-only, invisible until a
    commit references them) and are logged for the WAL. *)
 let log_pool st pool id s = st.pool_log <- (pool, id, s) :: st.pool_log
 
-let intern_qn v q =
-  let st = staged_exn v "intern_qn" in
-  let id = Schema_up.intern_qn v.b q in
-  log_pool st Dqn id (Xml.Qname.to_string q);
-  id
+let encode v payload ~attr =
+  let st = staged_exn v "encode" in
+  Values.encode (values v) ~log:(log_pool st) payload ~attr
 
-let intern_prop v s =
-  let st = staged_exn v "intern_prop" in
-  let id = Schema_up.intern_prop v.b s in
-  log_pool st Dprop id s;
-  id
-
-let push_text v s =
-  let st = staged_exn v "push_text" in
-  let id = Schema_up.push_text v.b s in
-  log_pool st Ptext id s;
-  id
-
-let push_comment v s =
-  let st = staged_exn v "push_comment" in
-  let id = Schema_up.push_comment v.b s in
-  log_pool st Pcomment id s;
-  id
-
-let push_pi v ~target ~data =
-  let st = staged_exn v "push_pi" in
-  let id = Schema_up.push_pi v.b ~target ~data in
-  log_pool st Ppi_target id target;
-  log_pool st Ppi_data id data;
+let intern v pool s =
+  let st = staged_exn v "intern" in
+  let id = Values.intern (values v) pool s in
+  log_pool st pool id s;
   id
 
 (* -------------------------------------------------------------- attributes -- *)
@@ -528,25 +507,13 @@ let kind v pre = Kind.of_int (cell v Ckind pre)
 
 let name_id v pre = cell v Cname pre
 
-let qname v pre =
-  match kind v pre with
-  | Kind.Element -> Schema_up.qn_of_id v.b (name_id v pre)
-  | Kind.Text | Kind.Comment | Kind.Pi -> invalid_arg "View.qname: not an element"
+let qname v pre = Values.qname (values v) (kind v pre) (name_id v pre)
 
-let content v pre =
-  let r = name_id v pre in
-  match kind v pre with
-  | Kind.Text -> Schema_up.text_of_ref v.b r
-  | Kind.Comment -> Schema_up.comment_of_ref v.b r
-  | Kind.Pi -> Schema_up.pi_data_of_ref v.b r
-  | Kind.Element -> invalid_arg "View.content: element node"
+let content v pre = Values.content (values v) (kind v pre) (name_id v pre)
 
-let pi_target v pre =
-  match kind v pre with
-  | Kind.Pi -> Schema_up.pi_target_of_ref v.b (name_id v pre)
-  | Kind.Element | Kind.Text | Kind.Comment -> invalid_arg "View.pi_target: not a PI"
+let pi_target v pre = Values.pi_target (values v) (kind v pre) (name_id v pre)
 
-let qn_id v q = Schema_up.qn_id v.b q
+let qn_id v q = Values.qn_id (values v) q
 
 let node_at_pre v pre =
   let pos = pos_of_pre v pre in
@@ -556,14 +523,14 @@ let node_at_pre v pre =
 let attributes v pre =
   let node = node_at_pre v pre in
   List.map
-    (fun (_, qn, prop) -> (Schema_up.qn_of_id v.b qn, Schema_up.prop_of_id v.b prop))
+    (fun (_, qn, prop) -> Values.attribute (values v) ~qn ~prop)
     (attr_entries v node)
 
 let attribute_id v pre qid =
   let rec scan = function
     | [] -> None
     | (_, qn, prop) :: rest ->
-      if qn = qid then Some (Schema_up.prop_of_id v.b prop) else scan rest
+      if qn = qid then Some (Values.get (values v) Values.Dprop prop) else scan rest
   in
   scan (attr_entries v (node_at_pre v pre))
 

@@ -31,18 +31,15 @@
     against the current base and only the cells that differ are logged and
     applied. Ancestor [size] changes are kept as {e commutative deltas};
     attribute and node/pos changes are differential, and freed node ids
-    return to the allocator only at commit; dictionary/pool appends pass
-    through to the base (append-only, invisible until referenced) but are
-    logged for the WAL.
+    return to the allocator only at commit; value appends ({!encode},
+    {!intern}) pass through to the shared {!Values} tables (append-only,
+    invisible until referenced) but are logged for the WAL.
 
     A staged view makes {e no} destructive change to base pages, so abort is
     "drop the view". Its conflict footprint is its write set ({!write_set}):
     the pages it copied and the owner pages of its attribute changes.
     Growing an ancestor through a size delta touches none of its pages — the
     paper's trick for not locking the root. *)
-
-type pool = Ptext | Pcomment | Ppi_target | Ppi_data | Dqn | Dprop
-(** Identifies a shared string container in WAL log entries. *)
 
 type anchor = Start | After_phys of int
 (** Where a staged page splice lands, expressed stably: at the logical start,
@@ -65,7 +62,8 @@ type staged = {
   mutable attr_adds : (int * int * int) array;  (** (node,qn,prop); node = null when cancelled *)
   mutable attr_adds_len : int;
   mutable attr_dels : int list;  (** tombstoned base rows *)
-  mutable pool_log : (pool * int * string) list;  (** reverse; for the WAL *)
+  mutable pool_log : (Values.pool * int * string) list;
+      (** every value the view appended or interned, reverse; for the WAL *)
   mutable fresh_nodes : int list;  (** ids allocated from the shared allocator *)
   mutable freed_nodes : int list;  (** ids to release at commit *)
   mutable live_delta : int;
@@ -168,17 +166,14 @@ val add_size_delta : t -> node:int -> int -> unit
 
 val add_live : t -> int -> unit
 
-(** {1 Dictionaries, pools, attributes} *)
+(** {1 Values and attributes} *)
 
-val intern_qn : t -> Xml.Qname.t -> int
+val encode : t -> Shred.payload -> attr:(qn:int -> prop:int -> unit) -> Kind.t * int
+(** {!Values.encode} into the shared value tables, logging every entry in
+    {!staged.pool_log}. *)
 
-val intern_prop : t -> string -> int
-
-val push_text : t -> string -> int
-
-val push_comment : t -> string -> int
-
-val push_pi : t -> target:string -> data:string -> int
+val intern : t -> Values.pool -> string -> int
+(** {!Values.intern}, logged the same way. *)
 
 val attr_add : t -> node:int -> qn:int -> prop:int -> unit
 

@@ -11,7 +11,7 @@ type record = {
   size_deltas : (int * int) list;
   attr_adds : (int * int * int) list;
   attr_dels : int list;
-  pool : (View.pool * int * string) list;
+  pool : (Values.pool * int * string) list;
   live_delta : int;
 }
 
@@ -43,21 +43,21 @@ let open_log path =
   if not existed then Persist.fsync_dir (Filename.dirname path);
   { path; oc }
 
-let pool_tag : View.pool -> int = function
-  | View.Ptext -> 0
-  | View.Pcomment -> 1
-  | View.Ppi_target -> 2
-  | View.Ppi_data -> 3
-  | View.Dqn -> 4
-  | View.Dprop -> 5
+let pool_tag : Values.pool -> int = function
+  | Values.Ptext -> 0
+  | Values.Pcomment -> 1
+  | Values.Ppi_target -> 2
+  | Values.Ppi_data -> 3
+  | Values.Dqn -> 4
+  | Values.Dprop -> 5
 
 let pool_of_tag = function
-  | 0 -> View.Ptext
-  | 1 -> View.Pcomment
-  | 2 -> View.Ppi_target
-  | 3 -> View.Ppi_data
-  | 4 -> View.Dqn
-  | 5 -> View.Dprop
+  | 0 -> Values.Ptext
+  | 1 -> Values.Pcomment
+  | 2 -> Values.Ppi_target
+  | 3 -> Values.Ppi_data
+  | 4 -> Values.Dqn
+  | 5 -> Values.Dprop
   | n -> raise (Persist.Dec.Corrupt (Printf.sprintf "bad pool tag %d" n))
 
 let enc_list enc f l =

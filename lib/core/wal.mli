@@ -28,7 +28,7 @@ type record = {
   size_deltas : (int * int) list;  (** (node id, delta) *)
   attr_adds : (int * int * int) list;
   attr_dels : int list;
-  pool : (View.pool * int * string) list;
+  pool : (Values.pool * int * string) list;
   live_delta : int;
 }
 

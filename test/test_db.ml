@@ -396,6 +396,39 @@ let test_drop_purges_cache () =
   Alcotest.(check int) "re-query was a miss" (before.Core.Qcache.misses + 1)
     after.Core.Qcache.misses
 
+(* ---------------------------------------------------- checkpoint format -- *)
+
+module E = Core.Engine.Make (Core.View)
+module U = Core.Update
+
+let node_pre v path =
+  match E.parse_eval v path with
+  | [ E.Node pre ] -> pre
+  | _ -> Alcotest.failf "expected one node for %s" path
+
+(* The checkpoint bytes of a fixed store, pinned by digest: every payload
+   kind (attributed element, text, comment, PI), then one committed insert
+   and one [set_text]. A refactor that reorders or re-encodes any table the
+   checkpoint holds (node table, value tables, attribute table) fails it. *)
+let test_checkpoint_format () =
+  let t =
+    Up.of_dom ~page_bits:3 ~fill:0.75
+      (Xml.Xml_parser.parse
+         {|<r a="1" b="x"><t>text</t><!-- note --><?tgt data?><e a="1">more</e></r>|})
+  in
+  let m = Core.Txn.manager t in
+  Core.Txn.with_write m (fun v ->
+      U.insert v
+        (U.Last_child (node_pre v "/r"))
+        (Xml.Xml_parser.parse_fragment {|<n k="v" a="2">new<!--c2--><?p2 d2?></n>|}));
+  Core.Txn.with_write m (fun v ->
+      U.set_text v ~pre:(node_pre v "/r/t/text()") "changed");
+  check_integrity t;
+  let enc = Column.Persist.Enc.create () in
+  Up.save t enc;
+  Alcotest.(check string) "checkpoint digest" "dbb7af35bd5c80f418ddf2e7e47fa4ca"
+    (Digest.to_hex (Digest.string (Column.Persist.Enc.contents enc)))
+
 let () =
   Alcotest.run "db"
     [ ( "validate",
@@ -406,7 +439,8 @@ let () =
           Alcotest.test_case "schema enforced on commit" `Quick test_db_schema_enforced;
           Alcotest.test_case "with_write and read" `Quick test_db_with_write_and_read;
           Alcotest.test_case "vacuum" `Quick test_db_vacuum;
-          Alcotest.test_case "vacuum + wal" `Quick test_db_vacuum_wal_guard ] );
+          Alcotest.test_case "vacuum + wal" `Quick test_db_vacuum_wal_guard;
+          Alcotest.test_case "checkpoint format pinned" `Quick test_checkpoint_format ] );
       ( "catalog",
         [ Alcotest.test_case "create/drop/list + scoping" `Quick test_catalog_basics;
           Alcotest.test_case "inter-document fan-out" `Quick test_catalog_fanout;

@@ -168,10 +168,10 @@ let test_up_stats_overhead () =
   let ro = Ro.of_dom small in
   let up = up_of ~page_bits:3 ~fill:0.8 small in
   let sro = Ro.stats ro and sup = Up.stats up in
-  Alcotest.(check int) "same live nodes" sro.Ro.nodes sup.Up.nodes;
-  Alcotest.(check bool) "up takes more space" true
-    (sup.Up.approx_bytes > sro.Ro.approx_bytes);
-  Alcotest.(check bool) "slack slots exist" true (sup.Up.slots > sup.Up.nodes)
+  let open Core.Storage_intf in
+  Alcotest.(check int) "same live nodes" sro.nodes sup.nodes;
+  Alcotest.(check bool) "up takes more space" true (sup.approx_bytes > sro.approx_bytes);
+  Alcotest.(check bool) "slack slots exist" true (sup.slots > sup.nodes)
 
 let test_up_fresh_node_recycling () =
   let t = up_of ~page_bits:3 ~fill:0.5 paper in
@@ -222,16 +222,43 @@ let test_up_skip_edges () =
   Alcotest.(check int) "next_used at extent" (Up.extent t) (Up.next_used t (Up.extent t));
   Alcotest.(check int) "prev_used below zero" 0 (View.prev_used v 0)
 
+(* Both schemas shred through one item encoder: node by node in document
+   order, the [name] cells and the attribute (qn, prop) ids agree. *)
+let same_encoding ro up =
+  let ro_attrs ord =
+    let start, stop = Ro.attr_range ro ord in
+    List.init (stop - start) (fun i ->
+        ( Column.Varray.get ro.Ro.attr_qn (start + i),
+          Column.Varray.get ro.Ro.attr_prop (start + i) ))
+  in
+  let up_attrs pre =
+    List.map
+      (fun row ->
+        let _, qn, prop = Up.attr_row up row in
+        (qn, prop))
+      (Up.attr_rows_of_node up (Up.node_at up ~pre))
+  in
+  let rec go ord pre =
+    if pre >= Up.extent up then ord = Ro.extent ro
+    else
+      Up.name_id up pre = Ro.name_id ro ord
+      && ro_attrs ord = up_attrs pre
+      && go (ord + 1) (Up.next_used up (pre + 1))
+  in
+  go 0 (Up.next_used up 0)
+
 let prop_up_roundtrip =
   QCheck2.Test.make ~name:"up-schema shred/serialise roundtrip (random docs)"
     ~count:200 ~print:Testsupport.print_doc Testsupport.gen_doc (fun d ->
+      let ro = Ro.of_dom d in
       List.for_all
         (fun (bits, fill) ->
           let t = Up.of_dom ~page_bits:bits ~fill d in
           (match Up.check_integrity t with
           | Ok () -> true
           | Error m -> QCheck2.Test.fail_report m)
-          && Dom.equal d (Ser_up.to_dom t))
+          && Dom.equal d (Ser_up.to_dom t)
+          && same_encoding ro t)
         [ (2, 0.5); (4, 0.8) ])
 
 let prop_ro_roundtrip =

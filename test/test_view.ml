@@ -6,11 +6,15 @@ module Dom = Xml.Dom
 module P = Xml.Xml_parser
 module Up = Core.Schema_up
 module View = Core.View
+module Values = Core.Values
+module Shred = Core.Shred
 module U = Core.Update
 module E = Core.Engine.Make (Core.View)
 module Ser = Core.Node_serialize.Make (Core.View)
 
 let base () = Up.of_dom ~page_bits:3 ~fill:0.75 Testsupport.paper_doc
+
+let encode v payload = View.encode v payload ~attr:(fun ~qn:_ ~prop:_ -> ())
 
 (* ---------------------------------------------------------- cell layer -- *)
 
@@ -32,11 +36,11 @@ let test_snapshot_read_only () =
       ("free_node_id", fun () -> View.free_node_id v node);
       ("add_size_delta", fun () -> View.add_size_delta v ~node 1);
       ("add_live", fun () -> View.add_live v 1);
-      ("intern_qn", fun () -> ignore (View.intern_qn v (Xml.Qname.make "fresh")));
-      ("intern_prop", fun () -> ignore (View.intern_prop v "p"));
-      ("push_text", fun () -> ignore (View.push_text v "t"));
-      ("push_comment", fun () -> ignore (View.push_comment v "c"));
-      ("push_pi", fun () -> ignore (View.push_pi v ~target:"t" ~data:"d"));
+      ("intern qn", fun () -> ignore (View.intern v Values.Dqn "fresh"));
+      ("intern prop", fun () -> ignore (View.intern v Values.Dprop "p"));
+      ("encode text", fun () -> ignore (encode v (Shred.Tx "t")));
+      ("encode comment", fun () -> ignore (encode v (Shred.Cm "c")));
+      ("encode pi", fun () -> ignore (encode v (Shred.Pr ("t", "d"))));
       ("attr_add", fun () -> View.attr_add v ~node ~qn:0 ~prop:0);
       ("attr_remove_node", fun () -> View.attr_remove_node v ~node);
       ("attr_remove_named", fun () -> ignore (View.attr_remove_named v ~node ~qn:0));
@@ -122,8 +126,8 @@ let test_attr_deltas () =
   in
   let node = Up.node_at t ~pre:item in
   (* add through the view *)
-  let qn = View.intern_qn v (Xml.Qname.make "grade") in
-  View.attr_add v ~node ~qn ~prop:(View.intern_prop v "A");
+  let qn = View.intern v Values.Dqn "grade" in
+  View.attr_add v ~node ~qn ~prop:(View.intern v Values.Dprop "A");
   Alcotest.(check (option string)) "view sees add" (Some "A")
     (View.attribute v item (Xml.Qname.make "grade"));
   Alcotest.(check int) "base does not" 0
@@ -147,9 +151,9 @@ let test_attr_deltas () =
 let test_pool_log () =
   let t = base () in
   let v = View.staged (Testsupport.version t) in
-  let _ = View.push_text v "hello" in
-  let _ = View.intern_qn v (Xml.Qname.make "fresh") in
-  let _ = View.push_pi v ~target:"tgt" ~data:"dta" in
+  let _ = encode v (Shred.Tx "hello") in
+  let _ = View.intern v Values.Dqn "fresh" in
+  let _ = encode v (Shred.Pr ("tgt", "dta")) in
   match View.staged_state v with
   | Some st ->
     Alcotest.(check int) "four log entries (pi counts twice)" 4

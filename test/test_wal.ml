@@ -5,6 +5,7 @@ module Dom = Xml.Dom
 module P = Xml.Xml_parser
 module Up = Core.Schema_up
 module View = Core.View
+module Values = Core.Values
 module U = Core.Update
 module Txn = Core.Txn
 module Wal = Core.Wal
@@ -46,7 +47,7 @@ let sample_record =
     size_deltas = [ (0, 3); (7, -2) ];
     attr_adds = [ (1, 2, 3) ];
     attr_dels = [ 0 ];
-    pool = [ (Core.View.Ptext, 2, "hello"); (Core.View.Dqn, 1, "item") ];
+    pool = [ (Core.Values.Ptext, 2, "hello"); (Core.Values.Dqn, 1, "item") ];
     live_delta = 1 }
 
 let test_record_roundtrip () =
@@ -65,8 +66,8 @@ let gen_record =
   let open QCheck2.Gen in
   let pool_tag =
     oneofl
-      [ Core.View.Ptext; Core.View.Pcomment; Core.View.Ppi_target;
-        Core.View.Ppi_data; Core.View.Dqn; Core.View.Dprop ]
+      [ Core.Values.Ptext; Core.Values.Pcomment; Core.Values.Ppi_target;
+        Core.Values.Ppi_data; Core.Values.Dqn; Core.Values.Dprop ]
   in
   let* txn = int_bound 10_000 in
   let* cells = small_list (triple (int_bound 999) (int_bound 4) int) in
@@ -217,17 +218,38 @@ let test_wal_replay_reproduces_document () =
       Txn.with_write m (fun v -> U.delete v ~pre:(node_pre v "/site/items/item[1]"));
       Txn.with_write m (fun v ->
           U.set_attribute v ~pre:(node_pre v "/site/items/item") (Xml.Qname.make "hot") "yes");
+      (* every value table: comment and PI pools, both dictionaries *)
+      Txn.with_write m (fun v ->
+          U.insert v (U.Last_child (node_pre v "/site/items"))
+            (P.parse_fragment
+               "<item id='i9' kind='new'><!-- fresh --><?tally n=1?>tea</item>");
+          U.set_text v ~pre:(node_pre v "/site/comment()") "edited";
+          U.set_text v
+            ~pre:(node_pre v "/site/items/item[@id='i9']/processing-instruction()")
+            "n=2");
       Wal.close wal;
       (* recover onto a fresh shred of the same base document *)
       let recovered = mk () in
       let n = replay ~wal_path recovered in
-      Alcotest.(check int) "three records" 3 n;
+      Alcotest.(check int) "four records" 4 n;
       check_integrity recovered;
       Alcotest.check doc "same document"
         (Ser.to_dom (Testsupport.view live))
         (Ser.to_dom (Testsupport.view recovered));
       Alcotest.(check int) "same live count" (Up.node_count live)
-        (Up.node_count recovered))
+        (Up.node_count recovered);
+      let values t = Up.values t in
+      List.iter
+        (fun pool ->
+          let len = Values.length (values live) pool in
+          Alcotest.(check int) "same table length" len
+            (Values.length (values recovered) pool);
+          for id = 0 to len - 1 do
+            Alcotest.(check string) "same value"
+              (Values.get (values live) pool id)
+              (Values.get (values recovered) pool id)
+          done)
+        Values.[ Ptext; Pcomment; Ppi_target; Ppi_data; Dqn; Dprop ])
 
 let test_checkpoint_recover_cycle () =
   with_temp (fun dir ->
