@@ -2,9 +2,8 @@ open Xpath.Xpath_ast
 
 (* One counter per axis, shared by every Make instantiation (the registry
    dedups by name+labels). Counting context nodes per step — not per result —
-   keeps the hot path at one atomic add per (step, context-list). A
-   predicate's path is a step per candidate, so the lookup compares
-   immediates ([assq]) and finds the attribute and child axes first. *)
+   keeps the hot path at one atomic add per (step, context-list). A step
+   looks its counter up when its path is compiled, never per evaluation. *)
 let counter_of_axis =
   let counters =
     List.map
@@ -93,6 +92,16 @@ let split_ranges per ranges =
   flush ();
   List.rev !chunks
 
+(* The union of per-context step results, in document order: the
+   concatenation itself when it is already strictly increasing (always for
+   one context of a forward axis), found in one linear pass. *)
+let union pres =
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | [ _ ] | [] -> true
+  in
+  if increasing pres then pres else List.sort_uniq Int.compare pres
+
 module Make (S : Storage_intf.S) = struct
   module Sj = Staircase.Make (S)
 
@@ -119,29 +128,22 @@ module Make (S : Storage_intf.S) = struct
 
   let is_element t pre = pre <> doc_node && Kind.equal (S.kind t pre) Kind.Element
 
-  (* A node test compiled once per step into the one matcher that the run
-     scan and the per-node steps both apply: a name is looked up in the
-     dictionary once, so each candidate costs integer comparisons, and a
-     name the dictionary lacks matches nothing. *)
-  let compile_test t : _ -> Staircase.test = function
-    | Kind_node -> Any
-    | Wildcard -> Of_kind (Kind.to_int Kind.Element)
-    | Name q -> ( match S.qn_id t q with Some id -> Named id | None -> Nothing)
-    | Kind_text -> Of_kind (Kind.to_int Kind.Text)
-    | Kind_comment -> Of_kind (Kind.to_int Kind.Comment)
-    | Kind_pi None -> Of_kind (Kind.to_int Kind.Pi)
-    | Kind_pi (Some target) -> Pi_named target
-
   (* What [Staircase.cells_match] leaves to the caller. *)
   let target_ok t (test : Staircase.test) pre =
     match test with
     | Pi_named target -> String.equal (S.pi_target t pre) target
     | Any | Of_kind _ | Named _ | Nothing -> true
 
-  let matches_node t test pre =
-    Staircase.cells_match test ~kind:(Kind.to_int (S.kind t pre))
-      ~name:(S.name_id t pre)
-    && target_ok t test pre
+  (* A named test reads the name cell first, so a node without the name
+     costs one point lookup. *)
+  let matches_node t (test : Staircase.test) pre =
+    match test with
+    | Any -> true
+    | Named id -> S.name_id t pre = id && Kind.equal (S.kind t pre) Kind.Element
+    | Of_kind _ | Pi_named _ | Nothing ->
+      Staircase.cells_match test ~kind:(Kind.to_int (S.kind t pre))
+        ~name:(S.name_id t pre)
+      && target_ok t test pre
 
   (* Axis application for one context, handling the virtual document node.
      Results come back in axis order. *)
@@ -177,237 +179,12 @@ module Make (S : Storage_intf.S) = struct
 
   type value_result = VStr of string | VNum of float | VNone
 
-  (* Parallel evaluation ([~par] is a Par.t pool) partitions one axis step
-     over the pool's domains; predicate sub-paths always run sequentially
-     inside whichever domain evaluates them (workers never re-submit, so the
-     pool cannot deadlock on itself).
-
-     A descendant step without positional predicates is one staircase scan:
-     after pruning, its contexts' subtrees are a union of pairwise disjoint
-     document-order regions, and one pass over them applies the node test
-     and the predicates to each used slot, emitting survivors in document
-     order with no intermediate list and no re-sort. With a pool and a span
-     of at least [Par.range_cutoff] slots the regions are cut into
-     equal-span chunks scanned in parallel (the range plan); the chunk
-     outputs are sorted and disjoint, so concatenation is the merge. Every
-     other step evaluates per context (positional predicates count per
-     context), partitioned by context list under a pool (the ctx plan) and
-     merged by sort_uniq — the same union the sequential path computes.
-
-     Profiling ([~prof] is a Profile.collector) records one step record per
-     axis step — plan chosen, partitions, slots scanned, items produced —
-     and wraps the step in an attributed span. With [prof = None] the only
-     overhead is a no-op closure call per context node. *)
-  let rec eval_steps ~par ~prof t ctxs steps =
-    match steps with
-    | [] -> List.map (fun c -> Node c) ctxs
-    | [ ({ axis = Attribute; test; preds } as step) ] ->
-      Obs.add (counter_of_axis Attribute) (List.length ctxs);
-      let plan = ref Profile.Seq and partitions = ref 1 in
-      let scanned = Atomic.make 0 in
-      let note =
-        match prof with
-        | None -> fun (_ : int) -> ()
-        | Some _ -> fun n -> ignore (Atomic.fetch_and_add scanned n)
-      in
-      (* a name test is resolved once and decodes only the attribute it
-         names *)
-      let attrs_of =
-        match test with
-        | Name q -> (
-          match S.qn_id t q with
-          | None -> fun _ -> []
-          | Some id ->
-            fun ctx ->
-              if not (is_element t ctx) then []
-              else begin
-                note 1;
-                match S.attribute_id t ctx id with
-                | Some value -> [ Attribute { owner = ctx; qn = q; value } ]
-                | None -> []
-              end)
-        | Wildcard | Kind_node ->
-          fun ctx ->
-            if not (is_element t ctx) then []
-            else begin
-              let all = S.attributes t ctx in
-              note (List.length all);
-              List.map (fun (qn, value) -> Attribute { owner = ctx; qn; value }) all
-            end
-        | Kind_text | Kind_comment | Kind_pi _ -> fun _ -> []
-      in
-      let run_step () =
-        let attrs =
-          match par with
-          | Some pool
-            when Par.domains pool > 1 && List.length ctxs >= Par.ctx_cutoff pool
-            ->
-            let chunks = chunk_list (Par.domains pool) ctxs in
-            Par.note_parallel_step `Ctx (List.length chunks);
-            plan := Profile.Ctx;
-            partitions := List.length chunks;
-            let parts =
-              Par.run pool
-                (List.map (fun chunk () -> List.concat_map attrs_of chunk) chunks)
-            in
-            (* predicates below see the same concatenation order as the
-               sequential path, so positional predicates stay correct *)
-            Par.time_merge (fun () -> List.concat parts)
-          | Some _ | None -> List.concat_map attrs_of ctxs
-        in
-        List.fold_left (fun items p -> apply_pred_items t items p) attrs preds
-      in
-      profiled_step ~prof step ~ctx_in:(List.length ctxs) ~plan ~partitions
-        ~scanned ~out_card:List.length run_step
-    | { axis = Attribute; _ } :: _ :: _ ->
-      invalid_arg "Engine: attribute axis must be the final step"
-    | ({ axis; test; preds } as step) :: rest ->
-      Obs.add (counter_of_axis axis) (List.length ctxs);
-      let plan = ref Profile.Seq and partitions = ref 1 in
-      let scanned = Atomic.make 0 in
-      let note =
-        match prof with
-        | None -> fun (_ : int) -> ()
-        | Some _ -> fun n -> ignore (Atomic.fetch_and_add scanned n)
-      in
-      let test = compile_test t test in
-      let pool =
-        match par with Some pool when Par.domains pool > 1 -> Some pool | _ -> None
-      in
-      let run_step () =
-        match axis with
-        | (Descendant | Descendant_or_self) when not (positional preds) ->
-          let ranges =
-            descendant_ranges t ~or_self:(axis = Descendant_or_self) ctxs
-          in
-          let span = List.fold_left (fun a (lo, hi) -> a + (hi - lo)) 0 ranges in
-          (* one note for the whole scan: the inner loop stays branch-free *)
-          note span;
-          let keep acc r i =
-            let pre = Storage_intf.run_pre r i in
-            if
-              target_ok t test pre
-              && List.for_all (fun p -> eval_pred t (Node pre) p) preds
-            then pre :: acc
-            else acc
-          in
-          let scan chunk () =
-            List.rev
-              (List.fold_left
-                 (fun acc (lo, hi) -> Sj.fold_used t ~test ~lo ~hi ~init:acc keep)
-                 [] chunk)
-          in
-          (match pool with
-          | Some pool when span >= Par.range_cutoff pool ->
-            let per = max 1 ((span + Par.domains pool - 1) / Par.domains pool) in
-            let chunks = split_ranges per ranges in
-            Par.note_parallel_step `Range (List.length chunks);
-            plan := Profile.Range;
-            partitions := List.length chunks;
-            let parts = Par.run pool (List.map scan chunks) in
-            (* partition outputs are sorted and pairwise disjoint (pruning
-               made the regions disjoint): concatenation IS the sorted
-               duplicate-free union *)
-            Par.time_merge (fun () -> List.concat parts)
-          | Some _ | None -> scan ranges ())
-        | _ -> (
-          let step_one ctx =
-            let all = axis_one t axis ctx in
-            note (List.length all);
-            let items =
-              List.filter_map
-                (fun c -> if matches_node t test c then Some (Node c) else None)
-                all
-            in
-            let survivors =
-              List.fold_left (fun items p -> apply_pred_items t items p) items preds
-            in
-            List.filter_map (function Node c -> Some c | Attribute _ -> None) survivors
-          in
-          match pool with
-          | Some pool when List.length ctxs >= Par.ctx_cutoff pool ->
-            let chunks = chunk_list (Par.domains pool) ctxs in
-            Par.note_parallel_step `Ctx (List.length chunks);
-            plan := Profile.Ctx;
-            partitions := List.length chunks;
-            let parts =
-              Par.run pool
-                (List.map (fun chunk () -> List.concat_map step_one chunk) chunks)
-            in
-            Par.time_merge (fun () -> List.sort_uniq Int.compare (List.concat parts))
-          | Some _ | None -> List.sort_uniq Int.compare (List.concat_map step_one ctxs))
-      in
-      let out =
-        profiled_step ~prof step ~ctx_in:(List.length ctxs) ~plan ~partitions
-          ~scanned ~out_card:List.length run_step
-      in
-      eval_steps ~par ~prof t out rest
-
-  (* Run one axis step, recording a Profile.step and an attributed span when
-     profiling is on. [plan]/[partitions]/[scanned] are filled in by [f]. *)
-  and profiled_step :
-        'r. prof:Profile.collector option -> Xpath.Xpath_ast.step ->
-        ctx_in:int -> plan:Profile.plan ref -> partitions:int ref ->
-        scanned:int Atomic.t -> out_card:('r -> int) -> (unit -> 'r) -> 'r =
-   fun ~prof step ~ctx_in ~plan ~partitions ~scanned ~out_card f ->
-    match prof with
-    | None -> f ()
-    | Some c ->
-      let t0 = Obs.monotonic () in
-      let out =
-        Obs.Span.with_ "engine.step" (fun () ->
-            let out = f () in
-            Obs.Span.set_str "axis" (axis_name step.axis);
-            Obs.Span.set_str "test" (test_name step.test);
-            Obs.Span.set_str "plan" (Profile.plan_name !plan);
-            Obs.Span.set_int "partitions" !partitions;
-            Obs.Span.set_int "ctx" ctx_in;
-            Obs.Span.set_int "scanned" (Atomic.get scanned);
-            Obs.Span.set_int "items" (out_card out);
-            out)
-      in
-      Profile.record c
-        { Profile.axis = axis_name step.axis;
-          test = test_name step.test;
-          preds = List.length step.preds;
-          plan = !plan;
-          partitions = !partitions;
-          ctx_in;
-          scanned = Atomic.get scanned;
-          items = out_card out;
-          dur_s = Obs.monotonic () -. t0 };
-      out
-
-  (* Predicates filter an ordered candidate list; positions are 1-based
-     indices into the list surviving the previous predicate. *)
-  and apply_pred_items t items pred =
-    match pred with
-    | Pos n -> ( match List.nth_opt items (n - 1) with Some it -> [ it ] | None -> [])
-    | Last -> ( match List.rev items with it :: _ -> [ it ] | [] -> [])
-    | _ -> List.filter (fun it -> eval_pred t it pred) items
-
-  and eval_pred t it pred =
-    match pred with
-    | Pos _ | Last -> assert false (* handled positionally above *)
-    | And (a, b) -> eval_pred t it a && eval_pred t it b
-    | Or (a, b) -> eval_pred t it a || eval_pred t it b
-    | Not p -> not (eval_pred t it p)
-    | Exists p -> eval_rel t it p <> []
-    | Contains (a, b) -> (
-      match eval_value t it a, eval_value t it b with
-      | (VStr _ | VNum _), VNone | VNone, _ -> false
-      | va, vb -> contains_sub ~needle:(to_string vb) (to_string va))
-    | Cmp (a, op, b) -> (
-      match eval_value t it a, eval_value t it b with
-      | VNone, _ | _, VNone -> false
-      | va, vb -> compare_values va op vb)
-
-  and to_string = function
+  let to_string = function
     | VStr s -> s
     | VNum f -> if Float.is_integer f then string_of_int (int_of_float f) else string_of_float f
     | VNone -> ""
 
-  and compare_values va op vb =
+  let compare_values va op vb =
     let numeric =
       match va, vb with
       | VNum _, _ | _, VNum _ -> true
@@ -440,47 +217,401 @@ module Make (S : Storage_intf.S) = struct
       | Gt -> String.compare x y > 0
       | Ge -> String.compare x y >= 0
 
-  and eval_value t it = function
-    | Lit_str s -> VStr s
-    | Lit_num f -> VNum f
-    | Ctx_string -> VStr (item_string t it)
-    | Path_string p -> (
-      match eval_rel t it p with
-      | [] -> VNone
-      | first :: _ -> VStr (item_string t first))
-    | Count p -> VNum (float_of_int (List.length (eval_rel t it p)))
+  (* ------------------------------------------------------------- plans -- *)
+
+  (* A path compiled for one evaluation over one storage value. Every name
+     is resolved in the dictionary here, once, and a name the dictionary
+     lacks matches nothing: each candidate then costs integer comparisons.
+     A predicate before the step's first positional one is a test on one
+     item ([keep]); from the first positional one on, predicates filter the
+     step's candidate list per context in order ([rest]), positions being
+     1-based indices into the list the previous predicate left. *)
+  type pred = Nth of int | Last_one | Filter of (item -> bool)
+
+  type select =
+    | Tree of Staircase.test
+    | Attr_named of Xml.Qname.t * int
+    | Attr_all
+    | Attr_none  (* an unknown name or a kind test *)
+
+  type step_plan = {
+    ast : step;  (* what the profile and the step span name *)
+    axis_steps : Obs.counter;
+    select : select;
+    keep : (item -> bool) option;
+    rest : pred list;
+  }
+
+  (* [From_root] starts an absolute path that begins with a fused `//T` at
+     the root element, and "/" itself. *)
+  type start = From_ctx | From_doc | From_root
+
+  type plan = { start : start; steps : step_plan list }
+
+  let apply_pred items = function
+    | Nth n -> ( match List.nth_opt items (n - 1) with Some it -> [ it ] | None -> [])
+    | Last_one -> ( match List.rev items with it :: _ -> [ it ] | [] -> [])
+    | Filter f -> List.filter f items
+
+  let node_pres items =
+    List.filter_map (function Node c -> Some c | Attribute _ -> None) items
+
+  (* What profiling records of one step: filled in by the step, allocated
+     only when a collector is given. *)
+  type acct = {
+    mutable plan : Profile.plan;
+    mutable partitions : int;
+    scanned : int Atomic.t;
+  }
+
+  let note acct n =
+    match acct with
+    | None -> ()
+    | Some a -> ignore (Atomic.fetch_and_add a.scanned n)
+
+  (* A parallel step: counted always, recorded when profiling. *)
+  let set_plan acct plan n =
+    Par.note_parallel_step (if plan = Profile.Range then `Range else `Ctx) n;
+    match acct with
+    | None -> ()
+    | Some a ->
+      a.plan <- plan;
+      a.partitions <- n
+
+  (* Run one axis step, recording a Profile.step and an attributed span when
+     profiling is on. *)
+  let profiled ~prof (step : step) ~ctx_in f =
+    match prof with
+    | None -> f None
+    | Some c ->
+      let a = { plan = Profile.Seq; partitions = 1; scanned = Atomic.make 0 } in
+      let t0 = Obs.monotonic () in
+      let out =
+        Obs.Span.with_ "engine.step" (fun () ->
+            let out = f (Some a) in
+            Obs.Span.set_str "axis" (axis_name step.axis);
+            Obs.Span.set_str "test" (test_name step.test);
+            Obs.Span.set_str "plan" (Profile.plan_name a.plan);
+            Obs.Span.set_int "partitions" a.partitions;
+            Obs.Span.set_int "ctx" ctx_in;
+            Obs.Span.set_int "scanned" (Atomic.get a.scanned);
+            Obs.Span.set_int "items" (List.length out);
+            out)
+      in
+      Profile.record c
+        { Profile.axis = axis_name step.axis;
+          test = test_name step.test;
+          preds = List.length step.preds;
+          plan = a.plan;
+          partitions = a.partitions;
+          ctx_in;
+          scanned = Atomic.get a.scanned;
+          items = List.length out;
+          dur_s = Obs.monotonic () -. t0 };
+      out
+
+  (* Parallel evaluation ([~par] is a Par.t pool) partitions one axis step
+     over the pool's domains; predicate sub-paths always run sequentially
+     inside whichever domain evaluates them (workers never re-submit, so the
+     pool cannot deadlock on itself).
+
+     A descendant step without positional predicates is one staircase scan:
+     after pruning, its contexts' subtrees are a union of pairwise disjoint
+     document-order regions, and one pass over them applies the node test
+     and the predicates to each used slot, emitting survivors in document
+     order with no intermediate list and no re-sort. With a pool and a span
+     of at least [Par.range_cutoff] slots the regions are cut into
+     equal-span chunks scanned in parallel (the range plan); the chunk
+     outputs are sorted and disjoint, so concatenation is the merge. Every
+     other step evaluates per context (positional predicates count per
+     context), partitioned by context list under a pool (the ctx plan) and
+     merged by [union] — the same union the sequential path computes. A
+     child step tests each child, and applies the predicates before the
+     first positional one, inside the sibling walk.
+
+     Profiling ([~prof] is a Profile.collector) records one step record per
+     axis step — plan chosen, partitions, slots scanned, items produced —
+     and wraps the step in an attributed span. *)
+  let tree_step ~pool acct t ctxs s test =
+    let keep =
+      match s.keep with None -> fun _ -> true | Some keep -> fun pre -> keep (Node pre)
+    in
+    match s.ast.axis with
+    | (Descendant | Descendant_or_self) as axis when s.rest = [] -> (
+      let ranges = descendant_ranges t ~or_self:(axis = Descendant_or_self) ctxs in
+      let span = List.fold_left (fun a (lo, hi) -> a + (hi - lo)) 0 ranges in
+      (* one note for the whole scan: the inner loop stays branch-free *)
+      note acct span;
+      let keep_slot acc r i =
+        let pre = Storage_intf.run_pre r i in
+        if target_ok t test pre && keep pre then pre :: acc else acc
+      in
+      let scan chunk () =
+        List.rev
+          (List.fold_left
+             (fun acc (lo, hi) -> Sj.fold_used t ~test ~lo ~hi ~init:acc keep_slot)
+             [] chunk)
+      in
+      match pool with
+      | Some pool when span >= Par.range_cutoff pool ->
+        let per = max 1 ((span + Par.domains pool - 1) / Par.domains pool) in
+        let chunks = split_ranges per ranges in
+        set_plan acct Profile.Range (List.length chunks);
+        let parts = Par.run pool (List.map scan chunks) in
+        (* partition outputs are sorted and pairwise disjoint (pruning
+           made the regions disjoint): concatenation IS the sorted
+           duplicate-free union *)
+        Par.time_merge (fun () -> List.concat parts)
+      | Some _ | None -> scan ranges ())
+    | axis -> (
+      let pass pre = matches_node t test pre && keep pre in
+      let keep_child acc c = if pass c then c :: acc else acc in
+      let candidates ctx =
+        match axis with
+        | Child when ctx <> doc_node -> (
+          match acct with
+          | None -> List.rev (Sj.fold_children t ctx ~init:[] keep_child)
+          | Some _ ->
+            let walked = ref 0 in
+            let kept =
+              Sj.fold_children t ctx ~init:[] (fun acc c ->
+                  incr walked;
+                  keep_child acc c)
+            in
+            note acct !walked;
+            List.rev kept)
+        | _ ->
+          let all = axis_one t axis ctx in
+          note acct (List.length all);
+          List.filter pass all
+      in
+      let step_one ctx =
+        match s.rest with
+        | [] -> candidates ctx
+        | rest ->
+          node_pres
+            (List.fold_left apply_pred
+               (List.map (fun c -> Node c) (candidates ctx))
+               rest)
+      in
+      match pool with
+      | Some pool when List.length ctxs >= Par.ctx_cutoff pool ->
+        let chunks = chunk_list (Par.domains pool) ctxs in
+        set_plan acct Profile.Ctx (List.length chunks);
+        let parts =
+          Par.run pool (List.map (fun chunk () -> List.concat_map step_one chunk) chunks)
+        in
+        Par.time_merge (fun () -> union (List.concat parts))
+      | Some _ | None -> (
+        match ctxs with
+        | [ ctx ] -> union (step_one ctx)
+        | _ -> union (List.concat_map step_one ctxs)))
+
+  let attr_step ~pool acct t ctxs s =
+    let attrs_of ctx =
+      if not (is_element t ctx) then []
+      else
+        match s.select with
+        | Attr_named (qn, id) -> (
+          note acct 1;
+          match S.attribute_id t ctx id with
+          | Some value -> [ Attribute { owner = ctx; qn; value } ]
+          | None -> [])
+        | Attr_all ->
+          let all = S.attributes t ctx in
+          note acct (List.length all);
+          List.map (fun (qn, value) -> Attribute { owner = ctx; qn; value }) all
+        | Attr_none | Tree _ -> []
+    in
+    let attrs =
+      match pool with
+      | Some pool when List.length ctxs >= Par.ctx_cutoff pool ->
+        let chunks = chunk_list (Par.domains pool) ctxs in
+        set_plan acct Profile.Ctx (List.length chunks);
+        let parts =
+          Par.run pool (List.map (fun chunk () -> List.concat_map attrs_of chunk) chunks)
+        in
+        (* predicates below see the same concatenation order as the
+           sequential path, so positional predicates stay correct *)
+        Par.time_merge (fun () -> List.concat parts)
+      | Some _ | None -> List.concat_map attrs_of ctxs
+    in
+    let attrs = match s.keep with None -> attrs | Some keep -> List.filter keep attrs in
+    List.fold_left apply_pred attrs s.rest
+
+  let rec run_steps ~pool ~prof t ctxs = function
+    | [] -> List.map (fun c -> Node c) ctxs
+    | s :: rest -> (
+      let ctx_in = List.length ctxs in
+      Obs.add s.axis_steps ctx_in;
+      match s.select with
+      | Tree test ->
+        let out =
+          profiled ~prof s.ast ~ctx_in (fun acct -> tree_step ~pool acct t ctxs s test)
+        in
+        run_steps ~pool ~prof t out rest
+      | Attr_named _ | Attr_all | Attr_none ->
+        (* compile leaves an attribute step only at the end *)
+        profiled ~prof s.ast ~ctx_in (fun acct -> attr_step ~pool acct t ctxs s))
+
+  let run ~par ~prof t ctxs plan =
+    let ctxs =
+      match plan.start with
+      | From_ctx -> ctxs
+      | From_doc -> [ doc_node ]
+      | From_root -> [ S.root_pre t ]
+    in
+    let pool =
+      match par with Some pool when Par.domains pool > 1 -> Some pool | _ -> None
+    in
+    run_steps ~pool ~prof t ctxs plan.steps
 
   (* A predicate's path from its context item. Always sequential and never
      profiled: it may run inside a pool worker (workers must never
      re-submit), and profile steps belong to the top-level path only. *)
-  and eval_rel t it p =
-    match it with
-    | Node ctx -> eval_path ~par:None ~prof:None t [ ctx ] p
-    | Attribute _ when p.absolute -> eval_path ~par:None ~prof:None t [] p
+  let rel t plan = function
+    | Node ctx -> run ~par:None ~prof:None t [ ctx ] plan
+    | Attribute _ when plan.start <> From_ctx -> run ~par:None ~prof:None t [] plan
     | Attribute _ -> [] (* no forward axes from attribute nodes *)
 
-  (* Where a path evaluation enters [eval_steps]: every `//T[p]` is fused
-     into one descendant step first. From the document node `//T` selects
-     the root element's descendants and never the root itself (see
-     DESIGN.md), which is `descendant::T` from the root element; an explicit
-     descendant step from the document node still includes the root. *)
-  and eval_path ~par ~prof t ctxs p =
-    let ctxs, steps =
-      if not p.absolute then (ctxs, fuse_dslash p.steps)
+  (* Compile a parsed path. Every `//T[p]` is fused into one descendant step
+     first. From the document node `//T` selects the root element's
+     descendants and never the root itself (see DESIGN.md), which is
+     `descendant::T` from the root element; an explicit descendant step from
+     the document node still includes the root. *)
+  let rec compile t (p : path) =
+    let start, steps =
+      if not p.absolute then (From_ctx, fuse_dslash p.steps)
+      else if p.steps = [] then (From_root, [])
       else
         match dslash_child p.steps with
-        | Some (d, rest) -> ([ S.root_pre t ], d :: fuse_dslash rest)
-        | None -> ([ doc_node ], fuse_dslash p.steps)
+        | Some (d, rest) -> (From_root, d :: fuse_dslash rest)
+        | None -> (From_doc, fuse_dslash p.steps)
     in
-    eval_steps ~par ~prof t ctxs steps
+    let rec steps_of = function
+      | [] -> []
+      | [ ({ axis = Attribute; _ } as s) ] -> [ compile_step t s ]
+      | { axis = Attribute; _ } :: _ :: _ ->
+        invalid_arg "Engine: attribute axis must be the final step"
+      | s :: rest ->
+        let s = compile_step t s in
+        s :: steps_of rest
+    in
+    { start; steps = steps_of steps }
+
+  and compile_step t (step : step) =
+    let select =
+      match step.axis, step.test with
+      | Attribute, Name q -> (
+        match S.qn_id t q with Some id -> Attr_named (q, id) | None -> Attr_none)
+      | Attribute, (Wildcard | Kind_node) -> Attr_all
+      | Attribute, (Kind_text | Kind_comment | Kind_pi _) -> Attr_none
+      | _, test -> Tree (compile_test t test)
+    in
+    let rec split = function
+      | (Pos _ | Last) :: _ as rest -> ([], rest)
+      | p :: ps ->
+        let leading, rest = split ps in
+        (p :: leading, rest)
+      | [] -> ([], [])
+    in
+    let leading, rest = split step.preds in
+    let keep =
+      match List.map (compile_pred t) leading with
+      | [] -> None
+      | f :: fs -> Some (List.fold_left (fun a b it -> a it && b it) f fs)
+    in
+    let in_order = function
+      | Pos n -> Nth n
+      | Last -> Last_one
+      | p -> Filter (compile_pred t p)
+    in
+    { ast = step;
+      axis_steps = counter_of_axis step.axis;
+      select;
+      keep;
+      rest = List.map in_order rest }
+
+  (* A node test becomes the one matcher that the run scan and the per-node
+     steps both apply. *)
+  and compile_test t : _ -> Staircase.test = function
+    | Kind_node -> Any
+    | Wildcard -> Of_kind (Kind.to_int Kind.Element)
+    | Name q -> ( match S.qn_id t q with Some id -> Named id | None -> Nothing)
+    | Kind_text -> Of_kind (Kind.to_int Kind.Text)
+    | Kind_comment -> Of_kind (Kind.to_int Kind.Comment)
+    | Kind_pi None -> Of_kind (Kind.to_int Kind.Pi)
+    | Kind_pi (Some target) -> Pi_named target
+
+  and compile_pred t = function
+    | Pos _ | Last -> invalid_arg "Engine: positional predicate inside and/or/not"
+    | And (a, b) ->
+      let a = compile_pred t a and b = compile_pred t b in
+      fun it -> a it && b it
+    | Or (a, b) ->
+      let a = compile_pred t a and b = compile_pred t b in
+      fun it -> a it || b it
+    | Not p ->
+      let p = compile_pred t p in
+      fun it -> not (p it)
+    | Exists p -> (
+      match compile_attr_operand t p with
+      | Some read -> fun it -> Option.is_some (read it)
+      | None ->
+        let sub = compile t p in
+        fun it -> rel t sub it <> [])
+    | Contains (a, b) -> (
+      let a = compile_value t a and b = compile_value t b in
+      fun it ->
+        match a it, b it with
+        | (VStr _ | VNum _), VNone | VNone, _ -> false
+        | va, vb -> contains_sub ~needle:(to_string vb) (to_string va))
+    | Cmp (a, op, b) -> (
+      let a = compile_value t a and b = compile_value t b in
+      fun it ->
+        match a it, b it with
+        | VNone, _ | _, VNone -> false
+        | va, vb -> compare_values va op vb)
+
+  and compile_value t = function
+    | Lit_str s ->
+      let v = VStr s in
+      fun _ -> v
+    | Lit_num f ->
+      let v = VNum f in
+      fun _ -> v
+    | Ctx_string -> fun it -> VStr (item_string t it)
+    | Path_string p -> (
+      match compile_attr_operand t p with
+      | Some read -> fun it -> ( match read it with Some v -> VStr v | None -> VNone)
+      | None -> (
+        let sub = compile t p in
+        fun it ->
+          match rel t sub it with [] -> VNone | first :: _ -> VStr (item_string t first)))
+    | Count p ->
+      let sub = compile t p in
+      fun it -> VNum (float_of_int (List.length (rel t sub it)))
+
+  (* `@a` as an operand: the attribute's value, read by its interned id
+     with no item and no list built. Counted like the attribute step it
+     replaces, once per context node. *)
+  and compile_attr_operand t = function
+    | { absolute = false; steps = [ { axis = Attribute; test = Name q; preds = [] } ] }
+      ->
+      let id = S.qn_id t q and counter = counter_of_axis Attribute in
+      Some
+        (function
+        | Node ctx -> (
+          Obs.inc counter;
+          match id with
+          | Some id when is_element t ctx -> S.attribute_id t ctx id
+          | Some _ | None -> None)
+        | Attribute _ -> None)
+    | _ -> None
 
   let eval_items t ?par ?prof ?context p =
-    let items =
-      if p.absolute && p.steps = [] then [ Node (S.root_pre t) ]
-      else
-        let ctxs = match context with Some c -> c | None -> [ S.root_pre t ] in
-        eval_path ~par ~prof t ctxs p
-    in
+    let ctxs = match context with Some c -> c | None -> [ S.root_pre t ] in
+    let items = run ~par ~prof t ctxs (compile t p) in
     Obs.add m_items (List.length items);
     items
 

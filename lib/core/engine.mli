@@ -20,8 +20,17 @@
     to) whose predicates are not positional is evaluated as
     [descendant::x[p]]. Every descendant step without a positional
     predicate is one staircase scan over its pruned context regions, with
-    the node test and the predicates applied inside the scan. Node tests
-    are compiled once per step: a name is looked up in the dictionary once.
+    the node test and the predicates applied inside the scan.
+
+    Each entry point compiles its path once into a plan before evaluating
+    it: the fused steps and the absolute start, each step's node test and
+    counter, and its predicates, whose sub-paths are plans of their own.
+    Every name, in a node test, an attribute step or a predicate, is
+    looked up in the dictionary then, once per evaluation; a name the
+    dictionary lacks matches nothing. A one-step [@a] operand reads the
+    attribute by its id with no item built. A child step tests each child,
+    and applies the predicates before the first positional one, inside the
+    sibling walk.
 
     {2 Parallel evaluation}
 
@@ -53,8 +62,8 @@
     size, slots scanned, items produced, duration — and runs inside an
     attributed ["engine.step"] span. Predicate sub-paths are not profiled
     (their cost shows up in the enclosing step's duration). With
-    [prof = None] the only added work is a no-op closure call per context
-    node. *)
+    [prof = None] nothing is allocated for the profile and the only added
+    work is a branch per context node. *)
 
 module Make (S : Storage_intf.S) : sig
   type item =

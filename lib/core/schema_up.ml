@@ -312,6 +312,23 @@ let attr_rows_of_node t node =
 let attr_row t row =
   (Varray.get t.attr_node row, Varray.get t.attr_qn row, Varray.get t.attr_prop row)
 
+(* The index lists a node's rows newest first, so the last match is the
+   first in stored order. *)
+let attr_prop_below t node ~below qid =
+  Mutex.protect t.shared_mu (fun () ->
+      let rec scan found = function
+        | [] -> found
+        | row :: rest ->
+          scan
+            (if row < below && Varray.get t.attr_qn row = qid then
+               Varray.get t.attr_prop row
+             else found)
+            rest
+      in
+      match Hashtbl.find t.attr_index node with
+      | rows -> scan Varray.null rows
+      | exception Not_found -> Varray.null)
+
 let attr_table_len t = Varray.length t.attr_node
 
 let attr_live_count t =
@@ -328,13 +345,8 @@ let attributes t pre =
     (attr_rows_of_node t node)
 
 let attribute_id t pre qid =
-  let rec scan = function
-    | [] -> None
-    | row :: rest ->
-      let _, qn, prop = attr_row t row in
-      if qn = qid then Some (Values.get t.values Values.Dprop prop) else scan rest
-  in
-  scan (attr_rows_of_node t (node_at t ~pre))
+  let prop = attr_prop_below t (node_at t ~pre) ~below:max_int qid in
+  if prop = Varray.null then None else Some (Values.get t.values Values.Dprop prop)
 
 let attribute t pre q = Option.bind (qn_id t q) (attribute_id t pre)
 

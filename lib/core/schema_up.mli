@@ -176,6 +176,12 @@ val attr_rows_of_node : t -> int -> int list
 val attr_row : t -> int -> int * int * int
 (** [(node, qn, prop)] of a row; node is NULL for tombstones. *)
 
+val attr_prop_below : t -> int -> below:int -> int -> int
+(** [attr_prop_below t node ~below qid] is the prop id of the first live
+    row of [node], in stored order, that lies below row [below] and carries
+    qname [qid], or NULL: the point probe behind [attribute_id], one
+    critical section that builds no list. *)
+
 val attr_live_count : t -> int
 
 val attr_table_len : t -> int

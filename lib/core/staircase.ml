@@ -112,17 +112,25 @@ module Make (S : Storage_intf.S) = struct
 
   let self _t ctxs = sort_uniq ctxs
 
-  let children_of t ctx =
+  let fold_children t ctx ~init f =
     let lvl = S.level t ctx in
     let stop = S.extent t in
     let rec go pre acc =
-      if pre >= stop || S.level t pre <= lvl then List.rev acc
-      else if S.level t pre = lvl + 1 then go (sibling_hop t pre) (pre :: acc)
-      else go (sibling_hop t pre) acc (* undershoot: deeper node, hop on *)
+      if pre >= stop then acc
+      else
+        let l = S.level t pre in
+        if l <= lvl then acc
+        else if l = lvl + 1 then go (sibling_hop t pre) (f acc pre)
+        else go (sibling_hop t pre) acc (* undershoot: deeper node, hop on *)
     in
-    go (S.next_used t (ctx + 1)) []
+    go (S.next_used t (ctx + 1)) init
 
-  let children t ctxs = sort_uniq (List.concat_map (children_of t) ctxs)
+  let cons acc c = c :: acc
+
+  let children_of t ctx = List.rev (fold_children t ctx ~init:[] cons)
+
+  let children t ctxs =
+    sort_uniq (List.fold_left (fun acc ctx -> fold_children t ctx ~init:acc cons) [] ctxs)
 
   (* Staircase pruning: a context inside the previously scanned subtree
      contributes nothing new. The surviving regions [(ctx, subtree_end ctx)]

@@ -52,6 +52,12 @@ module Make (S : Storage_intf.S) : sig
       same slot and keeps its result in the accumulator. Raises [Failure]
       on an unused slot whose free-run length is negative. *)
 
+  val fold_children : S.t -> int -> init:'a -> ('a -> int -> 'a) -> 'a
+  (** [fold_children t ctx ~init f] folds [f acc pre] over the children of
+      [ctx] in document order, walking the sibling hops ({!S.size}, so a
+      staged transaction's pending size deltas are applied). Raises
+      [Failure] on a negative size. *)
+
   (** {1 Axes over context sets} *)
 
   val self : S.t -> int list -> int list

@@ -526,13 +526,23 @@ let attributes v pre =
     (fun (_, qn, prop) -> Values.attribute (values v) ~qn ~prop)
     (attr_entries v node)
 
+(* A current snapshot probes the base's index for a row it can see, then
+   validates; an overtaken snapshot and a staged view scan their entries. *)
 let attribute_id v pre qid =
+  let prop_value prop = Some (Values.get (values v) Values.Dprop prop) in
   let rec scan = function
     | [] -> None
-    | (_, qn, prop) :: rest ->
-      if qn = qid then Some (Values.get (values v) Values.Dprop prop) else scan rest
+    | (_, qn, prop) :: rest -> if qn = qid then prop_value prop else scan rest
   in
-  scan (attr_entries v (node_at_pre v pre))
+  let node = node_at_pre v pre in
+  match v.fl with
+  | Snapshot s ->
+    let prop = Schema_up.attr_prop_below v.b node ~below:(Version.attr_hwm s.vs) qid in
+    if not (Version.is_current s.vs) then
+      scan (overtaken s (fun () -> Version.attr_entries s.vs node))
+    else if prop = Varray.null then None
+    else prop_value prop
+  | Staged _ -> scan (attr_entries v node)
 
 let attribute v pre q = Option.bind (qn_id v q) (attribute_id v pre)
 

@@ -8,8 +8,10 @@ module Sj_ro = Core.Staircase.Make (Core.Schema_ro)
 module Sj_up = Core.Staircase.Make (Core.Schema_up)
 module E_ro = Core.Engine.Make (Core.Schema_ro)
 module E_up = Core.Engine.Make (Core.Schema_up)
+module E_view = Core.Engine.Make (Core.View)
 module Ord_ro = Testsupport.Ord (Core.Schema_ro)
 module Ord_up = Testsupport.Ord (Core.Schema_up)
+module Ord_view = Testsupport.Ord (Core.View)
 
 let all_axes : Xpath.Xpath_ast.axis list =
   [ Self; Child; Descendant; Descendant_or_self; Parent; Ancestor;
@@ -226,6 +228,39 @@ let test_engine_dslash_root () =
       ("/descendant::site", [ 0; 2 ]);
       ("/descendant-or-self::site", [ 0; 2 ]) ]
 
+(* A name no dictionary holds is resolved once, when the path is compiled,
+   and matches nothing: the attribute comparison and the child test select
+   no candidate, and their negation keeps every one, on every storage and
+   in the DOM evaluator alike. *)
+let test_engine_unknown_names () =
+  let d = Testsupport.small_doc in
+  let ro = Ro.of_dom d in
+  let up = Up.of_dom ~page_bits:2 ~fill:0.5 d in
+  let view = Testsupport.view up in
+  let oracle = Testsupport.Dom_eval.make d in
+  let persons = List.length (E_ro.parse_eval ro "/site/people/person") in
+  List.iter
+    (fun (src, want) ->
+      let p = Xpath.Xpath_parser.parse src in
+      let expect =
+        List.map
+          (function Testsupport.Dom_eval.N i -> i | A _ -> -1)
+          (Testsupport.Dom_eval.eval oracle p)
+      in
+      Alcotest.(check int) (src ^ " (oracle)") want (List.length expect);
+      Alcotest.(check (list int)) (src ^ " (ro)") expect
+        (Ord_ro.ordinals ro (E_ro.eval_nodes ro p));
+      Alcotest.(check (list int)) (src ^ " (up)") expect
+        (Ord_up.ordinals up (E_up.eval_nodes up p));
+      Alcotest.(check (list int)) (src ^ " (view)") expect
+        (Ord_view.ordinals view (E_view.eval_nodes view p)))
+    [ ("/site/people/person[@nosuch='v']", 0);
+      ("/site/people/person[nosuch]", 0);
+      ("/site/people/person[not(@nosuch)]", persons);
+      ("//person[@nosuch='v']", 0);
+      ("//person[nosuch]", 0);
+      ("//person[not(@nosuch)]", persons) ]
+
 let test_engine_conveniences () =
   let t = Ro.of_dom Testsupport.small_doc in
   Alcotest.(check int) "count" 3 (E_ro.count t (Xpath.Xpath_parser.parse "//person"));
@@ -298,6 +333,7 @@ let () =
           Alcotest.test_case "schemas agree" `Quick test_engine_both_schemas_agree;
           Alcotest.test_case "conveniences and errors" `Quick test_engine_conveniences;
           Alcotest.test_case "// from the document node" `Quick test_engine_dslash_root;
+          Alcotest.test_case "unknown names" `Quick test_engine_unknown_names;
           Alcotest.test_case "kind module" `Quick test_kind_module;
           Alcotest.test_case "qname ordering/validation" `Quick
             test_qname_ordering_and_validation;

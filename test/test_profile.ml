@@ -122,6 +122,56 @@ let test_render_json_and_chrome () =
   Alcotest.(check bool) "spans present" true (contains trace "db.query");
   Alcotest.(check bool) "engine steps present" true (contains trace "engine.step")
 
+(* ---------------------------------------------------- pinned instruments -- *)
+
+(* The engine's counters and step records for two point lookups, pinned to
+   what the interpreting evaluator counted: a compiled predicate that reads
+   its attribute directly, or a child step that tests inside the sibling
+   walk, must still count every context it feeds an axis and every child
+   it walks. *)
+module E_ro = Core.Engine.Make (Core.Schema_ro)
+module E_view = Core.Engine.Make (Core.View)
+
+let axis_steps axis = Obs.counter ~labels:[ ("axis", axis) ] "engine.axis_steps"
+
+let m_items = Obs.counter "engine.items"
+
+let pinned =
+  [ ( "/site/people/person[@id='person3']/name",
+      (* axis_steps child, axis_steps attribute, engine.items *)
+      (4, 51, 1),
+      (* ctx_in, scanned, items per step *)
+      [ (1, 1, 1); (1, 6, 1); (1, 51, 1); (1, 5, 1) ] );
+    ( "/site/people/person[not(homepage)]/name",
+      (83, 0, 29),
+      [ (1, 1, 1); (1, 6, 1); (1, 51, 29); (29, 156, 29) ] ) ]
+
+let test_pinned_instruments () =
+  let d = Xmark.Gen.of_scale 0.002 in
+  let up = Core.Schema_up.of_dom ~page_bits:6 ~fill:0.8 d in
+  let eval_ro = E_ro.eval_items (Core.Schema_ro.of_dom d)
+  and eval_view = E_view.eval_items (Testsupport.view up) in
+  let run name eval =
+    List.iter
+      (fun (src, (child, attr, items), steps) ->
+        let path = Xpath.Xpath_parser.parse src in
+        let counters = [ axis_steps "child"; axis_steps "attribute"; m_items ] in
+        let before = List.map Obs.value counters in
+        let c = Profile.collector () in
+        eval ~prof:c path;
+        let delta = List.map2 (fun k b -> Obs.value k - b) counters before in
+        let got_steps =
+          List.map
+            (fun (s : Profile.step) -> (s.Profile.ctx_in, s.Profile.scanned, s.Profile.items))
+            (Profile.steps c)
+        in
+        Alcotest.(check (list int)) (name ^ " counters " ^ src) [ child; attr; items ] delta;
+        Alcotest.(check (list (triple int int int))) (name ^ " steps " ^ src) steps got_steps)
+      pinned
+  in
+  run "ro" (fun ~prof p -> ignore (eval_ro ~prof p));
+  run "view" (fun ~prof p -> ignore (eval_view ~prof p))
+
 (* ---------------------------------------------------------------- slowlog -- *)
 
 let mk total =
@@ -181,7 +231,8 @@ let () =
   Alcotest.run "profile"
     [ ( "steps",
         [ Alcotest.test_case "sequential accounting" `Quick test_seq_profile;
-          Alcotest.test_case "parallel plans (range/ctx)" `Quick test_parallel_plans ] );
+          Alcotest.test_case "parallel plans (range/ctx)" `Quick test_parallel_plans;
+          Alcotest.test_case "pinned instruments" `Quick test_pinned_instruments ] );
       ( "renderers",
         [ Alcotest.test_case "explain" `Quick test_render_explain;
           Alcotest.test_case "json + chrome trace" `Quick test_render_json_and_chrome ] );

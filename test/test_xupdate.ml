@@ -190,6 +190,23 @@ let test_update_text_and_element_and_attr () =
   | _ -> Alcotest.fail "desc");
   Alcotest.(check int) "attr renamed" 1 (List.length (E.parse_eval v "//person[@id='p1-new']"))
 
+(* A name is resolved when a command's select is compiled, after the earlier
+   commands of the same transaction have interned theirs: the second
+   command finds the attribute name the first one introduced. *)
+let test_select_sees_names_of_earlier_commands () =
+  let before = Up.of_dom ~page_bits:3 ~fill:0.75 Testsupport.small_doc in
+  Alcotest.(check (option int)) "name never held" None
+    (Up.qn_id before (Xml.Qname.make "fresh"));
+  let n, t, v =
+    apply_to
+      {|<xupdate:append select="/site/people"><x fresh="1"/></xupdate:append>
+        <xupdate:append select="//x[@fresh='1']"><y/></xupdate:append>|}
+  in
+  Alcotest.(check int) "one target per command" 2 n;
+  Alcotest.(check int) "second command found the new node" 1
+    (List.length (E.parse_eval v "//x[@fresh='1']/y"));
+  check_integrity t
+
 let test_apply_errors () =
   let m = Txn.manager (Up.of_dom Testsupport.small_doc) in
   let apply body = Txn.with_write m (fun v -> Xu.apply_string v (wrap body)) in
@@ -320,6 +337,8 @@ let () =
           Alcotest.test_case "update text/element/attr" `Quick
             test_update_text_and_element_and_attr;
           Alcotest.test_case "apply errors" `Quick test_apply_errors;
+          Alcotest.test_case "select sees earlier commands' names" `Quick
+            test_select_sees_names_of_earlier_commands;
           Alcotest.test_case "pre shifts between targets" `Quick
             test_pre_shifts_between_targets;
           Alcotest.test_case "rename" `Quick test_rename;
